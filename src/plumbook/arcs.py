@@ -25,6 +25,7 @@ a shared point can always be combed apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -33,23 +34,7 @@ from .errors import (
     NoSharedStartError,
     UnknownPairError,
 )
-from .surface import (
-    BoundaryPoint,
-    PolygonPresentation,
-    _Geometry,
-    _geometry,
-    _require_valid,
-)
-
-from enum import Enum
-from functools import lru_cache
-
-
-@lru_cache(maxsize=512)
-def _valid_geometry(p: PolygonPresentation) -> _Geometry:
-    """Geometry of a presentation that has passed validation once."""
-    _require_valid(p)
-    return _geometry(p)
+from .surface import BoundaryPoint, PolygonPresentation, _Geometry, _geometry
 
 
 @dataclass(frozen=True)
@@ -108,7 +93,8 @@ def _check_endpoint(geo: _Geometry, pt: BoundaryPoint) -> None:
 
 class _ArcData:
     """Per-arc view used by the counting machinery: one chamber slot per
-    word prefix, each slot holding its entry and exit address."""
+    word prefix, each slot holding its entry and exit address.  Built only
+    from arcs that reduce has checked against the presentation."""
 
     __slots__ = ("arc", "word", "slots", "doors")
 
@@ -127,15 +113,6 @@ class _ArcData:
         self.doors: list[frozenset[int]] = [
             frozenset(side for side, pos in slot if pos is None) for slot in self.slots
         ]
-
-
-def _prepare(geo: _Geometry, arc: Arc) -> _ArcData:
-    _check_endpoint(geo, arc.start)
-    _check_endpoint(geo, arc.end)
-    for c in arc.crossings:
-        if c.pair not in geo.pair_sides:
-            raise MixedSurfacesError(f"pair {c.pair!r} is not on this presentation")
-    return _ArcData(geo, arc)
 
 
 def _key(n: int, ref_side: int, ref_param: Optional[Fraction], addr: Address) -> Fraction:
@@ -170,7 +147,7 @@ def reduce(p: PolygonPresentation, a: Arc) -> Arc:
     boundary-parallel backtracks can exist, and the reduced word together
     with the endpoints determines the endpoint-fixed isotopy class.
     """
-    geo = _valid_geometry(p)
+    geo = _geometry(p)
     for c in a.crossings:
         if c.pair not in geo.pair_sides:
             raise UnknownPairError(c.pair)
@@ -302,17 +279,17 @@ def minimal_position(
     between two strands shows up as a relative placement whose end orders do
     not force a crossing, and such placements contribute nothing here.
     """
-    geo = _valid_geometry(p)
+    geo = _geometry(p)
     ra = reduce(p, a)
     rb = reduce(p, b)
-    da = _prepare(geo, ra)
+    da = _ArcData(geo, ra)
     # duplicates of one unoriented class, either parametrization, are a
     # self-intersection query, not a pair of parallel copies
     if ra == rb or ra == reverse(rb):
-        count = _count_self(geo, da, _prepare(geo, reverse(ra)))
+        count = _count_self(geo, da, _ArcData(geo, reverse(ra)))
     else:
-        db = _prepare(geo, rb)
-        count = _count_distinct(geo, da, db, _prepare(geo, reverse(rb)))
+        db = _ArcData(geo, rb)
+        count = _count_distinct(geo, da, db, _ArcData(geo, reverse(rb)))
     return ra, rb, count
 
 
@@ -322,10 +299,10 @@ def interior_intersections(p: PolygonPresentation, a: Arc, b: Arc) -> int:
 
 def is_embedded(p: PolygonPresentation, a: Arc) -> bool:
     """Whether the reduced representative has no forced self-crossings."""
-    geo = _valid_geometry(p)
+    geo = _geometry(p)
     ra = reduce(p, a)
-    da = _prepare(geo, ra)
-    return _count_self(geo, da, _prepare(geo, reverse(ra))) == 0
+    da = _ArcData(geo, ra)
+    return _count_self(geo, da, _ArcData(geo, reverse(ra))) == 0
 
 
 def is_isotopic(
@@ -369,7 +346,7 @@ def first_divergence(p: PolygonPresentation, a: Arc, b: Arc) -> Divergence:
     counterclockwise starting from the entry point (or entry door); the arc
     whose exit comes first departs to the right of the other.
     """
-    geo = _valid_geometry(p)
+    geo = _geometry(p)
     ra = reduce(p, a)
     rb = reduce(p, b)
     if ra.start.side != rb.start.side:
@@ -378,8 +355,8 @@ def first_divergence(p: PolygonPresentation, a: Arc, b: Arc) -> Divergence:
         )
     if ra == rb:
         return Divergence.EQUAL
-    da = _prepare(geo, ra)
-    db = _prepare(geo, rb)
+    da = _ArcData(geo, ra)
+    db = _ArcData(geo, rb)
     la, lb = len(ra.crossings), len(rb.crossings)
     m = 0
     while m <= min(la, lb):
@@ -418,7 +395,7 @@ def twist_about_band(p: PolygonPresentation, a: Arc, pair: str, sign: int) -> Ar
     covers every construction in this package (band-dual arcs and their
     composites over other bands).
     """
-    geo = _valid_geometry(p)
+    geo = _geometry(p)
     if pair not in geo.pair_sides:
         raise UnknownPairError(pair)
     if sign not in (1, -1):
@@ -428,7 +405,7 @@ def twist_about_band(p: PolygonPresentation, a: Arc, pair: str, sign: int) -> Ar
         raise ValueError(
             f"twist about {pair!r} needs an arc not already crossing that band"
         )
-    da = _prepare(geo, ra)
+    da = _ArcData(geo, ra)
     left, right = geo.pair_sides[pair]
     core: tuple[Address, Address] = ((left, None), (right, None))
     pieces: list[Crossing] = []
@@ -442,3 +419,18 @@ def twist_about_band(p: PolygonPresentation, a: Arc, pair: str, sign: int) -> Ar
         if m < len(ra.crossings):
             pieces.append(ra.crossings[m])
     return reduce(p, Arc(ra.start, ra.end, tuple(pieces)))
+
+
+def bands_cut(p: PolygonPresentation, a: Arc) -> list[str]:
+    """Glued pairs, sorted, whose two doors a crossing-free arc separates:
+    the band core's chord between the doors must cross the arc's chord."""
+    geo = _geometry(p)
+    r = reduce(p, a)
+    if r.crossings:
+        raise ValueError("bands_cut needs an arc without crossings")
+    slot = _ArcData(geo, r).slots[0]
+    return [
+        pair
+        for pair, (left, right) in sorted(geo.pair_sides.items())
+        if _chamber_linked(geo.n, slot, ((left, None), (right, None)))
+    ]

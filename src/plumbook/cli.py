@@ -47,12 +47,11 @@ from .plumbing import (
 )
 from .surface import (
     Boundary,
-    Glued,
     PolygonPresentation,
+    _geometry,
     boundary_components,
     euler_characteristic,
     genus,
-    validate,
 )
 
 CHECK_NAMES = ("rv", "contact", "sqp", "dividing")
@@ -346,29 +345,21 @@ def cmd_paper_examples(args) -> int:
 
 
 def _dot_for_surface(p: PolygonPresentation, arcs=()) -> str:
+    geo = _geometry(p)
     lines = ["graph polygon {", "  layout=circo;"]
-    n = len(p.sides)
-    node_of = {}
     for i, s in enumerate(p.sides):
         if isinstance(s, Boundary):
             lines.append(f'  s{i} [label="{s.label}"];')
-            node_of[s.label] = f"s{i}"
         else:
             lines.append(f'  s{i} [label="{s.pair}.{s.end.value[0]}", shape=box];')
-    for i in range(n):
-        lines.append(f"  s{i} -- s{(i + 1) % n};")
-    pair_sides: dict[str, list[int]] = {}
-    for i, s in enumerate(p.sides):
-        if isinstance(s, Glued):
-            pair_sides.setdefault(s.pair, []).append(i)
-    for pair in sorted(pair_sides):
-        i, j = pair_sides[pair]
+    for i in range(geo.n):
+        lines.append(f"  s{i} -- s{(i + 1) % geo.n};")
+    for pair in sorted(geo.pair_sides):
+        i, j = sorted(geo.pair_sides[pair])
         lines.append(f'  s{i} -- s{j} [label="{pair}", style=dashed, constraint=false];')
     for label, a, style in arcs:
-        lines.append(
-            f"  {node_of[a.start.side]} -- {node_of[a.end.side]} "
-            f'[label="{label}", style={style}, constraint=false];'
-        )
+        i, j = geo.boundary_index[a.start.side], geo.boundary_index[a.end.side]
+        lines.append(f'  s{i} -- s{j} [label="{label}", style={style}, constraint=false];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -378,7 +369,6 @@ def cmd_emit_dot(args) -> int:
     for d in docs:
         if d.kind == "pob":
             pob, _star = doc.pob_from(d.payload)
-            _require_valid_surface(pob.surface)
             arcs = []
             for i, (a, h) in enumerate(zip(pob.basis, pob.images)):
                 arcs.append((f"a{i}", reduce_arc(pob.surface, a), "bold"))
@@ -387,17 +377,9 @@ def cmd_emit_dot(args) -> int:
             return 0
     for d in docs:
         if d.kind == "surface":
-            p = doc.surface_from(d.payload)
-            _require_valid_surface(p)
-            sys.stdout.write(_dot_for_surface(p))
+            sys.stdout.write(_dot_for_surface(doc.surface_from(d.payload)))
             return 0
     raise DocumentError("no surface or pob document in input")
-
-
-def _require_valid_surface(p: PolygonPresentation) -> None:
-    violations = validate(p)
-    if violations:
-        raise InvalidPresentationError(violations)
 
 
 def build_parser() -> argparse.ArgumentParser:

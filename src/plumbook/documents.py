@@ -40,6 +40,13 @@ def _fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _name(value, what: str) -> str:
+    """A label, pair name or end marker: it must be a JSON string."""
+    if not isinstance(value, str):
+        raise DocumentError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _parse_fraction(s) -> Fraction:
     try:
         return Fraction(s)
@@ -62,9 +69,10 @@ def surface_from(payload) -> PolygonPresentation:
         sides = []
         for s in payload["sides"]:
             if "boundary" in s:
-                sides.append(Boundary(s["boundary"]))
+                sides.append(Boundary(_name(s["boundary"], "boundary label")))
             else:
-                sides.append(Glued(s["pair"], End(s["end"])))
+                end = End(_name(s["end"], "end"))
+                sides.append(Glued(_name(s["pair"], "pair name"), end))
         return PolygonPresentation(tuple(sides))
     except (KeyError, TypeError, ValueError) as e:
         raise DocumentError(f"bad surface payload: {e}") from e
@@ -76,7 +84,8 @@ def _point_payload(pt: BoundaryPoint) -> dict:
 
 def _point_from(payload) -> BoundaryPoint:
     try:
-        return BoundaryPoint(payload["side"], _parse_fraction(payload["position"]))
+        side = _name(payload["side"], "point side")
+        return BoundaryPoint(side, _parse_fraction(payload["position"]))
     except (KeyError, TypeError) as e:
         raise DocumentError(f"bad boundary point: {e}") from e
 
@@ -92,7 +101,8 @@ def arc_payload(a: Arc) -> dict:
 def arc_from(payload) -> Arc:
     try:
         word = tuple(
-            Crossing(c["pair"], int(c["direction"])) for c in payload["crossings"]
+            Crossing(_name(c["pair"], "crossing pair"), int(c["direction"]))
+            for c in payload["crossings"]
         )
         return Arc(_point_from(payload["start"]), _point_from(payload["end"]), word)
     except (KeyError, TypeError, ValueError) as e:

@@ -27,6 +27,9 @@ class InvalidPresentationError(ValueError):
 class UnknownPairError(KeyError):
     """An arc word references a glued pair absent from its surface."""
 
+    def __str__(self) -> str:
+        return f"unknown pair {self.args[0]!r}: no glued side of this surface carries it"
+
 
 class MixedSurfacesError(ValueError):
     """Two arcs from different surfaces were combined."""

@@ -13,6 +13,12 @@ Endpoint convention: each image arc ends either exactly at its basis arc's
 endpoints or immediately beside them on the same boundary sides, with no
 other marked point in between.  Exact coincidence is reserved for identity
 images; every construction in this package emits the pushed-off form.
+
+A book is checked once per object: validate_pob keeps its violations and
+reduced arcs on the book for every operation below.  Books, arcs and
+surfaces are frozen, so the result cannot go stale, and it is not a field,
+so equality, hashing, repr and documents ignore it.  Operations on an
+invalid book raise on every call.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arcs import (
     Arc,
@@ -40,7 +46,7 @@ from .surface import (
     Glued,
     PolygonPresentation,
     _canonical_data,
-    _require_valid,
+    _geometry,
     boundary_components,
     merge_boundary_runs,
 )
@@ -89,6 +95,14 @@ class ContactVerdict:
     matrix: Optional[tuple[tuple[int, ...], ...]] = None
 
 
+class _CheckedBook(NamedTuple):
+    """What validate_pob found out about a book, kept on the book."""
+
+    violations: tuple[Violation, ...]
+    basis: tuple[Arc, ...]
+    images: tuple[Arc, ...]
+
+
 def _marked_points(pob: PartialOpenBook) -> list[BoundaryPoint]:
     out = []
     for a in (*pob.basis, *pob.images):
@@ -117,21 +131,24 @@ def validate_pob(pob: PartialOpenBook) -> list[Violation]:
     Codes: ArcNotEmbedded (an arc crosses itself), BasisNotDisjoint /
     ImagesNotDisjoint (a crossing pair of indices), EndpointMismatch (image i
     does not end beside basis arc i), TiedEndpoints (unrelated arcs sharing
-    an exact boundary point).
+    an exact boundary point).  Later calls on the same book reuse the result.
     """
-    _require_valid(pob.surface)
-    out: list[Violation] = []
+    checked = pob.__dict__.get("_checked")
+    if checked is None:
+        checked = _check(pob)
+        object.__setattr__(pob, "_checked", checked)
+    return list(checked.violations)
+
+
+def _check(pob: PartialOpenBook) -> _CheckedBook:
+    _geometry(pob.surface)
     if len(pob.basis) != len(pob.images):
-        out.append(
-            Violation(
-                "EndpointMismatch",
-                f"{len(pob.basis)} basis arcs but {len(pob.images)} images",
-            )
-        )
-        return out
+        count = f"{len(pob.basis)} basis arcs but {len(pob.images)} images"
+        return _CheckedBook((Violation("EndpointMismatch", count),), (), ())
+    out: list[Violation] = []
     p = pob.surface
-    basis = [reduce(p, a) for a in pob.basis]
-    images = [reduce(p, a) for a in pob.images]
+    basis = tuple(reduce(p, a) for a in pob.basis)
+    images = tuple(reduce(p, a) for a in pob.images)
     for name, arcs in (("basis", basis), ("image", images)):
         for i, a in enumerate(arcs):
             if not is_embedded(p, a):
@@ -142,7 +159,8 @@ def validate_pob(pob: PartialOpenBook) -> list[Violation]:
                 n = interior_intersections(p, arcs[i], arcs[j])
                 if n:
                     out.append(Violation(code, f"arcs {i} and {j} cross {n} time(s)"))
-    marked = _marked_points(PartialOpenBook(p, tuple(basis), tuple(images)))
+    # reduce keeps endpoints, so the book's own marked points serve
+    marked = _marked_points(pob)
     for i, (a, h) in enumerate(zip(basis, images)):
         straight = _adjacent(a.start, h.start, marked) and _adjacent(a.end, h.end, marked)
         swapped = _adjacent(a.start, h.end, marked) and _adjacent(a.end, h.start, marked)
@@ -174,16 +192,18 @@ def validate_pob(pob: PartialOpenBook) -> list[Violation]:
                             f"{name} arcs {i} and {j} share the point {sorted(shared, key=str)[0]}",
                         )
                     )
-    return out
+    return _CheckedBook(tuple(out), basis, images)
 
 
-def _require_pob(pob: PartialOpenBook) -> None:
+def _require_pob(pob: PartialOpenBook) -> _CheckedBook:
+    """The kept check of a valid book; raises InvalidOpenBookError."""
     violations = validate_pob(pob)
     if violations:
         raise InvalidOpenBookError(violations)
+    return pob.__dict__["_checked"]
 
 
-def _oriented_image(p, a: Arc, h: Arc, marked) -> Arc:
+def _oriented_image(a: Arc, h: Arc, marked) -> Arc:
     """Orient the image so that its start sits beside the basis start."""
     if _adjacent(a.start, h.start, marked) and _adjacent(a.end, h.end, marked):
         return h
@@ -197,14 +217,12 @@ def veering_report(pob: PartialOpenBook) -> VeeringReport:
     Isotopic when the image is the same class rel endpoints, and Left
     otherwise.  Isotopic counts as right-veering downstream.
     """
-    _require_pob(pob)
+    checked = _require_pob(pob)
     p = pob.surface
-    basis = [reduce(p, a) for a in pob.basis]
-    images = [reduce(p, a) for a in pob.images]
-    marked = _marked_points(PartialOpenBook(p, tuple(basis), tuple(images)))
+    marked = _marked_points(pob)
     verdicts = []
-    for a, h in zip(basis, images):
-        h = _oriented_image(p, a, h, marked)
+    for a, h in zip(checked.basis, checked.images):
+        h = _oriented_image(a, h, marked)
         at_start = first_divergence(p, a, h)
         if at_start is Divergence.EQUAL:
             verdicts.append(ArcVeer.ISOTOPIC)
@@ -243,13 +261,12 @@ def contact_verdict(pob: PartialOpenBook) -> ContactVerdict:
                 "witnesses an overtwisted structure",
                 witness_index=i,
             )
-    p = pob.surface
-    basis = [reduce(p, a) for a in pob.basis]
-    images = [reduce(p, a) for a in pob.images]
+    checked = _require_pob(pob)
     matrix = tuple(
-        tuple(interior_intersections(p, a, h) for h in images) for a in basis
+        tuple(interior_intersections(pob.surface, a, h) for h in checked.images)
+        for a in checked.basis
     )
-    if all(matrix[i][i] == 0 for i in range(len(basis))):
+    if all(matrix[i][i] == 0 for i in range(len(matrix))):
         return ContactVerdict(
             VerdictStatus.NONZERO_TIGHT,
             "right-veering and every arc is disjoint from its own image: "
@@ -386,17 +403,15 @@ def canonical_pob(pob: PartialOpenBook):
     endpoint positions are replaced by their rank among the marked points
     of their side.
     """
-    _require_pob(pob)
-    p = pob.surface
-    merged, point_map = merge_boundary_runs(p)
+    checked = _require_pob(pob)
+    merged, point_map = merge_boundary_runs(pob.surface)
 
     def transport(pt: BoundaryPoint) -> tuple[str, Fraction]:
         new_label, index, run = point_map[pt.side]
         return new_label, (index + pt.position) / run
 
     moved = []
-    for a in (*pob.basis, *pob.images):
-        r = reduce(p, a)
+    for r in (*checked.basis, *checked.images):
         moved.append(
             (transport(r.start), transport(r.end), tuple((c.pair, c.direction) for c in r.crossings))
         )

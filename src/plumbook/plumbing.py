@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arcs import Arc, twist_about_band
+from .arcs import Arc, bands_cut, reduce as reduce_arc, twist_about_band
 from .errors import (
     HopfOnlyWarning,
     NotABasisError,
@@ -27,15 +27,7 @@ from .errors import (
     ZeroTwistError,
 )
 from .openbook import PartialOpenBook, validate_pob
-from .surface import (
-    Boundary,
-    BoundaryPoint,
-    End,
-    Glued,
-    PolygonPresentation,
-    _geometry,
-)
-from .arcs import _chamber_linked, _prepare, reduce as reduce_arc
+from .surface import Boundary, BoundaryPoint, End, Glued, PolygonPresentation
 
 
 @dataclass(frozen=True)
@@ -182,7 +174,6 @@ def pob_from_product_disks(
     every arc is a single-chamber chord separating the two doors of exactly
     one band, one arc per band.
     """
-    geo = _geometry(surface)
     seen = set()
     for idx, (a, _h) in enumerate(system.pairs):
         r = reduce_arc(surface, a)
@@ -191,12 +182,7 @@ def pob_from_product_disks(
                 f"arc {idx} wanders through {len(r.crossings)} door(s); "
                 "only band-dual chords cut their bands into disks"
             )
-        slot = _prepare(geo, r).slots[0]
-        cut = [
-            pair
-            for pair, (li, ri) in sorted(geo.pair_sides.items())
-            if _chamber_linked(geo.n, slot, ((li, None), (ri, None)))
-        ]
+        cut = bands_cut(surface, r)
         if len(cut) != 1:
             raise NotABasisError(
                 f"arc {idx} separates the doors of {len(cut)} bands, expected exactly 1"

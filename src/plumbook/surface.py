@@ -13,6 +13,12 @@ labels are unique, every pair occurs exactly once per end marker, and every
 polygon corner must land on the surface boundary.  The last condition keeps
 the chamber decomposition of the universal cover a tree, which the arc
 calculus relies on.
+
+A presentation is validated once per object: the first operation that needs
+it keeps the indexed view on the object.  Presentations are frozen, so that
+view cannot go stale, and it is not a field, so equality, hashing, repr and
+documents ignore it.  An invalid presentation keeps nothing and raises on
+every call.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 from .errors import InvalidPresentationError, Violation
@@ -81,10 +86,9 @@ class BoundaryPoint:
 class _Geometry:
     """Indexed view of a presentation shared by the arc machinery."""
 
-    __slots__ = ("presentation", "n", "boundary_index", "pair_sides")
+    __slots__ = ("n", "boundary_index", "pair_sides")
 
     def __init__(self, p: PolygonPresentation):
-        self.presentation = p
         self.n = len(p.sides)
         self.boundary_index: dict[str, int] = {}
         left: dict[str, int] = {}
@@ -101,18 +105,25 @@ class _Geometry:
         }
 
 
-@lru_cache(maxsize=512)
 def _geometry(p: PolygonPresentation) -> _Geometry:
-    return _Geometry(p)
+    """Geometry of p, validated on the first call and kept on p."""
+    geo = p.__dict__.get("_geometry")
+    if geo is None:
+        violations = validate(p)
+        if violations:
+            raise InvalidPresentationError(violations)
+        geo = _Geometry(p)
+        object.__setattr__(p, "_geometry", geo)
+    return geo
 
 
-def _corner_orbits(p: PolygonPresentation) -> list[int]:
+def _corner_orbits(geo: _Geometry) -> list[int]:
     """Union-find roots of polygon corners under the pair identifications.
 
     Gluing left occurrence i to right occurrence j reversed identifies
     corner i with corner j+1 and corner i+1 with corner j.
     """
-    n = len(p.sides)
+    n = geo.n
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -126,7 +137,7 @@ def _corner_orbits(p: PolygonPresentation) -> list[int]:
         if rx != ry:
             parent[rx] = ry
 
-    for i, j in _geometry(p).pair_sides.values():
+    for i, j in geo.pair_sides.values():
         union(i, (j + 1) % n)
         union((i + 1) % n, j)
     return [find(c) for c in range(n)]
@@ -170,7 +181,7 @@ def validate(p: PolygonPresentation) -> list[Violation]:
 
     if pairs_ok and seen_labels:
         n = len(p.sides)
-        roots = _corner_orbits(p)
+        roots = _corner_orbits(_Geometry(p))
         # corner c borders sides c-1 and c; it is a boundary vertex iff some
         # corner in its orbit touches a Boundary side
         on_boundary: set[int] = set()
@@ -190,18 +201,11 @@ def validate(p: PolygonPresentation) -> list[Violation]:
     return out
 
 
-def _require_valid(p: PolygonPresentation) -> None:
-    violations = validate(p)
-    if violations:
-        raise InvalidPresentationError(violations)
-
-
 def euler_characteristic(p: PolygonPresentation) -> int:
     """V - E + F of the glued-up complex: one face, one edge per boundary side
     or glued pair, and one vertex per corner orbit."""
-    _require_valid(p)
     geo = _geometry(p)
-    vertices = len(set(_corner_orbits(p)))
+    vertices = len(set(_corner_orbits(geo)))
     edges = len(geo.boundary_index) + len(geo.pair_sides)
     return vertices - edges + 1
 
@@ -213,7 +217,6 @@ def boundary_components(p: PolygonPresentation) -> tuple[tuple[str, ...], ...]:
     while a glued side is jumped (the walk continues at the corner identified
     with the far end of its partner).  Each cycle is one boundary circle.
     """
-    _require_valid(p)
     geo = _geometry(p)
     n = geo.n
     components: list[tuple[str, ...]] = []
@@ -307,7 +310,7 @@ def canonical_relabel(p: PolygonPresentation) -> PolygonPresentation:
     Two presentations describe the same polygon with sides renamed and the
     cyclic order rotated iff their canonical forms are equal.
     """
-    _require_valid(p)
+    _geometry(p)
     return _canonical_data(p)[0][0]
 
 
@@ -321,7 +324,7 @@ def merge_boundary_runs(
     as position -> (index + position) / length.  Merging does not change the
     surface; it only coarsens the boundary subdivision.
     """
-    _require_valid(p)
+    _geometry(p)
     n = len(p.sides)
     point_map: dict[str, tuple[str, int, int]] = {}
     if all(isinstance(s, Boundary) for s in p.sides):

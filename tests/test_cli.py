@@ -1,8 +1,13 @@
 """End-to-end command tests, run in process."""
 
+import contextlib
 import io
+import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plumbook import documents as doc
 from plumbook.cli import main
@@ -228,3 +233,91 @@ def test_missing_file_exits_2(capsys):
     code, _out, err = run(capsys, "check", "/nonexistent/path.json")
     assert code == 2
     assert "cannot read" in err
+
+
+def built_documents(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return json.loads(out.getvalue())
+
+
+def leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaf_paths(value, (*path, key))
+    elif isinstance(node, list) and node:
+        for i, value in enumerate(node):
+            yield from leaf_paths(value, (*path, i))
+    else:
+        yield path
+
+
+def replaced(node, path, value):
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    if isinstance(node, dict):
+        return {**node, head: replaced(node[head], rest, value)}
+    return [replaced(x, rest, value) if i == head else x for i, x in enumerate(node)]
+
+
+PRETZEL_DOCS = built_documents("build", "pretzel", "-3,3,1")
+PRETZEL_LEAVES = list(leaf_paths(PRETZEL_DOCS))
+
+
+def run_on_text(argv, text):
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_non_string_names_exit_2():
+    pob = next(i for i, d in enumerate(PRETZEL_DOCS) if d["kind"] == "pob")
+    for leaf in (
+        (pob, "payload", "surface", "sides", 0, "boundary"),
+        (pob, "payload", "surface", "sides", 1, "pair"),
+        (pob, "payload", "surface", "sides", 1, "end"),
+        (pob, "payload", "basis", 0, "start", "side"),
+        (pob, "payload", "images", 0, "crossings", 0, "pair"),
+    ):
+        text = json.dumps(replaced(PRETZEL_DOCS, leaf, ["x"]))
+        for sub in ("check", "stabilize", "emit-dot"):
+            code, out, err = run_on_text([sub, "-"], text)
+            assert (code, out) == (2, "")
+            assert "must be a string, got ['x']" in err
+
+
+def test_unknown_pair_is_named():
+    pob = next(i for i, d in enumerate(PRETZEL_DOCS) if d["kind"] == "pob")
+    leaf = (pob, "payload", "images", 0, "crossings", 0, "pair")
+    code, _out, err = run_on_text(["check", "-"], json.dumps(replaced(PRETZEL_DOCS, leaf, "zz")))
+    assert code == 2
+    assert err.startswith("error: unknown pair 'zz'")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(PRETZEL_LEAVES), st.sampled_from((["x"], 7, None, "zz"))
+        ),
+        min_size=1,
+        max_size=2,
+    )
+)
+def test_mutated_documents_never_crash(mutations):
+    docs = PRETZEL_DOCS
+    for path, value in mutations:
+        docs = replaced(docs, path, value)
+    text = json.dumps(docs)
+    for argv in (["check", "-"], ["stabilize", "-"], ["emit-dot", "-"]):
+        code, _out, err = run_on_text(argv, text)
+        assert code in (0, 2)
+        assert "Traceback" not in err

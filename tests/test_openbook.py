@@ -4,8 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+import plumbook.openbook
 from plumbook.arcs import Arc, Crossing
-from plumbook.errors import InvalidOpenBookError, SiteObstructedError
+from plumbook.documents import pob_payload
+from plumbook.errors import (
+    InvalidOpenBookError,
+    InvalidPresentationError,
+    SiteObstructedError,
+)
 from plumbook.openbook import (
     ArcVeer,
     PartialOpenBook,
@@ -229,3 +235,47 @@ def test_canonical_form_ignores_rotation_relabeling_and_sliding():
     assert canonical_pob(slid) == canon
 
     assert canonical_pob(hopf_pob(-1)) != canon
+
+
+def test_book_checked_once_across_operations(monkeypatch):
+    pob = positive_stabilization(hopf_pob(+1))
+    checked = []
+    original = plumbook.openbook.is_embedded
+    monkeypatch.setattr(
+        plumbook.openbook, "is_embedded", lambda p, a: checked.append(a) or original(p, a)
+    )
+    veering_report(pob)
+    contact_verdict(pob)
+    dividing_set_counts(pob)
+    validate_pob(pob)
+    # one embeddedness test per basis arc and per image, all in one pass
+    assert len(checked) == 2 * len(pob.basis)
+
+
+def test_kept_check_is_invisible():
+    used, fresh = hopf_pob(+1), hopf_pob(+1)
+    contact_verdict(used)
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert pob_payload(used) == pob_payload(fresh)
+    assert canonical_pob(used) == canonical_pob(fresh)
+
+
+def test_invalid_books_raise_on_every_call():
+    a = Arc(pt("B1", 1, 3), pt("B2", 1, 3))
+    h = Arc(pt("B1", 2, 3), pt("B4", 1, 3))
+    bad = PartialOpenBook(HEXAGON, (a,), (h,))
+    validate_pob(bad).clear()
+    for _ in range(3):
+        assert codes(bad) == ["EndpointMismatch"]
+        for op in (veering_report, contact_verdict, dividing_set_counts, positive_stabilization):
+            with pytest.raises(InvalidOpenBookError):
+                op(bad)
+    unglued = PolygonPresentation((B("B1"), Glued("c", L), B("B2")))
+    on_bad_surface = PartialOpenBook(unglued, (), ())
+    for _ in range(3):
+        with pytest.raises(InvalidPresentationError):
+            validate_pob(on_bad_surface)
+        with pytest.raises(InvalidPresentationError):
+            contact_verdict(on_bad_surface)

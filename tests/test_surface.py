@@ -1,7 +1,12 @@
 """Polygon presentations: validation diagnostics, chi, boundary walks, genus."""
 
+from fractions import Fraction
+
 import pytest
 
+import plumbook.surface
+from plumbook.arcs import Arc, first_divergence, minimal_position, reduce
+from plumbook.documents import surface_payload
 from plumbook.errors import InvalidPresentationError
 from plumbook.surface import (
     Boundary,
@@ -176,3 +181,42 @@ def test_boundary_point_coerces_position():
 
     pt = BoundaryPoint("B1", Fraction(1, 3))
     assert pt == BoundaryPoint("B1", Fraction(2, 6))
+
+
+def test_presentation_validated_once_per_object(monkeypatch):
+    seen = []
+    original = plumbook.surface.validate
+    monkeypatch.setattr(
+        plumbook.surface, "validate", lambda p: seen.append(p) or original(p)
+    )
+    p = star(2)
+    a = Arc(BoundaryPoint("Bl00", Fraction(1, 3)), BoundaryPoint("Br00", Fraction(1, 3)))
+    b = Arc(BoundaryPoint("Bl00", Fraction(2, 3)), BoundaryPoint("Br10", Fraction(1, 3)))
+    for _ in range(2):
+        euler_characteristic(p)
+        reduce(p, a)
+        minimal_position(p, a, b)
+        first_divergence(p, a, b)
+    assert seen == [p] and seen[0] is p
+    # an equal but distinct object is checked on its own
+    euler_characteristic(star(2))
+    assert len(seen) == 2
+
+
+def test_kept_geometry_is_invisible():
+    used, fresh = star(3), star(3)
+    euler_characteristic(used)
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert surface_payload(used) == surface_payload(fresh)
+
+
+def test_invalid_presentation_raises_on_every_call():
+    p = poly(B("B1"), G("A", L), B("B2"))
+    a = Arc(BoundaryPoint("B1", Fraction(1, 3)), BoundaryPoint("B2", Fraction(1, 3)))
+    for _ in range(3):
+        with pytest.raises(InvalidPresentationError):
+            euler_characteristic(p)
+        with pytest.raises(InvalidPresentationError):
+            reduce(p, a)

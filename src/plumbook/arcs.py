@@ -11,7 +11,8 @@ question below becomes finite combinatorics on the polygon's cyclic order:
   lifted strands, the placements where the strands are forced to cross;
   a placement either shares a corridor run (decided by comparing entry and
   exit order around the end chambers) or meets in a single chamber (decided
-  by chord linking on the polygon circle);
+  by chord linking on the polygon circle); an arc's self-intersection
+  number is the same count taken for the arc paired with itself;
 * the first-divergence comparison walks two arcs out of a shared boundary
   side and reports which one peels off to the right, measured
   counterclockwise from the point of entry into the chamber where they part;
@@ -231,39 +232,27 @@ def _chamber_linked(
     return inside == 1
 
 
-def _count_distinct(geo: _Geometry, da: _ArcData, db: _ArcData, db_rev: _ArcData) -> int:
+def _count(geo: _Geometry, da: _ArcData, db: _ArcData, db_rev: _ArcData) -> int:
+    """Forced crossings of a against b over all relative placements, where
+    db_rev is b reversed.  With db is da this is the self-count: the
+    placements laying the strand on itself or on its own reversal are the
+    same lift, not a pair, and every other one is met from both strands."""
+    same = db is da
     total = 0
     for m0, k0, r in _forward_alignments(da.word, db.word):
-        total += _corridor_linked(geo, da, db, m0, k0, r)
+        if not (same and m0 == k0):
+            total += _corridor_linked(geo, da, db, m0, k0, r)
     for m0, k0, r in _forward_alignments(da.word, db_rev.word):
-        total += _corridor_linked(geo, da, db_rev, m0, k0, r)
+        if not (same and m0 + k0 == len(da.word)):
+            total += _corridor_linked(geo, da, db_rev, m0, k0, r)
     for m, doors_a in enumerate(da.doors):
         sa = da.slots[m]
         for k, doors_b in enumerate(db.doors):
-            if doors_a & doors_b:
+            if (same and m == k) or doors_a & doors_b:
                 continue
             total += _chamber_linked(geo.n, sa, db.slots[k])
-    return total
-
-
-def _count_self(geo: _Geometry, da: _ArcData, da_rev: _ArcData) -> int:
-    length = len(da.word)
-    total = 0
-    for m0, k0, r in _forward_alignments(da.word, da.word):
-        if m0 == 0 and k0 == 0 and r == length:
-            continue
-        total += _corridor_linked(geo, da, da, m0, k0, r)
-    for m0, k0, r in _forward_alignments(da.word, da_rev.word):
-        if m0 + k0 == length:
-            # the strand laid against its own reversal: same lift, not a pair
-            continue
-        total += _corridor_linked(geo, da, da_rev, m0, k0, r)
-    for m, doors_a in enumerate(da.doors):
-        sa = da.slots[m]
-        for k, doors_b in enumerate(da.doors):
-            if m == k or (doors_a & doors_b):
-                continue
-            total += _chamber_linked(geo.n, sa, da.slots[k])
+    if not same:
+        return total
     if total % 2:
         raise AssertionError("self-intersection double count came out odd")
     return total // 2
@@ -285,12 +274,8 @@ def minimal_position(
     da = _ArcData(geo, ra)
     # duplicates of one unoriented class, either parametrization, are a
     # self-intersection query, not a pair of parallel copies
-    if ra == rb or ra == reverse(rb):
-        count = _count_self(geo, da, _ArcData(geo, reverse(ra)))
-    else:
-        db = _ArcData(geo, rb)
-        count = _count_distinct(geo, da, db, _ArcData(geo, reverse(rb)))
-    return ra, rb, count
+    db = da if ra == rb or ra == reverse(rb) else _ArcData(geo, rb)
+    return ra, rb, _count(geo, da, db, _ArcData(geo, reverse(db.arc)))
 
 
 def interior_intersections(p: PolygonPresentation, a: Arc, b: Arc) -> int:
@@ -302,7 +287,7 @@ def is_embedded(p: PolygonPresentation, a: Arc) -> bool:
     geo = _geometry(p)
     ra = reduce(p, a)
     da = _ArcData(geo, ra)
-    return _count_self(geo, da, _ArcData(geo, reverse(ra))) == 0
+    return _count(geo, da, da, _ArcData(geo, reverse(ra))) == 0
 
 
 def is_isotopic(

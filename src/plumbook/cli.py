@@ -24,12 +24,7 @@ import sys
 
 from . import documents as doc
 from .arcs import interior_intersections, reduce as reduce_arc
-from .errors import (
-    DocumentError,
-    InvalidOpenBookError,
-    InvalidPresentationError,
-    UnknownPairError,
-)
+from .errors import DocumentError, UnknownPairError
 from .openbook import (
     PartialOpenBook,
     contact_verdict,
@@ -208,11 +203,19 @@ def cmd_stabilize(args) -> int:
     return 0
 
 
+# the acceptance sweep (k=5 range=9); larger --family settings are refused
+MAX_FAMILY_SPECS = 2680
+
+
 def _family_rows(k_max: int, spread: int):
     """Pretzel tails over odd values in [-spread, spread] that keep the
     decomposition inside the surveyed family: no flat band, no non-leading
     Hopf band, at least one negatively twisted band."""
     allowed = [n for n in range(-spread, spread + 1) if n % 2 and n not in (-3, -1, 1)]
+    low = sum(n < 3 for n in allowed)  # tails of only these lack an n >= 3
+    count = sum(len(allowed) ** m - low**m for m in range(1, k_max))
+    if count > MAX_FAMILY_SPECS:
+        raise DocumentError(f"family lists {count} specs; at most {MAX_FAMILY_SPECS} are supported")
     rows = []
 
     def extend(tail):
@@ -233,6 +236,7 @@ class _AssertionFailed(Exception):
 
 def _paper_suite(mirror: bool, family):
     """Golden rows and assertions; raises _AssertionFailed on the first miss."""
+    family_rows = _family_rows(*family)
     rows = []
 
     def need(cond, what):
@@ -295,8 +299,7 @@ def _paper_suite(mirror: bool, family):
         row(name, system, rep, verdict, star)
 
     # bounded family sweep
-    k_max, spread = family
-    for coeffs in _family_rows(k_max, spread):
+    for coeffs in family_rows:
         star = pretzel_decompose(PretzelSpec(coeffs), mirror=mirror)
         _ss, system, _pob, rep, verdict = pipeline(star)
         name = f"pretzel({','.join(str(c) for c in coeffs)})"
@@ -438,12 +441,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_shield_negative_numbers(argv))
     try:
         return args.func(args)
-    except (
-        InvalidOpenBookError,
-        InvalidPresentationError,
-        UnknownPairError,
-        ValueError,
-    ) as e:
+    except (UnknownPairError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

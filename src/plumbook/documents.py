@@ -9,6 +9,7 @@ one document or an array of them.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -48,9 +49,13 @@ def _name(value, what: str) -> str:
 
 
 def _parse_fraction(s) -> Fraction:
+    # only the written form: Fraction's parse time for "1e-5000" and the
+    # like grows with the exponent
+    if not (isinstance(s, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s)):
+        raise DocumentError(f"bad rational {s!r}")
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError, TypeError) as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise DocumentError(f"bad rational {s!r}") from e
 
 

@@ -16,12 +16,16 @@ class Violation:
         return f"{self.code}: {self.detail}"
 
 
-class InvalidPresentationError(ValueError):
-    """Raised when an operation needs a valid polygon presentation but got violations."""
+class _ViolationsError(ValueError):
+    """An operation needed a valid object; carries the violations found."""
 
     def __init__(self, violations):
         self.violations = tuple(violations)
         super().__init__("; ".join(str(v) for v in self.violations))
+
+
+class InvalidPresentationError(_ViolationsError):
+    """Raised when an operation needs a valid polygon presentation but got violations."""
 
 
 class UnknownPairError(KeyError):
@@ -39,12 +43,8 @@ class NoSharedStartError(ValueError):
     """first_divergence needs both arcs to leave the same boundary point."""
 
 
-class InvalidOpenBookError(ValueError):
+class InvalidOpenBookError(_ViolationsError):
     """Raised when an operation needs a valid partial open book but got violations."""
-
-    def __init__(self, violations):
-        self.violations = tuple(violations)
-        super().__init__("; ".join(str(v) for v in self.violations))
 
 
 class SiteObstructedError(ValueError):

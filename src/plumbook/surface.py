@@ -255,53 +255,39 @@ def genus(p: PolygonPresentation) -> int:
     return num // 2
 
 
-def _signature(p: PolygonPresentation, rotation: int) -> tuple:
-    """Label-free side sequence starting at `rotation`, for canonical rotation."""
-    n = len(p.sides)
-    bmap: dict[str, int] = {}
-    pmap: dict[str, int] = {}
-    sig = []
-    for k in range(n):
-        s = p.sides[(rotation + k) % n]
-        if isinstance(s, Boundary):
-            sig.append(("B", bmap.setdefault(s.label, len(bmap))))
-        else:
-            sig.append(("G", pmap.setdefault(s.pair, len(pmap)), s.end.value))
-    return tuple(sig)
-
-
 def _canonical_data(
     p: PolygonPresentation,
-) -> list[tuple[PolygonPresentation, int, dict[str, str], dict[str, str]]]:
-    """All minimal-signature rotations with their relabeling maps.
+) -> tuple[PolygonPresentation, list[tuple[dict[str, str], dict[str, str]]]]:
+    """The polygon relabeled b{i}/p{i} along its minimal-signature rotation,
+    and the label and pair maps of every rotation giving that signature.
 
-    Usually a single candidate; symmetric polygons may give several, and
-    callers that canonicalize richer structures break the tie themselves.
+    Usually one; symmetric polygons may give several, and callers that
+    canonicalize richer structures break the tie themselves.
     """
     n = len(p.sides)
     best = None
-    rotations: list[int] = []
+    found: list[tuple[dict[str, int], dict[str, int]]] = []
     for r in range(n):
-        sig = _signature(p, r)
-        if best is None or sig < best:
-            best, rotations = sig, [r]
-        elif sig == best:
-            rotations.append(r)
-    out = []
-    for r in rotations:
         bmap: dict[str, int] = {}
         pmap: dict[str, int] = {}
-        sides: list[Side] = []
+        sig = []
         for k in range(n):
             s = p.sides[(r + k) % n]
             if isinstance(s, Boundary):
-                sides.append(Boundary(f"b{bmap.setdefault(s.label, len(bmap))}"))
+                sig.append(("B", bmap.setdefault(s.label, len(bmap))))
             else:
-                sides.append(Glued(f"p{pmap.setdefault(s.pair, len(pmap))}", s.end))
-        label_map = {old: f"b{i}" for old, i in bmap.items()}
-        pair_map = {old: f"p{i}" for old, i in pmap.items()}
-        out.append((PolygonPresentation(tuple(sides)), r, label_map, pair_map))
-    return out
+                sig.append(("G", pmap.setdefault(s.pair, len(pmap)), s.end.value))
+        if best is None or sig < best:
+            best, found = sig, []
+        if sig == best:
+            found.append((bmap, pmap))
+    relabeled = PolygonPresentation(
+        tuple(Boundary(f"b{e[1]}") if e[0] == "B" else Glued(f"p{e[1]}", End(e[2])) for e in best)
+    )
+    return relabeled, [
+        ({old: f"b{i}" for old, i in bmap.items()}, {old: f"p{i}" for old, i in pmap.items()})
+        for bmap, pmap in found
+    ]
 
 
 def canonical_relabel(p: PolygonPresentation) -> PolygonPresentation:
@@ -311,7 +297,7 @@ def canonical_relabel(p: PolygonPresentation) -> PolygonPresentation:
     cyclic order rotated iff their canonical forms are equal.
     """
     _geometry(p)
-    return _canonical_data(p)[0][0]
+    return _canonical_data(p)[0]
 
 
 def merge_boundary_runs(
@@ -327,18 +313,10 @@ def merge_boundary_runs(
     _geometry(p)
     n = len(p.sides)
     point_map: dict[str, tuple[str, int, int]] = {}
-    if all(isinstance(s, Boundary) for s in p.sides):
-        label = p.sides[0].label
-        for k, s in enumerate(p.sides):
-            point_map[s.label] = (label, k, n)
-        return PolygonPresentation((Boundary(label),)), point_map
-
-    start = next(
-        i
-        for i in range(n)
-        if not isinstance(p.sides[i - 1], Boundary) or not isinstance(p.sides[i], Boundary)
-    )
-    # from `start`, no boundary run wraps around the seam
+    free = [isinstance(s, Boundary) for s in p.sides]
+    # from `start`, no boundary run wraps around the seam; without glued
+    # sides the whole polygon is one run
+    start = next((i for i in range(n) if not (free[i - 1] and free[i])), 0)
     sides: list[Side] = []
     run: list[str] = []
 

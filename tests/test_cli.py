@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plumbook import documents as doc
-from plumbook.cli import main
+from plumbook.cli import MAX_FAMILY_SPECS, _family_rows, main
 
 GOLDEN_ROW = "pretzel(-3,3,1) | 1 | Right | NonzeroTight | no"
 
@@ -175,6 +175,17 @@ def test_paper_examples_mirror_fails_assertions(capsys):
     assert "a mirrored run negates every band" in err
 
 
+def test_over_limit_inputs_exit_2(capsys):
+    code, out, err = run(capsys, "build", "star", ",".join(["2"] * 11))
+    assert (code, out) == (2, "")
+    assert "11 Hopf summands; at most 10 are supported" in err
+    code, out, err = run(capsys, "paper-examples", "--family", "k=12", "range=99")
+    assert (code, out) == (2, "")
+    assert "at most 2680 are supported" in err
+    # the acceptance sweep itself sits at the limit
+    assert len(_family_rows(5, 9)) == MAX_FAMILY_SPECS == 2680
+
+
 def test_emit_dot_for_plain_surface(capsys, tmp_path):
     path = build_file(capsys, tmp_path, "build", "star", "2")
     surface_only = tmp_path / "surface.json"
@@ -242,28 +253,63 @@ def built_documents(*argv):
     return json.loads(out.getvalue())
 
 
-def leaf_paths(node, path=()):
+def node_paths(node, path=()):
+    yield path
     if isinstance(node, dict):
         for key, value in node.items():
-            yield from leaf_paths(value, (*path, key))
-    elif isinstance(node, list) and node:
+            yield from node_paths(value, (*path, key))
+    elif isinstance(node, list):
         for i, value in enumerate(node):
-            yield from leaf_paths(value, (*path, i))
-    else:
-        yield path
+            yield from node_paths(value, (*path, i))
+
+
+def changed(node, path, change):
+    """node with change applied at path; a path that no longer exists,
+    because an earlier mutation removed it, leaves node as it is."""
+    if not path:
+        return change(node)
+    head, rest = path[0], path[1:]
+    if isinstance(node, dict) and head in node:
+        return {**node, head: changed(node[head], rest, change)}
+    if isinstance(node, list):
+        return [changed(x, rest, change) if i == head else x for i, x in enumerate(node)]
+    return node
 
 
 def replaced(node, path, value):
-    if not path:
-        return value
-    head, rest = path[0], path[1:]
-    if isinstance(node, dict):
-        return {**node, head: replaced(node[head], rest, value)}
-    return [replaced(x, rest, value) if i == head else x for i, x in enumerate(node)]
+    return changed(node, path, lambda _old: value)
+
+
+def dropped(node, path):
+    """node without the key or list entry at path."""
+    key = path[-1]
+
+    def drop(parent):
+        if isinstance(parent, dict):
+            return {k: v for k, v in parent.items() if k != key}
+        if isinstance(parent, list):
+            return [v for i, v in enumerate(parent) if i != key]
+        return parent
+
+    return changed(node, path[:-1], drop)
+
+
+def swapped(node, path):
+    """node with the object at path turned into a list of its values, or
+    the list at path into an object keyed by index."""
+
+    def swap(old):
+        if isinstance(old, dict):
+            return list(old.values())
+        if isinstance(old, list):
+            return {str(i): v for i, v in enumerate(old)}
+        return old
+
+    return changed(node, path, swap)
 
 
 PRETZEL_DOCS = built_documents("build", "pretzel", "-3,3,1")
-PRETZEL_LEAVES = list(leaf_paths(PRETZEL_DOCS))
+PRETZEL_PATHS = list(node_paths(PRETZEL_DOCS))
 
 
 def run_on_text(argv, text):
@@ -294,6 +340,17 @@ def test_non_string_names_exit_2():
             assert "must be a string, got ['x']" in err
 
 
+def test_positions_only_in_the_written_form():
+    pob = next(i for i, d in enumerate(PRETZEL_DOCS) if d["kind"] == "pob")
+    leaf = (pob, "payload", "basis", 0, "start", "position")
+    for value in ("1e-5000", "1E-5", "5e-1", "0.5", "1/3 ", "+1/3", "1/-3", "⅓", 0.5, 7):
+        text = json.dumps(replaced(PRETZEL_DOCS, leaf, value))
+        for sub in ("check", "stabilize", "emit-dot"):
+            code, out, err = run_on_text([sub, "-"], text)
+            assert (code, out) == (2, "")
+            assert f"bad rational {value!r}" in err
+
+
 def test_unknown_pair_is_named():
     pob = next(i for i, d in enumerate(PRETZEL_DOCS) if d["kind"] == "pob")
     leaf = (pob, "payload", "images", 0, "crossings", 0, "pair")
@@ -302,20 +359,22 @@ def test_unknown_pair_is_named():
     assert err.startswith("error: unknown pair 'zz'")
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(PRETZEL_LEAVES), st.sampled_from((["x"], 7, None, "zz"))
-        ),
-        min_size=1,
-        max_size=2,
-    )
+MUTATIONS = st.one_of(
+    st.tuples(
+        st.sampled_from(PRETZEL_PATHS),
+        st.sampled_from((["x"], 7, None, "zz")).map(lambda v: lambda d, p: replaced(d, p, v)),
+    ),
+    st.tuples(st.sampled_from(PRETZEL_PATHS[1:]), st.just(dropped)),
+    st.tuples(st.sampled_from(PRETZEL_PATHS), st.just(swapped)),
 )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(MUTATIONS, min_size=1, max_size=2))
 def test_mutated_documents_never_crash(mutations):
     docs = PRETZEL_DOCS
-    for path, value in mutations:
-        docs = replaced(docs, path, value)
+    for path, mutate in mutations:
+        docs = mutate(docs, path)
     text = json.dumps(docs)
     for argv in (["check", "-"], ["stabilize", "-"], ["emit-dot", "-"]):
         code, _out, err = run_on_text(argv, text)

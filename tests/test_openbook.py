@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 import plumbook.openbook
-from plumbook.arcs import Arc, Crossing
+from plumbook.arcs import Arc, Crossing, twist_about_band
 from plumbook.documents import pob_payload
 from plumbook.errors import (
     InvalidOpenBookError,
     InvalidPresentationError,
     SiteObstructedError,
+    Violation,
 )
 from plumbook.openbook import (
     ArcVeer,
@@ -24,7 +25,7 @@ from plumbook.openbook import (
     validate_pob,
     veering_report,
 )
-from plumbook.plumbing import StarPlumbing, TwistedAnnulus, associated_pob
+from plumbook.plumbing import StarPlumbing, TwistedAnnulus, associated_pob, star_sum_surface
 from plumbook.surface import (
     Boundary,
     BoundaryPoint,
@@ -98,6 +99,31 @@ def test_foreign_shared_endpoint_flagged():
     img_b = Arc(pt("Bl10", 2, 3), pt("Br00", 2, 5), (Crossing("c1", 1),))
     pob = PartialOpenBook(TWO_STAR, (a, b), (img_a, img_b))
     assert "TiedEndpoints" in codes(pob)
+
+
+def test_tied_endpoints_listed_in_order():
+    three = star_sum_surface(StarPlumbing((TwistedAnnulus(2),) * 3)).presentation
+    basis = (
+        Arc(pt("Bl00", 1, 3), pt("Br00", 1, 3)),
+        Arc(pt("Br00", 1, 3), pt("Bl10", 1, 3)),
+        Arc(pt("Bl20", 1, 3), pt("Br20", 1, 3)),
+    )
+    images = (
+        # sharing a point with its own basis arc is allowed
+        Arc(pt("Bl00", 1, 3), pt("Br00", 2, 3)),
+        Arc(pt("Br00", 2, 3), pt("Bl10", 2, 3)),
+        Arc(pt("Bl10", 1, 3), pt("Br00", 1, 3)),
+    )
+    point = "BoundaryPoint(side='{}', position=Fraction({}, 3))".format
+    assert validate_pob(PartialOpenBook(three, basis, images)) == [
+        Violation("ImagesNotDisjoint", "arcs 0 and 2 cross 1 time(s)"),
+        Violation("ImagesNotDisjoint", "arcs 1 and 2 cross 1 time(s)"),
+        Violation("EndpointMismatch", "image 2 does not end beside basis arc 2"),
+        Violation("TiedEndpoints", f"basis arc 0 and image 2 share the point {point('Br00', 1)}"),
+        Violation("TiedEndpoints", f"basis arc 1 and image 2 share the point {point('Bl10', 1)}"),
+        Violation("TiedEndpoints", f"basis arcs 0 and 1 share the point {point('Br00', 1)}"),
+        Violation("TiedEndpoints", f"image arcs 0 and 1 share the point {point('Br00', 2)}"),
+    ]
 
 
 def test_veering_right_left_isotopic():
@@ -235,6 +261,34 @@ def test_canonical_form_ignores_rotation_relabeling_and_sliding():
     assert canonical_pob(slid) == canon
 
     assert canonical_pob(hopf_pob(-1)) != canon
+
+
+def test_canonical_form_breaks_rotation_ties_by_the_arcs():
+    # rotating the ring by four sides maps it onto itself, band x onto band
+    # y, so two rotations tie and the arcs decide between them
+    ring = PolygonPresentation(
+        (B("a"), Glued("x", L), B("b"), Glued("x", R), B("c"), Glued("y", L), B("d"), Glued("y", R))
+    )
+
+    def dual_book(pair, left, right):
+        pushed = Arc(pt(left, 2, 3), pt(right, 2, 3))
+        return PartialOpenBook(
+            ring,
+            (Arc(pt(left, 1, 3), pt(right, 1, 3)),),
+            (twist_about_band(ring, pushed, pair, +1),),
+        )
+
+    sides = (
+        ("B", "b0"), ("G", "p0", "left"), ("B", "b1"), ("G", "p0", "right"),
+        ("B", "b2"), ("G", "p1", "left"), ("B", "b3"), ("G", "p1", "right"),
+    )
+    want = (
+        sides,
+        ((("b0", (1, 3)), ("b1", (1, 3)), ()),),
+        ((("b0", (2, 3)), ("b1", (2, 3)), (("p0", 1),)),),
+    )
+    assert canonical_pob(dual_book("x", "a", "b")) == want
+    assert canonical_pob(dual_book("y", "c", "d")) == want
 
 
 def test_book_checked_once_across_operations(monkeypatch):

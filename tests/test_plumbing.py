@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import plumbook.plumbing
+import plumbook.surface
 from plumbook.arcs import Arc, Crossing, interior_intersections
 from plumbook.errors import (
     HopfOnlyWarning,
@@ -11,8 +13,9 @@ from plumbook.errors import (
     OddTwistError,
     ZeroTwistError,
 )
-from plumbook.openbook import validate_pob
+from plumbook.openbook import contact_verdict, validate_pob
 from plumbook.plumbing import (
+    MAX_HOPF_SUMMANDS,
     PretzelSpec,
     ProductDiskSystem,
     StarPlumbing,
@@ -139,6 +142,26 @@ def test_pob_from_product_disks_round_trip():
     assert validate_pob(pob) == []
     assert len(pob.basis) == 1
     assert pob.basis == tuple(a for a, _ in system.pairs)
+
+
+def test_associated_pob_validates_one_presentation(monkeypatch):
+    seen = []
+    original = plumbook.surface.validate
+    monkeypatch.setattr(plumbook.surface, "validate", lambda p: seen.append(p) or original(p))
+    star = star_of(2, 2, -4)
+    ss, system, pob = associated_pob(star)
+    contact_verdict(pob)
+    assert seen == [ss.presentation]
+    assert system == product_disk_basis(star)
+
+
+def test_stars_beyond_the_hopf_limit_are_refused(monkeypatch):
+    # refused before the first twist: an 11-band star takes over a minute
+    monkeypatch.setattr(plumbook.plumbing, "twist_about_band", None)
+    star = star_of(*[2] * (MAX_HOPF_SUMMANDS + 1), -4)
+    for build in (product_disk_basis, associated_pob):
+        with pytest.raises(ValueError, match=f"at most {MAX_HOPF_SUMMANDS} are supported"):
+            build(star)
 
 
 def test_empty_system_gives_empty_basis():

@@ -155,6 +155,14 @@ def test_canonical_relabel_identifies_renamings():
     assert canonical_relabel(star(2, tag="q")) == canonical_relabel(star(2))
 
 
+def test_canonical_relabel_of_a_symmetric_polygon():
+    # two minimal rotations (0 and 4) tie; both relabel to the same polygon
+    ring = poly(B("a"), G("x", L), B("b"), G("x", R), B("c"), G("y", L), B("d"), G("y", R))
+    want = poly(B("b0"), G("p0", L), B("b1"), G("p0", R), B("b2"), G("p1", L), B("b3"), G("p1", R))
+    for r in range(0, 8, 2):
+        assert canonical_relabel(poly(*ring.sides[r:], *ring.sides[:r])) == want
+
+
 def test_merge_boundary_runs_fuses_adjacent_sides():
     p = poly(B("x"), B("y"), G("a", L), B("z"), G("a", R))
     merged, point_map = merge_boundary_runs(p)
@@ -164,8 +172,8 @@ def test_merge_boundary_runs_fuses_adjacent_sides():
 
 def test_merge_boundary_runs_all_boundary_collapses_to_one_side():
     merged, point_map = merge_boundary_runs(poly(B("a"), B("b"), B("c")))
-    assert len(merged.sides) == 1
-    assert point_map["b"][1:] == (1, 3)
+    assert merged == poly(B("a"))
+    assert point_map == {"a": ("a", 0, 3), "b": ("a", 1, 3), "c": ("a", 2, 3)}
 
 
 def test_merge_preserves_surface_invariants():

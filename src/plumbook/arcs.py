@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 from .errors import (
     MixedSurfacesError,
@@ -68,9 +68,11 @@ class Divergence(Enum):
 
 
 # An address is a location on the polygon circle: a marked point on a side
-# (side_index, position) or a whole glued side acting as a door
-# (side_index, None).
-Address = tuple[int, Optional[Fraction]]
+# (side_index, position), 0 < position < 1, or a whole glued side acting as
+# a door (side_index, 0).  The tuple is also the address's counterclockwise
+# key from the start of side 0: tuples order exactly as the numbers
+# side_index + t, t a point's position or a door's midpoint (see _key).
+Address = tuple[int, Union[Fraction, int]]
 
 
 def _door_out(geo: _Geometry, c: Crossing) -> int:
@@ -94,50 +96,67 @@ def _check_endpoint(geo: _Geometry, pt: BoundaryPoint) -> None:
 
 class _ArcData:
     """Per-arc view used by the counting machinery: one chamber slot per
-    word prefix, each slot holding its entry and exit address.  Built only
-    from arcs that reduce has checked against the presentation."""
+    word prefix, each slot holding its entry and exit address, the same two
+    addresses in increasing order as the slot's chord, and the word as its
+    sequence of exit doors (a door side names one pair and direction).
+    Built only from arcs that reduce has checked against the presentation."""
 
-    __slots__ = ("arc", "word", "slots", "doors")
+    __slots__ = ("arc", "letters", "slots", "chords")
 
     def __init__(self, geo: _Geometry, arc: Arc):
         self.arc = arc
-        self.word = arc.crossings
-        start_idx = geo.boundary_index[arc.start.side]
-        end_idx = geo.boundary_index[arc.end.side]
-        entries: list[Address] = [(start_idx, arc.start.position)]
-        exits: list[Address] = []
-        for c in self.word:
-            exits.append((_door_out(geo, c), None))
-            entries.append((_door_in(geo, c), None))
-        exits.append((end_idx, arc.end.position))
+        self.letters = [_door_out(geo, c) for c in arc.crossings]
+        entries: list[Address] = [(geo.boundary_index[arc.start.side], arc.start.position)]
+        entries += [(_door_in(geo, c), 0) for c in arc.crossings]
+        exits: list[Address] = [(side, 0) for side in self.letters]
+        exits.append((geo.boundary_index[arc.end.side], arc.end.position))
         self.slots: list[tuple[Address, Address]] = list(zip(entries, exits))
-        self.doors: list[frozenset[int]] = [
-            frozenset(side for side, pos in slot if pos is None) for slot in self.slots
-        ]
+        self.chords = [(x, y) if x < y else (y, x) for x, y in self.slots]
 
 
-def _key(n: int, ref_side: int, ref_param: Optional[Fraction], addr: Address) -> Fraction:
-    """Counterclockwise position of an address, measured from a reference.
+def _key(n: int, ref_side: int, ref_param: Optional[Fraction], addr: Address) -> Address:
+    """Counterclockwise position of an address, measured from a reference,
+    as the tuple (off, pos): off is the side offset from the reference side,
+    plus n when the address wraps behind a marked reference, and pos is the
+    address's own second entry (a point's position, 0 for a door).
 
     The reference is either a whole door side (ref_param None) or a marked
     point; addresses on the reference side behind the point wrap to the end.
-    Doors are keyed at their midpoint, which is safe because distinct
-    addresses never share a side unless both are marked points.
+    The tuples order exactly as the numbers off + t, t being a point's
+    position or a door's midpoint, because off is an integer and t lies in
+    the open unit interval; distinct addresses share a side only when both
+    are marked points, so a door's 0 never meets a different pos.
     """
     side, pos = addr
-    t = pos if pos is not None else Fraction(1, 2)
     off = (side - ref_side) % n
-    key = off + t
-    if ref_param is not None and off == 0 and t < ref_param:
-        key += n
-    return key
+    if ref_param is not None and off == 0 and pos < ref_param:
+        off += n
+    return off, pos
 
 
-def _in_open(x: Fraction, lo: Fraction, hi: Fraction) -> bool:
+def _in_open(x: Address, lo: Address, hi: Address) -> bool:
     """Strict membership in the counterclockwise open interval lo -> hi."""
     if lo < hi:
         return lo < x < hi
     return x > lo or x < hi
+
+
+def _linked(a: tuple[Address, Address], b: tuple[Address, Address]) -> bool:
+    """Whether two chords, each given as its addresses in increasing order,
+    interleave around the polygon circle: single-chamber strand segments
+    along them must cross.  Chords sharing an address (a door or an exact
+    point) tie and never cross."""
+    a1, a2 = a
+    b1, b2 = b
+    if a1 == b1 or a1 == b2 or a2 == b1 or a2 == b2:
+        return False
+    return (a1 < b1 < a2) != (a1 < b2 < a2)
+
+
+def _core_chord(geo: _Geometry, pair: str) -> tuple[Address, Address]:
+    """The chord a band core runs along in every chamber: between its doors."""
+    left, right = sorted(geo.pair_sides[pair])
+    return (left, 0), (right, 0)
 
 
 def reduce(p: PolygonPresentation, a: Arc) -> Arc:
@@ -147,8 +166,14 @@ def reduce(p: PolygonPresentation, a: Arc) -> Arc:
     complete: reduced words are universal-cover geodesics, so no further
     boundary-parallel backtracks can exist, and the reduced word together
     with the endpoints determines the endpoint-fixed isotopy class.
+
+    The returned arc keeps the geometry it was checked and reduced against
+    (a non-field attribute, invisible to ==, hash, repr and documents), so
+    reducing it again on the same presentation object returns it at once.
     """
     geo = _geometry(p)
+    if a.__dict__.get("_reduced_on") is geo:
+        return a
     for c in a.crossings:
         if c.pair not in geo.pair_sides:
             raise UnknownPairError(c.pair)
@@ -158,40 +183,42 @@ def reduce(p: PolygonPresentation, a: Arc) -> Arc:
         raise ValueError("arc endpoints coincide exactly; use distinct positions")
     stack: list[Crossing] = []
     for c in a.crossings:
-        if stack and stack[-1] == c.inverse():
+        if stack and stack[-1].pair == c.pair and stack[-1].direction == -c.direction:
             stack.pop()
         else:
             stack.append(c)
-    return Arc(a.start, a.end, tuple(stack))
+    r = Arc(a.start, a.end, tuple(stack))
+    object.__setattr__(r, "_reduced_on", geo)
+    return r
 
 
 def reverse(a: Arc) -> Arc:
     return Arc(a.end, a.start, tuple(c.inverse() for c in reversed(a.crossings)))
 
 
-def _forward_alignments(
-    u: tuple[Crossing, ...], w: tuple[Crossing, ...]
-) -> Iterator[tuple[int, int, int]]:
-    """Maximal common-subword placements (m0, k0, length) of u against w.
+def _forward_alignments(u: list[int], w: list[int]) -> Iterator[tuple[int, int, int]]:
+    """Maximal common-subword placements (m0, k0, length) of u against w,
+    ordered by m0 and then k0.
 
     Each corresponds to one relative placement of the two lifted strands in
-    which they run through at least one shared corridor.
+    which they run through at least one shared corridor.  The candidate
+    starts k0 for u[m0] come from an index of w's letters, so only matching
+    positions are visited.
     """
-    for m0 in range(len(u)):
-        for k0 in range(len(w)):
-            if u[m0] != w[k0]:
-                continue
+    at: dict[int, list[int]] = {}
+    for k, x in enumerate(w):
+        at.setdefault(x, []).append(k)
+    for m0, x in enumerate(u):
+        for k0 in at.get(x, ()):
             if m0 and k0 and u[m0 - 1] == w[k0 - 1]:
                 continue
-            r = 0
+            r = 1
             while m0 + r < len(u) and k0 + r < len(w) and u[m0 + r] == w[k0 + r]:
                 r += 1
             yield m0, k0, r
 
 
-def _corridor_linked(
-    geo: _Geometry, da: _ArcData, db: _ArcData, m0: int, k0: int, r: int
-) -> bool:
+def _corridor_linked(n: int, da: _ArcData, db: _ArcData, m0: int, k0: int, r: int) -> bool:
     """Whether two strands sharing corridors m0..m0+r / k0..k0+r must cross.
 
     Entries into the first shared chamber are ordered counterclockwise from
@@ -200,14 +227,11 @@ def _corridor_linked(
     agree (each door passage reverses the transverse order once and is
     compensated by the chamber between, leaving this invariant).
     """
-    n = geo.n
-    d_out = _door_out(geo, da.word[m0])
-    ein_a = da.slots[m0][0]
+    ein_a, (d_out, _) = da.slots[m0]
     ein_b = db.slots[k0][0]
     if ein_a == ein_b:
         return False
-    d_in = _door_in(geo, da.word[m0 + r - 1])
-    eout_a = da.slots[m0 + r][1]
+    (d_in, _), eout_a = da.slots[m0 + r]
     eout_b = db.slots[k0 + r][1]
     if eout_a == eout_b:
         return False
@@ -216,41 +240,23 @@ def _corridor_linked(
     return order_in == order_out
 
 
-def _chamber_linked(
-    n: int, sa: tuple[Address, Address], sb: tuple[Address, Address]
-) -> bool:
-    """Whether two single-chamber strand segments must cross: their endpoint
-    addresses interleave around the polygon circle.  Exact shared points tie
-    and never cross."""
-    a1, a2 = sa
-    b1, b2 = sb
-    if b1 in sa or b2 in sa:
-        return False
-    lo = _key(n, 0, None, a1)
-    hi = _key(n, 0, None, a2)
-    inside = _in_open(_key(n, 0, None, b1), lo, hi) + _in_open(_key(n, 0, None, b2), lo, hi)
-    return inside == 1
-
-
-def _count(geo: _Geometry, da: _ArcData, db: _ArcData, db_rev: _ArcData) -> int:
+def _count(n: int, da: _ArcData, db: _ArcData, db_rev: _ArcData) -> int:
     """Forced crossings of a against b over all relative placements, where
     db_rev is b reversed.  With db is da this is the self-count: the
     placements laying the strand on itself or on its own reversal are the
     same lift, not a pair, and every other one is met from both strands."""
     same = db is da
     total = 0
-    for m0, k0, r in _forward_alignments(da.word, db.word):
+    for m0, k0, r in _forward_alignments(da.letters, db.letters):
         if not (same and m0 == k0):
-            total += _corridor_linked(geo, da, db, m0, k0, r)
-    for m0, k0, r in _forward_alignments(da.word, db_rev.word):
-        if not (same and m0 + k0 == len(da.word)):
-            total += _corridor_linked(geo, da, db_rev, m0, k0, r)
-    for m, doors_a in enumerate(da.doors):
-        sa = da.slots[m]
-        for k, doors_b in enumerate(db.doors):
-            if (same and m == k) or doors_a & doors_b:
-                continue
-            total += _chamber_linked(geo.n, sa, db.slots[k])
+            total += _corridor_linked(n, da, db, m0, k0, r)
+    for m0, k0, r in _forward_alignments(da.letters, db_rev.letters):
+        if not (same and m0 + k0 == len(da.letters)):
+            total += _corridor_linked(n, da, db_rev, m0, k0, r)
+    for m, ca in enumerate(da.chords):
+        for k, cb in enumerate(db.chords):
+            if not (same and m == k):
+                total += _linked(ca, cb)
     if not same:
         return total
     if total % 2:
@@ -275,7 +281,7 @@ def minimal_position(
     # duplicates of one unoriented class, either parametrization, are a
     # self-intersection query, not a pair of parallel copies
     db = da if ra == rb or ra == reverse(rb) else _ArcData(geo, rb)
-    return ra, rb, _count(geo, da, db, _ArcData(geo, reverse(db.arc)))
+    return ra, rb, _count(geo.n, da, db, _ArcData(geo, reverse(db.arc)))
 
 
 def interior_intersections(p: PolygonPresentation, a: Arc, b: Arc) -> int:
@@ -287,7 +293,7 @@ def is_embedded(p: PolygonPresentation, a: Arc) -> bool:
     geo = _geometry(p)
     ra = reduce(p, a)
     da = _ArcData(geo, ra)
-    return _count(geo, da, da, _ArcData(geo, reverse(ra))) == 0
+    return _count(geo.n, da, da, _ArcData(geo, reverse(ra))) == 0
 
 
 def is_isotopic(
@@ -348,12 +354,9 @@ def first_divergence(p: PolygonPresentation, a: Arc, b: Arc) -> Divergence:
         ea = da.slots[m][1]
         eb = db.slots[m][1]
         if ea != eb:
-            if m == 0:
-                ref_side = geo.boundary_index[ra.start.side]
-                ref_param: Optional[Fraction] = ra.start.position
-            else:
-                ref_side = _door_in(geo, ra.crossings[m - 1])
-                ref_param = None
+            ref_side, ref_pos = da.slots[m][0]
+            # only the start point is a marked reference; later entries are doors
+            ref_param: Optional[Fraction] = ref_pos if m == 0 else None
             key_a = _key(geo.n, ref_side, ref_param, ea)
             key_b = _key(geo.n, ref_side, ref_param, eb)
             return Divergence.RIGHT_OF if key_b < key_a else Divergence.LEFT_OF
@@ -391,15 +394,12 @@ def twist_about_band(p: PolygonPresentation, a: Arc, pair: str, sign: int) -> Ar
             f"twist about {pair!r} needs an arc not already crossing that band"
         )
     da = _ArcData(geo, ra)
-    left, right = geo.pair_sides[pair]
-    core: tuple[Address, Address] = ((left, None), (right, None))
+    core = _core_chord(geo, pair)
+    left_door = (geo.pair_sides[pair][0], 0)
     pieces: list[Crossing] = []
-    for m, slot in enumerate(da.slots):
-        if _chamber_linked(geo.n, slot, core):
-            lo = _key(geo.n, 0, None, slot[0])
-            hi = _key(geo.n, 0, None, slot[1])
-            faces_left = _in_open(_key(geo.n, 0, None, (left, None)), lo, hi)
-            orientation = 1 if faces_left else -1
+    for m, (entry, exit_) in enumerate(da.slots):
+        if _linked(da.chords[m], core):
+            orientation = 1 if _in_open(left_door, entry, exit_) else -1
             pieces.append(Crossing(pair, sign * orientation))
         if m < len(ra.crossings):
             pieces.append(ra.crossings[m])
@@ -413,9 +413,5 @@ def bands_cut(p: PolygonPresentation, a: Arc) -> list[str]:
     r = reduce(p, a)
     if r.crossings:
         raise ValueError("bands_cut needs an arc without crossings")
-    slot = _ArcData(geo, r).slots[0]
-    return [
-        pair
-        for pair, (left, right) in sorted(geo.pair_sides.items())
-        if _chamber_linked(geo.n, slot, ((left, None), (right, None)))
-    ]
+    chord = _ArcData(geo, r).chords[0]
+    return [pair for pair in sorted(geo.pair_sides) if _linked(chord, _core_chord(geo, pair))]

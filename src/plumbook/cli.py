@@ -205,28 +205,31 @@ def cmd_stabilize(args) -> int:
 
 # the acceptance sweep (k=5 range=9); larger --family settings are refused
 MAX_FAMILY_SPECS = 2680
+# the sweep's cost grows about k^2 in the band count k: k=500 range=3
+# (499 specs) takes about 2 s on a Xeon vCPU, k=960 about 8 s
+MAX_FAMILY_K = 500
 
 
 def _family_rows(k_max: int, spread: int):
     """Pretzel tails over odd values in [-spread, spread] that keep the
     decomposition inside the surveyed family: no flat band, no non-leading
-    Hopf band, at least one negatively twisted band."""
+    Hopf band, at least one negatively twisted band.  Rows come in
+    depth-first order: each tail, then its extensions by each value."""
+    if k_max > MAX_FAMILY_K:
+        raise DocumentError(f"family k={k_max}; at most k={MAX_FAMILY_K} is supported")
     allowed = [n for n in range(-spread, spread + 1) if n % 2 and n not in (-3, -1, 1)]
     low = sum(n < 3 for n in allowed)  # tails of only these lack an n >= 3
     count = sum(len(allowed) ** m - low**m for m in range(1, k_max))
     if count > MAX_FAMILY_SPECS:
         raise DocumentError(f"family lists {count} specs; at most {MAX_FAMILY_SPECS} are supported")
     rows = []
-
-    def extend(tail):
-        if tail:
-            if any(n >= 3 for n in tail):
-                rows.append((-3, *tail, 1))
+    stack = [()]
+    while stack:
+        tail = stack.pop()
+        if any(n >= 3 for n in tail):
+            rows.append((-3, *tail, 1))
         if len(tail) < k_max - 1:
-            for n in allowed:
-                extend(tail + (n,))
-
-    extend(())
+            stack.extend(tail + (n,) for n in reversed(allowed))
     return rows
 
 

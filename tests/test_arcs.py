@@ -10,6 +10,8 @@ test_oracle.py.
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from plumbook.errors import (
     InvalidPresentationError,
@@ -21,6 +23,7 @@ from plumbook.arcs import (
     Arc,
     Crossing,
     Divergence,
+    _key,
     first_divergence,
     interior_intersections,
     is_embedded,
@@ -30,6 +33,7 @@ from plumbook.arcs import (
     reverse,
     twist_about_band,
 )
+from plumbook.documents import arc_payload
 from plumbook.surface import Boundary, BoundaryPoint, End, Glued, PolygonPresentation
 
 B, L, R = Boundary, End.LEFT, End.RIGHT
@@ -88,6 +92,31 @@ def test_reduce_is_idempotent_here():
     a = arc("B1", (1, 3), "B2", (1, 3), CP, CM, CM, CP, CP)
     once = reduce(HEXAGON, a)
     assert reduce(HEXAGON, once) == once
+    # the reduced arc keeps its check: the same presentation returns it as is
+    assert reduce(HEXAGON, once) is once
+
+
+def test_kept_reduction_is_checked_again_elsewhere_and_invisible():
+    once = reduce(HEXAGON, arc("B1", (1, 3), "B2", (1, 3), CP, CM, CP))
+    fresh = Arc(once.start, once.end, once.crossings)
+    assert once == fresh
+    assert hash(once) == hash(fresh)
+    assert repr(once) == repr(fresh)
+    assert arc_payload(once) == arc_payload(fresh)
+    # an equal presentation object is another geometry: checked again
+    twin = PolygonPresentation(HEXAGON.sides)
+    again = reduce(twin, once)
+    assert again == once and again is not once
+    renamed_pair = PolygonPresentation(
+        (B("B1"), Glued("d", L), B("B2"), B("B3"), Glued("d", R), B("B4"))
+    )
+    with pytest.raises(UnknownPairError):
+        reduce(renamed_pair, once)
+    renamed_side = PolygonPresentation(
+        (B("B1"), Glued("c", L), B("B5"), B("B3"), Glued("c", R), B("B4"))
+    )
+    with pytest.raises(MixedSurfacesError):
+        reduce(renamed_side, once)
 
 
 def test_reduce_rejects_unknown_pair():
@@ -338,3 +367,45 @@ def test_star_images_veer_right_at_both_ends():
             assert interior_intersections(p, a, h) == 0
             assert first_divergence(p, a, h) is Divergence.RIGHT_OF
             assert first_divergence(p, reverse(a), reverse(h)) is Divergence.RIGHT_OF
+
+
+def reference_key(n, ref_side, ref_param, addr):
+    """Order key as one exact number: off + t, doors at their midpoint."""
+    side, pos = addr
+    t = pos if pos else Fraction(1, 2)
+    off = (side - ref_side) % n
+    key = off + t
+    if ref_param is not None and off == 0 and t < ref_param:
+        key += n
+    return key
+
+
+@st.composite
+def circle_addresses(draw):
+    """A polygon's sides as doors or boundary sides, a reference (a door,
+    a whole side, or a marked point) and addresses on it: doors alone on
+    their side, marked points anywhere on boundary sides."""
+    doors = draw(st.lists(st.booleans(), min_size=1, max_size=6))
+    n = len(doors)
+    positions = st.fractions(Fraction(1, 8), Fraction(7, 8), max_denominator=8)
+    ref_side = draw(st.integers(0, n - 1))
+    marked = not doors[ref_side] and draw(st.booleans())
+    ref_param = draw(positions) if marked else None
+    addresses = []
+    for side in draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=6)):
+        addresses.append((side, 0) if doors[side] else (side, draw(positions)))
+    return n, ref_side, ref_param, addresses
+
+
+@given(circle_addresses())
+@example((4, 0, Fraction(1, 2), [(0, Fraction(1, 4)), (0, Fraction(3, 4)), (1, 0), (3, Fraction(1, 2))]))
+@example((4, 0, Fraction(1, 2), [(0, Fraction(1, 4)), (0, Fraction(1, 2)), (3, Fraction(7, 8))]))
+@example((4, 1, None, [(1, 0), (0, Fraction(1, 4)), (2, Fraction(1, 8)), (3, 0)]))
+@example((3, 2, None, [(2, Fraction(1, 4)), (2, Fraction(3, 4)), (0, 0)]))
+def test_order_keys_match_exact_numbers(case):
+    n, ref_side, ref_param, addresses = case
+    for x in addresses:
+        for y in addresses:
+            kx, ky = (_key(n, ref_side, ref_param, a) for a in (x, y))
+            rx, ry = (reference_key(n, ref_side, ref_param, a) for a in (x, y))
+            assert (kx < ky, kx == ky) == (rx < ry, rx == ry)

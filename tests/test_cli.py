@@ -1,6 +1,7 @@
 """End-to-end command tests, run in process."""
 
 import contextlib
+import inspect
 import io
 import json
 import sys
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plumbook import documents as doc
-from plumbook.cli import MAX_FAMILY_SPECS, _family_rows, main
+from plumbook.cli import MAX_FAMILY_K, MAX_FAMILY_SPECS, _family_rows, main
 
 GOLDEN_ROW = "pretzel(-3,3,1) | 1 | Right | NonzeroTight | no"
 
@@ -184,6 +185,24 @@ def test_over_limit_inputs_exit_2(capsys):
     assert "at most 2680 are supported" in err
     # the acceptance sweep itself sits at the limit
     assert len(_family_rows(5, 9)) == MAX_FAMILY_SPECS == 2680
+
+
+def test_family_band_limit_and_deep_tails(capsys):
+    # 1199 specs, under the spec limit, but k is above the band limit
+    code, out, err = run(capsys, "paper-examples", "--family", "k=1200", "range=3")
+    assert (code, out) == (2, "")
+    assert f"at most k={MAX_FAMILY_K} is supported" in err
+    # tails are listed without recursing once per letter
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        rows = _family_rows(MAX_FAMILY_K, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rows == [(-3, *(3,) * m, 1) for m in range(1, MAX_FAMILY_K)]
+    # depth-first order: each tail, then its extensions
+    assert _family_rows(3, 5)[:4] == [(-3, -5, 3, 1), (-3, -5, 5, 1), (-3, 3, 1), (-3, 3, -5, 1)]
 
 
 def test_emit_dot_for_plain_surface(capsys, tmp_path):

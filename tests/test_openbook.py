@@ -160,6 +160,32 @@ def test_verdict_hopf_bands():
     assert w.witness_index == 0
 
 
+def test_five_hopf_star_answers_pinned():
+    # star 2,2,2,2,2: image i carries 2^i crossings, the longest words
+    # that Tier-1 decides; the mirror takes the left-veering short cut
+    plain = associated_pob(StarPlumbing((TwistedAnnulus(2),) * 5))[2]
+    assert [len(h.crossings) for h in plain.images] == [1, 2, 4, 8, 16]
+    assert validate_pob(plain) == []
+    assert veering_report(plain).verdicts == (ArcVeer.RIGHT,) * 5
+    v = contact_verdict(plain)
+    assert v.status is VerdictStatus.NONZERO_TIGHT
+    assert v.witness_index is None
+    assert v.matrix == (
+        (0, 1, 2, 4, 8),
+        (0, 0, 1, 2, 4),
+        (0, 0, 0, 1, 2),
+        (0, 0, 0, 0, 1),
+        (0, 0, 0, 0, 0),
+    )
+    mirrored = associated_pob(StarPlumbing((TwistedAnnulus(-2),) * 5))[2]
+    assert validate_pob(mirrored) == []
+    assert veering_report(mirrored).verdicts == (ArcVeer.LEFT,) * 5
+    w = contact_verdict(mirrored)
+    assert w.status is VerdictStatus.OVERTWISTED_WITNESS
+    assert w.witness_index == 0
+    assert w.matrix is None
+
+
 def test_verdict_unknown_when_arc_meets_its_image():
     # embedded, right-veering at both ends, but crosses its basis arc once:
     # the bigon criterion does not decide such a book

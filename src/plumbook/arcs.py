@@ -21,6 +21,9 @@ question below becomes finite combinatorics on the polygon's cyclic order:
 
 Exact endpoint coincidences never count as crossings: strands emanating from
 a shared point can always be combed apart.
+
+An arc is checked once per presentation object: reduce keeps, on the arc
+it returns, the indexed view that every query below reads.
 """
 
 from __future__ import annotations
@@ -95,16 +98,19 @@ def _check_endpoint(geo: _Geometry, pt: BoundaryPoint) -> None:
 
 
 class _ArcData:
-    """Per-arc view used by the counting machinery: one chamber slot per
-    word prefix, each slot holding its entry and exit address, the same two
-    addresses in increasing order as the slot's chord, and the word as its
-    sequence of exit doors (a door side names one pair and direction).
-    Built only from arcs that reduce has checked against the presentation."""
+    """Kept view of a reduced arc used by the counting machinery: the
+    geometry it was checked against, one chamber slot per word prefix, each
+    slot holding its entry and exit address, the same two addresses in
+    increasing order as the slot's chord, and the word as its sequence of
+    exit doors (a door side names one pair and direction).  Built only by
+    reduce, for the arc it returns, and for that arc's reversal."""
 
-    __slots__ = ("arc", "letters", "slots", "chords")
+    __slots__ = ("geo", "arc", "letters", "slots", "chords", "_reversed")
 
     def __init__(self, geo: _Geometry, arc: Arc):
+        self.geo = geo
         self.arc = arc
+        self._reversed: Optional[_ArcData] = None
         self.letters = [_door_out(geo, c) for c in arc.crossings]
         entries: list[Address] = [(geo.boundary_index[arc.start.side], arc.start.position)]
         entries += [(_door_in(geo, c), 0) for c in arc.crossings]
@@ -112,6 +118,14 @@ class _ArcData:
         exits.append((geo.boundary_index[arc.end.side], arc.end.position))
         self.slots: list[tuple[Address, Address]] = list(zip(entries, exits))
         self.chords = [(x, y) if x < y else (y, x) for x, y in self.slots]
+
+    @property
+    def reversed(self) -> "_ArcData":
+        """View of the reversed arc, built once on first use; a reversed
+        reduced word is reduced, on the same endpoints and pairs."""
+        if self._reversed is None:
+            self._reversed = _ArcData(self.geo, reverse(self.arc))
+        return self._reversed
 
 
 def _key(n: int, ref_side: int, ref_param: Optional[Fraction], addr: Address) -> Address:
@@ -167,12 +181,14 @@ def reduce(p: PolygonPresentation, a: Arc) -> Arc:
     boundary-parallel backtracks can exist, and the reduced word together
     with the endpoints determines the endpoint-fixed isotopy class.
 
-    The returned arc keeps the geometry it was checked and reduced against
-    (a non-field attribute, invisible to ==, hash, repr and documents), so
-    reducing it again on the same presentation object returns it at once.
+    The returned arc keeps its view (a non-field attribute, invisible to
+    ==, hash, repr and documents), which holds the geometry it was checked
+    and reduced against, so reducing it again on the same presentation
+    object returns it at once; any other presentation checks it again.
     """
     geo = _geometry(p)
-    if a.__dict__.get("_reduced_on") is geo:
+    view = a.__dict__.get("_view")
+    if view is not None and view.geo is geo:
         return a
     for c in a.crossings:
         if c.pair not in geo.pair_sides:
@@ -188,8 +204,13 @@ def reduce(p: PolygonPresentation, a: Arc) -> Arc:
         else:
             stack.append(c)
     r = Arc(a.start, a.end, tuple(stack))
-    object.__setattr__(r, "_reduced_on", geo)
+    object.__setattr__(r, "_view", _ArcData(geo, r))
     return r
+
+
+def _reduced_view(p: PolygonPresentation, a: Arc) -> _ArcData:
+    """The kept view of a's reduced representative on p."""
+    return reduce(p, a).__dict__["_view"]
 
 
 def reverse(a: Arc) -> Arc:
@@ -240,12 +261,14 @@ def _corridor_linked(n: int, da: _ArcData, db: _ArcData, m0: int, k0: int, r: in
     return order_in == order_out
 
 
-def _count(n: int, da: _ArcData, db: _ArcData, db_rev: _ArcData) -> int:
-    """Forced crossings of a against b over all relative placements, where
-    db_rev is b reversed.  With db is da this is the self-count: the
+def _count(da: _ArcData, db: _ArcData) -> int:
+    """Forced crossings of a against b over all relative placements, b run
+    in both directions.  With db is da this is the self-count: the
     placements laying the strand on itself or on its own reversal are the
     same lift, not a pair, and every other one is met from both strands."""
+    n = da.geo.n
     same = db is da
+    db_rev = db.reversed
     total = 0
     for m0, k0, r in _forward_alignments(da.letters, db.letters):
         if not (same and m0 == k0):
@@ -274,14 +297,12 @@ def minimal_position(
     between two strands shows up as a relative placement whose end orders do
     not force a crossing, and such placements contribute nothing here.
     """
-    geo = _geometry(p)
-    ra = reduce(p, a)
-    rb = reduce(p, b)
-    da = _ArcData(geo, ra)
+    da, db = _reduced_view(p, a), _reduced_view(p, b)
+    ra, rb = da.arc, db.arc
     # duplicates of one unoriented class, either parametrization, are a
     # self-intersection query, not a pair of parallel copies
-    db = da if ra == rb or ra == reverse(rb) else _ArcData(geo, rb)
-    return ra, rb, _count(geo.n, da, db, _ArcData(geo, reverse(db.arc)))
+    same = ra == rb or ra == db.reversed.arc
+    return ra, rb, _count(da, da if same else db)
 
 
 def interior_intersections(p: PolygonPresentation, a: Arc, b: Arc) -> int:
@@ -290,10 +311,8 @@ def interior_intersections(p: PolygonPresentation, a: Arc, b: Arc) -> int:
 
 def is_embedded(p: PolygonPresentation, a: Arc) -> bool:
     """Whether the reduced representative has no forced self-crossings."""
-    geo = _geometry(p)
-    ra = reduce(p, a)
-    da = _ArcData(geo, ra)
-    return _count(geo.n, da, da, _ArcData(geo, reverse(ra))) == 0
+    da = _reduced_view(p, a)
+    return _count(da, da) == 0
 
 
 def is_isotopic(
@@ -337,17 +356,14 @@ def first_divergence(p: PolygonPresentation, a: Arc, b: Arc) -> Divergence:
     counterclockwise starting from the entry point (or entry door); the arc
     whose exit comes first departs to the right of the other.
     """
-    geo = _geometry(p)
-    ra = reduce(p, a)
-    rb = reduce(p, b)
+    da, db = _reduced_view(p, a), _reduced_view(p, b)
+    ra, rb = da.arc, db.arc
     if ra.start.side != rb.start.side:
         raise NoSharedStartError(
             f"arcs start on different boundary sides {ra.start.side!r} and {rb.start.side!r}"
         )
     if ra == rb:
         return Divergence.EQUAL
-    da = _ArcData(geo, ra)
-    db = _ArcData(geo, rb)
     la, lb = len(ra.crossings), len(rb.crossings)
     m = 0
     while m <= min(la, lb):
@@ -357,8 +373,8 @@ def first_divergence(p: PolygonPresentation, a: Arc, b: Arc) -> Divergence:
             ref_side, ref_pos = da.slots[m][0]
             # only the start point is a marked reference; later entries are doors
             ref_param: Optional[Fraction] = ref_pos if m == 0 else None
-            key_a = _key(geo.n, ref_side, ref_param, ea)
-            key_b = _key(geo.n, ref_side, ref_param, eb)
+            key_a = _key(da.geo.n, ref_side, ref_param, ea)
+            key_b = _key(da.geo.n, ref_side, ref_param, eb)
             return Divergence.RIGHT_OF if key_b < key_a else Divergence.LEFT_OF
         m += 1
     # identical words and end, distinct start positions on the shared side:
@@ -383,17 +399,16 @@ def twist_about_band(p: PolygonPresentation, a: Arc, pair: str, sign: int) -> Ar
     covers every construction in this package (band-dual arcs and their
     composites over other bands).
     """
-    geo = _geometry(p)
+    da = _reduced_view(p, a)
+    ra, geo = da.arc, da.geo
     if pair not in geo.pair_sides:
         raise UnknownPairError(pair)
     if sign not in (1, -1):
         raise ValueError(f"twist sign must be +1 or -1, got {sign}")
-    ra = reduce(p, a)
     if any(c.pair == pair for c in ra.crossings):
         raise ValueError(
             f"twist about {pair!r} needs an arc not already crossing that band"
         )
-    da = _ArcData(geo, ra)
     core = _core_chord(geo, pair)
     left_door = (geo.pair_sides[pair][0], 0)
     pieces: list[Crossing] = []
@@ -409,9 +424,8 @@ def twist_about_band(p: PolygonPresentation, a: Arc, pair: str, sign: int) -> Ar
 def bands_cut(p: PolygonPresentation, a: Arc) -> list[str]:
     """Glued pairs, sorted, whose two doors a crossing-free arc separates:
     the band core's chord between the doors must cross the arc's chord."""
-    geo = _geometry(p)
-    r = reduce(p, a)
-    if r.crossings:
+    da = _reduced_view(p, a)
+    if da.arc.crossings:
         raise ValueError("bands_cut needs an arc without crossings")
-    chord = _ArcData(geo, r).chords[0]
+    geo, chord = da.geo, da.chords[0]
     return [pair for pair in sorted(geo.pair_sides) if _linked(chord, _core_chord(geo, pair))]

@@ -166,10 +166,19 @@ def cmd_check(args) -> int:
     return 0
 
 
+# each step re-checks the whole book, so a chain costs about count^3:
+# pretzel(-3,3,1) with count 60 takes about 7 s on a Xeon vCPU
+MAX_STABILIZE_COUNT = 60
+
+
 def cmd_stabilize(args) -> int:
-    pob, _star = _find_pob(_read_input(args.input))
     if args.count < 0:
         raise DocumentError("count must be nonnegative")
+    if args.count > MAX_STABILIZE_COUNT:
+        raise DocumentError(
+            f"count {args.count}; at most {MAX_STABILIZE_COUNT} stabilizations are supported"
+        )
+    pob, _star = _find_pob(_read_input(args.input))
     steps = []
 
     def record(book):
@@ -217,11 +226,19 @@ def _family_rows(k_max: int, spread: int):
     depth-first order: each tail, then its extensions by each value."""
     if k_max > MAX_FAMILY_K:
         raise DocumentError(f"family k={k_max}; at most k={MAX_FAMILY_K} is supported")
-    allowed = [n for n in range(-spread, spread + 1) if n % 2 and n not in (-3, -1, 1)]
-    low = sum(n < 3 for n in allowed)  # tails of only these lack an n >= 3
-    count = sum(len(allowed) ** m - low**m for m in range(1, k_max))
-    if count > MAX_FAMILY_SPECS:
-        raise DocumentError(f"family lists {count} specs; at most {MAX_FAMILY_SPECS} are supported")
+    # the allowed values, largest first: odd 3..spread, then odd -5..-spread;
+    # tails of only the low ones lack an n >= 3.  Specs are counted, only
+    # until the count passes the limit, before anything is listed.
+    high, low = max(0, (spread - 1) // 2), max(0, (spread - 3) // 2)
+    descending = (range(2 * high + 1, 2, -2), range(-5, -4 - 2 * low, -2))
+    count = 0
+    for m in range(1, k_max):
+        count += (high + low) ** m - low**m
+        if count > MAX_FAMILY_SPECS:
+            raise DocumentError(
+                f"family k={k_max} range={spread} lists too many specs; "
+                f"at most {MAX_FAMILY_SPECS} are supported"
+            )
     rows = []
     stack = [()]
     while stack:
@@ -229,7 +246,7 @@ def _family_rows(k_max: int, spread: int):
         if any(n >= 3 for n in tail):
             rows.append((-3, *tail, 1))
         if len(tail) < k_max - 1:
-            stack.extend(tail + (n,) for n in reversed(allowed))
+            stack.extend(tail + (n,) for values in descending for n in values)
     return rows
 
 

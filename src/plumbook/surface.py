@@ -14,11 +14,11 @@ polygon corner must land on the surface boundary.  The last condition keeps
 the chamber decomposition of the universal cover a tree, which the arc
 calculus relies on.
 
-A presentation is validated once per object: the first operation that needs
-it keeps the indexed view on the object.  Presentations are frozen, so that
-view cannot go stale, and it is not a field, so equality, hashing, repr and
-documents ignore it.  An invalid presentation keeps nothing and raises on
-every call.
+A presentation is validated once per object: the first validation that
+passes keeps the indexed view it built on the object, for every later
+operation.  Presentations are frozen, so that view cannot go stale, and it
+is not a field, so equality, hashing, repr and documents ignore it.  An
+invalid presentation keeps nothing and raises on every call.
 """
 
 from __future__ import annotations
@@ -112,8 +112,7 @@ def _geometry(p: PolygonPresentation) -> _Geometry:
         violations = validate(p)
         if violations:
             raise InvalidPresentationError(violations)
-        geo = _Geometry(p)
-        object.__setattr__(p, "_geometry", geo)
+        geo = p.__dict__["_geometry"]
     return geo
 
 
@@ -144,7 +143,8 @@ def _corner_orbits(geo: _Geometry) -> list[int]:
 
 
 def validate(p: PolygonPresentation) -> list[Violation]:
-    """Check all presentation invariants; empty list means valid."""
+    """Check all presentation invariants; empty list means valid.  A valid
+    presentation keeps the first geometry built here: its arcs refer to it."""
     out: list[Violation] = []
     if not p.sides:
         return [Violation("EmptyPolygon", "presentation has no sides")]
@@ -181,7 +181,8 @@ def validate(p: PolygonPresentation) -> list[Violation]:
 
     if pairs_ok and seen_labels:
         n = len(p.sides)
-        roots = _corner_orbits(_Geometry(p))
+        geo = _Geometry(p)
+        roots = _corner_orbits(geo)
         # corner c borders sides c-1 and c; it is a boundary vertex iff some
         # corner in its orbit touches a Boundary side
         on_boundary: set[int] = set()
@@ -198,6 +199,8 @@ def validate(p: PolygonPresentation) -> list[Violation]:
                     "arc normal forms need every polygon vertex on the boundary",
                 )
             )
+    if not out:
+        p.__dict__.setdefault("_geometry", geo)
     return out
 
 

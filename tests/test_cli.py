@@ -1,17 +1,27 @@
 """End-to-end command tests, run in process."""
 
 import contextlib
+import hashlib
 import inspect
 import io
+import itertools
 import json
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plumbook import documents as doc
-from plumbook.cli import MAX_FAMILY_K, MAX_FAMILY_SPECS, _family_rows, main
+from plumbook.cli import (
+    MAX_FAMILY_K,
+    MAX_FAMILY_SPECS,
+    MAX_STABILIZE_COUNT,
+    _family_rows,
+    main,
+)
+from plumbook.errors import DocumentError
 
 GOLDEN_ROW = "pretzel(-3,3,1) | 1 | Right | NonzeroTight | no"
 
@@ -159,6 +169,22 @@ def test_paper_examples_structured_is_deterministic(capsys):
     assert payload["assertions"] == "all passed"
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ((), "d9a01d4c9ba6d6a15640a470c32bc6fbb90230efbafcd19dadead13e42135cf0"),
+        (
+            ("--format", "structured"),
+            "8f9305e5d0a984551791440db15339cdfecf90f3b8b2b92c35d29dfe4bf9d709",
+        ),
+    ],
+)
+def test_paper_examples_stdout_is_pinned(capsys, argv, digest):
+    code, out, _err = run(capsys, "paper-examples", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_paper_examples_family_bounds(capsys):
     code, out, _err = run(capsys, "paper-examples", "--family", "k=2", "range=5")
     assert code == 0
@@ -185,6 +211,41 @@ def test_over_limit_inputs_exit_2(capsys):
     assert "at most 2680 are supported" in err
     # the acceptance sweep itself sits at the limit
     assert len(_family_rows(5, 9)) == MAX_FAMILY_SPECS == 2680
+    # refused before the (absent) input is read
+    code, out, err = run(capsys, "stabilize", "--count", str(MAX_STABILIZE_COUNT + 1))
+    assert (code, out) == (2, "")
+    assert f"at most {MAX_STABILIZE_COUNT} stabilizations are supported" in err
+
+
+def test_family_refused_before_listing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DocumentError, match="at most 2680 are supported"):
+            _family_rows(2, 2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_family_rows_match_brute_force():
+    for k_max in range(7):
+        for spread in range(26):
+            allowed = [n for n in range(-spread, spread + 1) if n % 2 and n not in (-3, -1, 1)]
+            tails = (
+                t
+                for m in range(1, k_max)
+                for t in itertools.product(allowed, repeat=m)
+                if max(t) >= 3
+            )
+            # one past the limit decides the refusal
+            tails = list(itertools.islice(tails, MAX_FAMILY_SPECS + 1))
+            if len(tails) > MAX_FAMILY_SPECS:
+                with pytest.raises(DocumentError):
+                    _family_rows(k_max, spread)
+            else:
+                # depth-first order is tuple order: a prefix precedes its extensions
+                assert _family_rows(k_max, spread) == [(-3, *t, 1) for t in sorted(tails)]
 
 
 def test_family_band_limit_and_deep_tails(capsys):

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import plumbook.arcs
 import plumbook.openbook
-from plumbook.arcs import Arc, Crossing, twist_about_band
+from plumbook.arcs import Arc, Crossing, minimal_position, twist_about_band
 from plumbook.documents import pob_payload
 from plumbook.errors import (
     InvalidOpenBookError,
@@ -25,7 +26,14 @@ from plumbook.openbook import (
     validate_pob,
     veering_report,
 )
-from plumbook.plumbing import StarPlumbing, TwistedAnnulus, associated_pob, star_sum_surface
+from plumbook.plumbing import (
+    PretzelSpec,
+    StarPlumbing,
+    TwistedAnnulus,
+    associated_pob,
+    pretzel_decompose,
+    star_sum_surface,
+)
 from plumbook.surface import (
     Boundary,
     BoundaryPoint,
@@ -330,6 +338,35 @@ def test_book_checked_once_across_operations(monkeypatch):
     validate_pob(pob)
     # one embeddedness test per basis arc and per image, all in one pass
     assert len(checked) == 2 * len(pob.basis)
+
+
+def test_book_decided_from_kept_arc_views(monkeypatch):
+    pob = associated_pob(pretzel_decompose(PretzelSpec((-3, 3, 1))))[2]
+    for _ in range(6):
+        pob = positive_stabilization(pob)
+    built, turned = [], []
+    view_init = plumbook.arcs._ArcData.__init__
+    monkeypatch.setattr(
+        plumbook.arcs._ArcData,
+        "__init__",
+        lambda self, geo, a: built.append(a) or view_init(self, geo, a),
+    )
+    reverse = plumbook.openbook.reverse
+    monkeypatch.setattr(plumbook.openbook, "reverse", lambda a: turned.append(a) or reverse(a))
+    validate_pob(pob)
+    # a view and its reversal per basis arc and image, each built once
+    assert len(built) <= 2 * (len(pob.basis) + len(pob.images))
+    built.clear()
+    veering_report(pob)
+    contact_verdict(pob)
+    # after that, only the arcs veering turns around get views of their own
+    assert len(built) == len(turned)
+    p = pob.surface
+    kept = [minimal_position(p, a, h)[:2] for a, h in zip(pob.basis, pob.images)]
+    built.clear()
+    for a, h in kept:
+        minimal_position(p, a, h)
+    assert built == []
 
 
 def test_kept_check_is_invisible():

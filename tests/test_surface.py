@@ -211,6 +211,23 @@ def test_presentation_validated_once_per_object(monkeypatch):
     assert len(seen) == 2
 
 
+def test_one_geometry_per_fresh_presentation(monkeypatch):
+    built = []
+    original = plumbook.surface._Geometry.__init__
+    monkeypatch.setattr(
+        plumbook.surface._Geometry, "__init__", lambda self, p: built.append(p) or original(self, p)
+    )
+    p = star(2)
+    a = Arc(BoundaryPoint("Bl00", Fraction(1, 3)), BoundaryPoint("Br00", Fraction(1, 3)))
+    euler_characteristic(p)
+    ra = reduce(p, a)
+    assert built == [p]
+    # validating again builds another view but keeps the first one, which
+    # the arcs reduced on p refer to
+    assert validate(p) == []
+    assert reduce(p, ra) is ra
+
+
 def test_kept_geometry_is_invisible():
     used, fresh = star(3), star(3)
     euler_characteristic(used)

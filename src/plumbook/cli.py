@@ -166,9 +166,11 @@ def cmd_check(args) -> int:
     return 0
 
 
-# each step re-checks the whole book, so a chain costs about count^3:
-# pretzel(-3,3,1) with count 60 takes about 7 s on a Xeon vCPU
-MAX_STABILIZE_COUNT = 60
+# each step tests and counts only the new arc against the old ones, so a
+# chain costs about count^2: with count 200, pretzel(-3,3,1) takes about
+# 2 s and a 10-band Hopf star about 3 s on a Xeon vCPU (count 60 took 3 s
+# when every step checked the whole book; this shared host varies up to 2x)
+MAX_STABILIZE_COUNT = 200
 
 
 def cmd_stabilize(args) -> int:

@@ -23,6 +23,15 @@ from .surface import Boundary, BoundaryPoint, End, Glued, PolygonPresentation
 CURRENT_VERSION = 1
 KINDS = ("surface", "arc", "pob", "star", "pretzel", "report")
 
+# Larger books are refused before any geometry, since checking one compares
+# every pair of arcs letter by letter.  The limits admit every book the
+# tools write: build star writes 2^10 - 1 crossings on 10 basis arcs at the
+# Hopf limit, and one stabilize run adds at most 200 basis arcs, 200 images
+# and 200 crossings.  Checking that largest book, 420 arcs and 1223
+# crossings, takes about 1.2 s on a Xeon vCPU.
+MAX_BOOK_ARCS = 420
+MAX_BOOK_CROSSINGS = 1223
+
 
 @dataclass(frozen=True)
 class Document:
@@ -158,6 +167,14 @@ def pob_from(payload) -> tuple[PartialOpenBook, Optional[StarPlumbing]]:
         )
     except (KeyError, TypeError) as e:
         raise DocumentError(f"bad pob payload: {e}") from e
+    arcs = (*pob.basis, *pob.images)
+    if len(arcs) > MAX_BOOK_ARCS:
+        raise DocumentError(f"book has {len(arcs)} arcs; at most {MAX_BOOK_ARCS} are supported")
+    crossings = sum(len(a.crossings) for a in arcs)
+    if crossings > MAX_BOOK_CROSSINGS:
+        raise DocumentError(
+            f"book has {crossings} crossings; at most {MAX_BOOK_CROSSINGS} are supported"
+        )
     star = star_from(payload["star"]) if "star" in payload else None
     return pob, star
 

@@ -14,19 +14,23 @@ endpoints or immediately beside them on the same boundary sides, with no
 other marked point in between.  Exact coincidence is reserved for identity
 images; every construction in this package emits the pushed-off form.
 
-A book is checked once per object: validate_pob keeps its violations and
-reduced arcs on the book for every operation below.  Books, arcs and
-surfaces are frozen, so the result cannot go stale, and it is not a field,
-so equality, hashing, repr and documents ignore it.  Operations on an
-invalid book raise on every call.
+A book is checked once per object: validate_pob keeps its violations,
+reduced arcs and ranked marked points on the book for every operation
+below, and veering_report and contact_verdict keep their results beside
+them.  Books, arcs and surfaces are frozen, so the results cannot go stale,
+and they are not fields, so equality, hashing, repr and documents ignore
+them.  Operations on an invalid book raise on every call.  A positive
+stabilization derives these results from its book's, testing and counting
+only the arc it adds.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .arcs import (
@@ -97,33 +101,51 @@ class ContactVerdict:
 
 
 class _CheckedBook(NamedTuple):
-    """What validate_pob found out about a book, kept on the book."""
+    """What validate_pob found out about a book, kept on the book.
+
+    sides is the book's one index of marked points: per boundary side, its
+    distinct endpoint positions in increasing order, so that a position's
+    rank is its index there, found by bisection.
+    """
 
     violations: tuple[Violation, ...]
     basis: tuple[Arc, ...]
     images: tuple[Arc, ...]
+    sides: dict[str, tuple[Fraction, ...]]
 
 
-def _marked_points(pob: PartialOpenBook) -> list[BoundaryPoint]:
-    out = []
-    for a in (*pob.basis, *pob.images):
-        out.append(a.start)
-        out.append(a.end)
-    return out
+def _side_index(points) -> dict[str, tuple[Fraction, ...]]:
+    on: dict[str, list[Fraction]] = {}
+    for pt in points:
+        on.setdefault(pt.side, []).append(pt.position)
+    for ts in on.values():
+        ts.sort()
+    return {
+        side: tuple(t for i, t in enumerate(ts) if i == 0 or t != ts[i - 1])
+        for side, ts in on.items()
+    }
 
 
-def _adjacent(x: BoundaryPoint, y: BoundaryPoint, marked) -> bool:
-    """Same side, equal or with no third marked point strictly between."""
+def _ends(arcs) -> list[BoundaryPoint]:
+    return [pt for a in arcs for pt in (a.start, a.end)]
+
+
+def _adjacent(x: BoundaryPoint, y: BoundaryPoint, sides) -> bool:
+    """Same side, equal or with no third marked point strictly between;
+    a side with at most two marked positions has no third point at all."""
     if x.side != y.side:
         return False
-    if x.position == y.position:
-        return True
-    lo, hi = sorted((x.position, y.position))
-    return not any(
-        m.side == x.side and lo < m.position < hi
-        for m in marked
-        if m is not x and m is not y
-    )
+    ts = sides[x.side]
+    return len(ts) <= 2 or abs(bisect_left(ts, x.position) - bisect_left(ts, y.position)) <= 1
+
+
+def _kept(pob: PartialOpenBook, name: str, compute):
+    """The result kept on the book under name, computed on first use."""
+    value = pob.__dict__.get(name)
+    if value is None:
+        value = compute(pob)
+        object.__setattr__(pob, name, value)
+    return value
 
 
 def validate_pob(pob: PartialOpenBook) -> list[Violation]:
@@ -134,22 +156,20 @@ def validate_pob(pob: PartialOpenBook) -> list[Violation]:
     does not end beside basis arc i), TiedEndpoints (unrelated arcs sharing
     an exact boundary point).  Later calls on the same book reuse the result.
     """
-    checked = pob.__dict__.get("_checked")
-    if checked is None:
-        checked = _check(pob)
-        object.__setattr__(pob, "_checked", checked)
-    return list(checked.violations)
+    return list(_kept(pob, "_checked", _check).violations)
 
 
 def _check(pob: PartialOpenBook) -> _CheckedBook:
     _geometry(pob.surface)
     if len(pob.basis) != len(pob.images):
         count = f"{len(pob.basis)} basis arcs but {len(pob.images)} images"
-        return _CheckedBook((Violation("EndpointMismatch", count),), (), ())
+        return _CheckedBook((Violation("EndpointMismatch", count),), (), (), {})
     out: list[Violation] = []
     p = pob.surface
     basis = tuple(reduce(p, a) for a in pob.basis)
     images = tuple(reduce(p, a) for a in pob.images)
+    ends = _ends((*basis, *images))
+    sides = _side_index(ends)
     for name, arcs in (("basis", basis), ("image", images)):
         for i, a in enumerate(arcs):
             if not is_embedded(p, a):
@@ -160,26 +180,46 @@ def _check(pob: PartialOpenBook) -> _CheckedBook:
                 n = interior_intersections(p, arcs[i], arcs[j])
                 if n:
                     out.append(Violation(code, f"arcs {i} and {j} cross {n} time(s)"))
-    # reduce keeps endpoints, so the book's own marked points serve
-    marked = _marked_points(pob)
     for i, (a, h) in enumerate(zip(basis, images)):
-        if _oriented_image(a, h, marked) is None:
+        if _oriented_image(a, h, sides) is None:
             out.append(
                 Violation("EndpointMismatch", f"image {i} does not end beside basis arc {i}")
             )
-    # exact coincidences are allowed only between basis arc i and image i
-    idx = range(len(basis))
-    ties = [
-        ("basis arc {} and image {}", i, j, basis[i], images[j]) for i, j in permutations(idx, 2)
-    ]
-    ties += [("basis arcs {} and {}", i, j, basis[i], basis[j]) for i, j in combinations(idx, 2)]
-    ties += [("image arcs {} and {}", i, j, images[i], images[j]) for i, j in combinations(idx, 2)]
-    for what, i, j, a, b in ties:
-        shared = {a.start, a.end} & {b.start, b.end}
-        if shared:
-            point = min(shared, key=str)
-            out.append(Violation("TiedEndpoints", f"{what.format(i, j)} share the point {point}"))
-    return _CheckedBook(tuple(out), basis, images)
+    # only endpoints sharing a point leave fewer positions than endpoints
+    if len(ends) > sum(map(len, sides.values())):
+        out += _ties(basis, images)
+    return _CheckedBook(tuple(out), basis, images, sides)
+
+
+_TIES = ("basis arc {} and image {}", "basis arcs {} and {}", "image arcs {} and {}")
+
+
+def _ties(basis, images) -> list[Violation]:
+    """TiedEndpoints for unrelated arcs sharing an exact boundary point:
+    basis-image pairs, then basis pairs, then image pairs, each in index
+    order.  Coincidences are allowed only between basis arc i and image i.
+    Arcs are grouped by point, so only tied pairs are visited."""
+    at: dict[BoundaryPoint, list[tuple[int, int]]] = {}
+    for kind, arcs in enumerate((basis, images)):
+        for i, a in enumerate(arcs):
+            for pt in (a.start, a.end):
+                at.setdefault(pt, []).append((kind, i))
+    tied = set()
+    # each point lists basis arcs before images, each in index order
+    for ends in at.values():
+        for (k, i), (m, j) in combinations(ends, 2):
+            if k == m:
+                tied.add((1 + k, i, j))
+            elif i != j:
+                tied.add((0, i, j))
+    out = []
+    for what, i, j in sorted(tied):
+        a = images[i] if what == 2 else basis[i]
+        b = basis[j] if what == 1 else images[j]
+        point = min({a.start, a.end} & {b.start, b.end}, key=str)
+        pair = _TIES[what].format(i, j)
+        out.append(Violation("TiedEndpoints", f"{pair} share the point {point}"))
+    return out
 
 
 def _require_pob(pob: PartialOpenBook) -> _CheckedBook:
@@ -190,12 +230,12 @@ def _require_pob(pob: PartialOpenBook) -> _CheckedBook:
     return pob.__dict__["_checked"]
 
 
-def _oriented_image(a: Arc, h: Arc, marked) -> Optional[Arc]:
+def _oriented_image(a: Arc, h: Arc, sides) -> Optional[Arc]:
     """The image oriented so that its start sits beside the basis start;
     None when its ends are not beside the basis arc's ends."""
-    if _adjacent(a.start, h.start, marked) and _adjacent(a.end, h.end, marked):
+    if _adjacent(a.start, h.start, sides) and _adjacent(a.end, h.end, sides):
         return h
-    if _adjacent(a.start, h.end, marked) and _adjacent(a.end, h.start, marked):
+    if _adjacent(a.start, h.end, sides) and _adjacent(a.end, h.start, sides):
         return reverse(h)
     return None
 
@@ -205,24 +245,31 @@ def veering_report(pob: PartialOpenBook) -> VeeringReport:
 
     An arc is Right when its image departs to the right at both endpoints,
     Isotopic when the image is the same class rel endpoints, and Left
-    otherwise.  Isotopic counts as right-veering downstream.
+    otherwise.  Isotopic counts as right-veering downstream.  Later calls on
+    the same book reuse the report.
     """
+    return _kept(pob, "_veering", _veering)
+
+
+def _veering(pob: PartialOpenBook) -> VeeringReport:
     checked = _require_pob(pob)
-    p = pob.surface
-    marked = _marked_points(pob)
-    verdicts = []
-    for a, h in zip(checked.basis, checked.images):
-        h = _oriented_image(a, h, marked)
-        at_start = first_divergence(p, a, h)
-        if at_start is Divergence.EQUAL:
-            verdicts.append(ArcVeer.ISOTOPIC)
-            continue
-        at_end = first_divergence(p, reverse(a), reverse(h))
-        if at_start is Divergence.RIGHT_OF and at_end is Divergence.RIGHT_OF:
-            verdicts.append(ArcVeer.RIGHT)
-        else:
-            verdicts.append(ArcVeer.LEFT)
-    return VeeringReport(tuple(verdicts))
+    return VeeringReport(
+        tuple(
+            _veer(pob.surface, a, h, checked.sides)
+            for a, h in zip(checked.basis, checked.images)
+        )
+    )
+
+
+def _veer(p: PolygonPresentation, a: Arc, h: Arc, sides) -> ArcVeer:
+    h = _oriented_image(a, h, sides)
+    at_start = first_divergence(p, a, h)
+    if at_start is Divergence.EQUAL:
+        return ArcVeer.ISOTOPIC
+    at_end = first_divergence(p, reverse(a), reverse(h))
+    if at_start is Divergence.RIGHT_OF and at_end is Divergence.RIGHT_OF:
+        return ArcVeer.RIGHT
+    return ArcVeer.LEFT
 
 
 def contact_verdict(pob: PartialOpenBook) -> ContactVerdict:
@@ -234,10 +281,27 @@ def contact_verdict(pob: PartialOpenBook) -> ContactVerdict:
     Right or Isotopic and each arc disjoint from its own image: the only
     differentials pairing an arc with its image would be bigons, none
     exist, so the class is nonzero.  Otherwise: unknown, the criterion
-    does not apply.
+    does not apply.  Later calls on the same book reuse the verdict.
     """
+    return _kept(pob, "_verdict", _verdict)
+
+
+def _verdict(pob: PartialOpenBook) -> ContactVerdict:
     report = veering_report(pob)
-    if not pob.basis:
+    matrix = None
+    if report.is_right_veering:
+        checked = _require_pob(pob)
+        matrix = tuple(
+            tuple(interior_intersections(pob.surface, a, h) for h in checked.images)
+            for a in checked.basis
+        )
+    return _decide(report, matrix)
+
+
+def _decide(report: VeeringReport, matrix) -> ContactVerdict:
+    """The verdict from the veering report and, for a right-veering book,
+    its basis-by-image intersection matrix."""
+    if not report.verdicts:
         return ContactVerdict(
             VerdictStatus.NONZERO_TIGHT,
             "empty basis: the book supports the unique tight structure, class nonzero",
@@ -251,11 +315,6 @@ def contact_verdict(pob: PartialOpenBook) -> ContactVerdict:
                 "witnesses an overtwisted structure",
                 witness_index=i,
             )
-    checked = _require_pob(pob)
-    matrix = tuple(
-        tuple(interior_intersections(pob.surface, a, h) for h in checked.images)
-        for a in checked.basis
-    )
     if all(matrix[i][i] == 0 for i in range(len(matrix))):
         return ContactVerdict(
             VerdictStatus.NONZERO_TIGHT,
@@ -275,18 +334,20 @@ def free_site(pob: PartialOpenBook) -> tuple[BoundaryPoint, BoundaryPoint]:
     """A stabilization site: a marked-point-free segment on a boundary side.
 
     Takes the first boundary side of the polygon and the gap between its
-    last marked point and the side's far corner; always succeeds.
+    last marked point and the side's far corner; always succeeds on a valid
+    book and raises InvalidOpenBookError on an invalid one.
     """
+    checked = _require_pob(pob)
     label = next(
         s.label for s in pob.surface.sides if isinstance(s, Boundary)
     )
-    return _free_gap(_marked_points(pob), label)
+    return _free_gap(label, checked.sides.get(label, ()))
 
 
-def _free_gap(marked, label: str) -> tuple[BoundaryPoint, BoundaryPoint]:
+def _free_gap(label: str, positions) -> tuple[BoundaryPoint, BoundaryPoint]:
     """Two points on side label splitting the gap between its last marked
-    point and its far corner into thirds."""
-    top = max((m.position for m in marked if m.side == label), default=Fraction(0))
+    point (positions in increasing order) and its far corner into thirds."""
+    top = positions[-1] if positions else Fraction(0)
     return BoundaryPoint(label, top + (1 - top) / 3), BoundaryPoint(label, top + 2 * (1 - top) / 3)
 
 
@@ -309,9 +370,16 @@ def positive_stabilization(
     basis arc runs once over the handle; its image is the pushed-off copy
     twisted positively about the handle.  All existing arcs keep their
     words, and their endpoints only get rescaled within the split side, so
-    every prior comparison is untouched.
+    every prior comparison is untouched: the new sides sit inside one
+    boundary side, so the cyclic order of the old addresses is unchanged.
+
+    The new book therefore carries the old book's check, veering report and
+    (when the old book keeps one) contact verdict, extended by tests and
+    counts of the new arc and image alone.  Two marked points on either side
+    of the site may stop being beside each other, so such a site, or a
+    failed test, leaves the new book to be checked in full on first use.
     """
-    _require_pob(pob)
+    checked = _require_pob(pob)
     if site is None:
         site = free_site(pob)
     q1, q2 = site
@@ -321,16 +389,18 @@ def positive_stabilization(
     lo, hi = sorted((q1.position, q2.position))
     if lo == hi:
         raise SiteObstructedError("site needs two distinct points")
+    if not 0 < lo < hi < 1:
+        raise SiteObstructedError(f"site [{lo}, {hi}] leaves the open unit interval")
     sides = pob.surface.sides
     labels = {s.label for s in sides if isinstance(s, Boundary)}
     if label not in labels:
         raise SiteObstructedError(f"no boundary side {label!r}")
-    marked = _marked_points(pob)
-    for m in marked:
-        if m.side == label and lo <= m.position <= hi:
-            raise SiteObstructedError(
-                f"segment [{lo}, {hi}] on {label!r} meets the marked point {m.position}"
-            )
+    marked = checked.sides.get(label, ())
+    split = bisect_left(marked, lo)
+    if split < len(marked) and marked[split] <= hi:
+        raise SiteObstructedError(
+            f"segment [{lo}, {hi}] on {label!r} meets the marked point {marked[split]}"
+        )
 
     pairs = {s.pair for s in sides if isinstance(s, Glued)}
     mid_label = _fresh(f"{label}h", labels)
@@ -364,13 +434,67 @@ def positive_stabilization(
     basis = [move_arc(a) for a in pob.basis]
     images = [move_arc(a) for a in pob.images]
 
-    t1, t2 = _free_gap([move(m) for m in marked], label)
+    below = tuple(t / lo for t in marked[:split])
+    t1, t2 = _free_gap(label, below)
     new_basis = Arc(t1, BoundaryPoint(mid_label, Fraction(1, 3)))
     pushed = Arc(t2, BoundaryPoint(mid_label, Fraction(2, 3)))
     new_image = twist_about_band(surface, pushed, pair, +1)
-    return PartialOpenBook(
-        surface, (*basis, new_basis), (*images, new_image)
-    )
+    book = PartialOpenBook(surface, (*basis, new_basis), (*images, new_image))
+    if split in (0, len(marked)):
+        # no marked points on both sides of the site; moving keeps the order
+        # of the side's points
+        moved = {s: ts for s, ts in checked.sides.items() if s != label}
+        if below:
+            moved[label] = below
+        elif marked:
+            moved[post_label] = tuple((t - hi) / (1 - hi) for t in marked)
+        _carry(pob, book, moved)
+    return book
+
+
+def _carry(old: PartialOpenBook, book: PartialOpenBook, moved) -> None:
+    """Keep on book, old stabilized once, what old keeps, extended to the
+    new last arc and image; keep nothing if a test of the new pair fails.
+
+    moved is old's side index with its points where book has them.  The new
+    pair is tested as _check tests every arc: no point tied with an old
+    endpoint, image ending beside its arc, embedded, disjoint from the old
+    arcs of its kind.  Only the new veering verdict and the new row and
+    column of the intersection matrix are computed."""
+    p = book.surface
+    basis = tuple(reduce(p, a) for a in book.basis)
+    images = tuple(reduce(p, h) for h in book.images)
+    a, h = basis[-1], images[-1]
+    # the new points sit above every old point of their side (at its top,
+    # or on a new side), so none ties an old endpoint and the old positions
+    # keep their ranks; anything else is left to the full check
+    sides = dict(moved)
+    for s, new in _side_index(_ends((a, h))).items():
+        old_ts = moved.get(s, ())
+        if old_ts and new[0] <= old_ts[-1]:
+            return
+        sides[s] = old_ts + new
+    if _oriented_image(a, h, sides) is None:
+        return
+    if not (is_embedded(p, a) and is_embedded(p, h)):
+        return
+    if any(interior_intersections(p, b, a) for b in basis[:-1]):
+        return
+    if any(interior_intersections(p, g, h) for g in images[:-1]):
+        return
+    object.__setattr__(book, "_checked", _CheckedBook((), basis, images, sides))
+    report = VeeringReport((*veering_report(old).verdicts, _veer(p, a, h, sides)))
+    object.__setattr__(book, "_veering", report)
+    matrix = None
+    if report.is_right_veering:
+        kept = old.__dict__.get("_verdict")
+        if kept is None:
+            return
+        matrix = tuple(
+            (*row, interior_intersections(p, b, h)) for row, b in zip(kept.matrix, basis)
+        )
+        matrix += (tuple(interior_intersections(p, a, g) for g in images),)
+    object.__setattr__(book, "_verdict", _decide(report, matrix))
 
 
 def dividing_set_counts(pob: PartialOpenBook) -> tuple[int, int]:
@@ -392,17 +516,23 @@ def canonical_pob(pob: PartialOpenBook):
     """
     checked = _require_pob(pob)
     merged, point_map = merge_boundary_runs(pob.surface)
+    # a merged side lists its runs' marked points in run order, so a point
+    # ranks after every point on the earlier sides of its run
+    before: dict[str, int] = {}
+    count: dict[str, int] = {}
+    for label, (new_label, _index, _run) in point_map.items():
+        before[label] = count.get(new_label, 0)
+        count[new_label] = before[label] + len(checked.sides.get(label, ()))
 
-    def transport(pt: BoundaryPoint) -> tuple[str, Fraction]:
-        new_label, index, run = point_map[pt.side]
-        return new_label, (index + pt.position) / run
+    def rank(pt: BoundaryPoint) -> tuple[str, tuple[int, int]]:
+        new_label = point_map[pt.side][0]
+        r = before[pt.side] + bisect_left(checked.sides[pt.side], pt.position)
+        return new_label, (r + 1, count[new_label] + 1)
 
-    moved = []
-    for r in (*checked.basis, *checked.images):
-        moved.append(
-            (transport(r.start), transport(r.end), tuple((c.pair, c.direction) for c in r.crossings))
-        )
-
+    moved = [
+        (rank(r.start), rank(r.end), tuple((c.pair, c.direction) for c in r.crossings))
+        for r in (*checked.basis, *checked.images)
+    ]
     relabeled, maps = _canonical_data(merged)
     sides_sig = tuple(
         ("B", s.label) if isinstance(s, Boundary) else ("G", s.pair, s.end.value)
@@ -411,23 +541,9 @@ def canonical_pob(pob: PartialOpenBook):
     k = len(pob.basis)
     candidates = []
     for label_map, pair_map in maps:
-        ranks: dict[str, list[Fraction]] = {}
-        for (s0, t0), (s1, t1), _word in moved:
-            ranks.setdefault(label_map[s0], []).append(t0)
-            ranks.setdefault(label_map[s1], []).append(t1)
-        lookup = {
-            lab: {t: i for i, t in enumerate(sorted(set(ts)))} for lab, ts in ranks.items()
-        }
-
-        def norm(st):
-            s, t = st
-            s2 = label_map[s]
-            table = lookup[s2]
-            return (s2, (table[t] + 1, len(table) + 1))
-
         arcs = tuple(
-            (norm(st0), norm(st1), tuple((pair_map[pr], d) for pr, d in word))
-            for st0, st1, word in moved
+            ((label_map[s0], r0), (label_map[s1], r1), tuple((pair_map[pr], d) for pr, d in word))
+            for (s0, r0), (s1, r1), word in moved
         )
         candidates.append((arcs[:k], arcs[k:]))
     return (sides_sig, *min(candidates))

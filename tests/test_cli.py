@@ -21,7 +21,9 @@ from plumbook.cli import (
     _family_rows,
     main,
 )
+from plumbook.documents import MAX_BOOK_ARCS, MAX_BOOK_CROSSINGS
 from plumbook.errors import DocumentError
+from plumbook.plumbing import MAX_HOPF_SUMMANDS
 
 GOLDEN_ROW = "pretzel(-3,3,1) | 1 | Right | NonzeroTight | no"
 
@@ -217,6 +219,45 @@ def test_over_limit_inputs_exit_2(capsys):
     assert f"at most {MAX_STABILIZE_COUNT} stabilizations are supported" in err
 
 
+def pob_index(docs):
+    return next(i for i, d in enumerate(docs) if d["kind"] == "pob")
+
+
+def test_oversized_books_exit_2():
+    pob = pob_index(PRETZEL_DOCS)
+    payload = PRETZEL_DOCS[pob]["payload"]
+    arc, image = payload["basis"][0], payload["images"][0]
+    per_image = len(image["crossings"])
+    many = (MAX_BOOK_ARCS + 2) // 2
+    longest = {**image, "crossings": image["crossings"] * (MAX_BOOK_CROSSINGS // per_image)}
+    too_long = {**image, "crossings": image["crossings"] * (MAX_BOOK_CROSSINGS // per_image + 1)}
+    # at both limits a book is read
+    doc.pob_from({**payload, "basis": [arc] * (many - 1), "images": [image] * (many - 1)})
+    doc.pob_from({**payload, "images": [longest]})
+    for big, limit in (
+        ({**payload, "basis": [arc] * many, "images": [image] * many}, MAX_BOOK_ARCS),
+        ({**payload, "images": [too_long]}, MAX_BOOK_CROSSINGS),
+    ):
+        text = json.dumps(replaced(PRETZEL_DOCS, (pob, "payload"), big))
+        for sub in ("check", "stabilize", "emit-dot"):
+            code, out, err = run_on_text([sub, "-"], text)
+            assert (code, out) == (2, "")
+            assert f"at most {limit} are supported" in err
+
+
+def test_book_limits_admit_every_book_the_tools_write():
+    # build star writes 2^i crossings on the image of its i-th Hopf band,
+    # and each stabilization adds a basis arc and an image of one crossing
+    assert MAX_BOOK_ARCS == 2 * (MAX_HOPF_SUMMANDS + MAX_STABILIZE_COUNT)
+    assert MAX_BOOK_CROSSINGS == 2**MAX_HOPF_SUMMANDS - 1 + MAX_STABILIZE_COUNT
+    stabilized = doc.pob_from(STABILIZED_DOCS[pob_index(STABILIZED_DOCS)]["payload"])[0]
+    assert [len(h.crossings) for h in stabilized.images[1:]] == [1, 1, 1]
+    star = built_documents("build", "star", ",".join(["2"] * MAX_HOPF_SUMMANDS))
+    book = doc.pob_from(star[pob_index(star)]["payload"])[0]
+    assert len(book.basis) == MAX_HOPF_SUMMANDS
+    assert sum(len(h.crossings) for h in book.images) == 2**MAX_HOPF_SUMMANDS - 1
+
+
 def test_family_refused_before_listing():
     tracemalloc.start()
     try:
@@ -388,10 +429,6 @@ def swapped(node, path):
     return changed(node, path, swap)
 
 
-PRETZEL_DOCS = built_documents("build", "pretzel", "-3,3,1")
-PRETZEL_PATHS = list(node_paths(PRETZEL_DOCS))
-
-
 def run_on_text(argv, text):
     saved = sys.stdin
     sys.stdin = io.StringIO(text)
@@ -404,8 +441,15 @@ def run_on_text(argv, text):
     return code, out.getvalue(), err.getvalue()
 
 
+PRETZEL_DOCS = built_documents("build", "pretzel", "-3,3,1")
+STAR_DOCS = built_documents("build", "star", "2,2,2")
+STABILIZED_DOCS = json.loads(
+    run_on_text(["stabilize", "-", "--count", "3"], json.dumps(PRETZEL_DOCS))[1]
+)
+
+
 def test_non_string_names_exit_2():
-    pob = next(i for i, d in enumerate(PRETZEL_DOCS) if d["kind"] == "pob")
+    pob = pob_index(PRETZEL_DOCS)
     for leaf in (
         (pob, "payload", "surface", "sides", 0, "boundary"),
         (pob, "payload", "surface", "sides", 1, "pair"),
@@ -421,7 +465,7 @@ def test_non_string_names_exit_2():
 
 
 def test_positions_only_in_the_written_form():
-    pob = next(i for i, d in enumerate(PRETZEL_DOCS) if d["kind"] == "pob")
+    pob = pob_index(PRETZEL_DOCS)
     leaf = (pob, "payload", "basis", 0, "start", "position")
     for value in ("1e-5000", "1E-5", "5e-1", "0.5", "1/3 ", "+1/3", "1/-3", "⅓", 0.5, 7):
         text = json.dumps(replaced(PRETZEL_DOCS, leaf, value))
@@ -432,28 +476,38 @@ def test_positions_only_in_the_written_form():
 
 
 def test_unknown_pair_is_named():
-    pob = next(i for i, d in enumerate(PRETZEL_DOCS) if d["kind"] == "pob")
+    pob = pob_index(PRETZEL_DOCS)
     leaf = (pob, "payload", "images", 0, "crossings", 0, "pair")
     code, _out, err = run_on_text(["check", "-"], json.dumps(replaced(PRETZEL_DOCS, leaf, "zz")))
     assert code == 2
     assert err.startswith("error: unknown pair 'zz'")
 
 
-MUTATIONS = st.one_of(
-    st.tuples(
-        st.sampled_from(PRETZEL_PATHS),
-        st.sampled_from((["x"], 7, None, "zz")).map(lambda v: lambda d, p: replaced(d, p, v)),
-    ),
-    st.tuples(st.sampled_from(PRETZEL_PATHS[1:]), st.just(dropped)),
-    st.tuples(st.sampled_from(PRETZEL_PATHS), st.just(swapped)),
+def mutations(docs):
+    paths = list(node_paths(docs))
+    return st.one_of(
+        st.tuples(
+            st.sampled_from(paths),
+            st.sampled_from((["x"], 7, None, "zz")).map(lambda v: lambda d, p: replaced(d, p, v)),
+        ),
+        st.tuples(st.sampled_from(paths[1:]), st.just(dropped)),
+        st.tuples(st.sampled_from(paths), st.just(swapped)),
+    )
+
+
+MUTATED = st.one_of(
+    *(
+        st.tuples(st.just(docs), st.lists(mutations(docs), min_size=1, max_size=2))
+        for docs in (PRETZEL_DOCS, STAR_DOCS, STABILIZED_DOCS)
+    )
 )
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.lists(MUTATIONS, min_size=1, max_size=2))
-def test_mutated_documents_never_crash(mutations):
-    docs = PRETZEL_DOCS
-    for path, mutate in mutations:
+@settings(max_examples=150, deadline=None)
+@given(MUTATED)
+def test_mutated_documents_never_crash(case):
+    docs, changes = case
+    for path, mutate in changes:
         docs = mutate(docs, path)
     text = json.dumps(docs)
     for argv in (["check", "-"], ["stabilize", "-"], ["emit-dot", "-"]):

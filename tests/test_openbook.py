@@ -1,5 +1,6 @@
 """Partial open books: validation, veering, verdicts, stabilization."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,13 @@ def test_far_image_endpoints_flagged():
     a = Arc(pt("B1", 1, 3), pt("B2", 1, 3))
     h = Arc(pt("B1", 2, 3), pt("B4", 1, 3))
     assert "EndpointMismatch" in codes(PartialOpenBook(HEXAGON, (a,), (h,)))
+    # on the right sides, but another arc's endpoint sits between
+    basis = (Arc(pt("B1", 1, 8), pt("B2", 7, 8)), Arc(pt("B1", 2, 8), pt("B2", 6, 8)))
+    images = (Arc(pt("B1", 3, 8), pt("B2", 5, 8)), Arc(pt("B1", 4, 8), pt("B2", 4, 8)))
+    assert validate_pob(PartialOpenBook(HEXAGON, basis, images)) == [
+        Violation("EndpointMismatch", f"image {i} does not end beside basis arc {i}")
+        for i in (0, 1)
+    ]
 
 
 def test_basis_image_count_mismatch_flagged():
@@ -257,6 +265,14 @@ def test_obstructed_sites_rejected():
         )
 
 
+def test_sites_outside_the_open_unit_interval_rejected():
+    pob = associated_pob(pretzel_decompose(PretzelSpec((-3, 5, 7, 1))))[2]
+    for lo, hi in ((Fraction(9, 10), Fraction(3, 2)), (Fraction(-1), Fraction(1, 100))):
+        site = (BoundaryPoint("Bl00", lo), BoundaryPoint("Bl00", hi))
+        with pytest.raises(SiteObstructedError, match="open unit interval"):
+            positive_stabilization(pob, site)
+
+
 def test_free_site_is_actually_free():
     pob = hopf_pob(+1)
     q1, q2 = free_site(pob)
@@ -325,8 +341,14 @@ def test_canonical_form_breaks_rotation_ties_by_the_arcs():
     assert canonical_pob(dual_book("y", "c", "d")) == want
 
 
+def fresh(pob):
+    """An equal book with nothing kept on it."""
+    return PartialOpenBook(pob.surface, pob.basis, pob.images)
+
+
 def test_book_checked_once_across_operations(monkeypatch):
-    pob = positive_stabilization(hopf_pob(+1))
+    # a stabilized book carries its check; a fresh copy measures one check
+    pob = fresh(positive_stabilization(hopf_pob(+1)))
     checked = []
     original = plumbook.openbook.is_embedded
     monkeypatch.setattr(
@@ -344,6 +366,7 @@ def test_book_decided_from_kept_arc_views(monkeypatch):
     pob = associated_pob(pretzel_decompose(PretzelSpec((-3, 3, 1))))[2]
     for _ in range(6):
         pob = positive_stabilization(pob)
+    pob = fresh(pob)
     built, turned = [], []
     view_init = plumbook.arcs._ArcData.__init__
     monkeypatch.setattr(
@@ -396,3 +419,93 @@ def test_invalid_books_raise_on_every_call():
             validate_pob(on_bad_surface)
         with pytest.raises(InvalidPresentationError):
             contact_verdict(on_bad_surface)
+
+
+def random_site(pob, rng):
+    """Two points in a random gap between marked points (or a side's
+    corners) of a random boundary side, mostly one with marked points."""
+    ends = [pt for a in (*pob.basis, *pob.images) for pt in (a.start, a.end)]
+    labels = [s.label for s in pob.surface.sides if isinstance(s, Boundary)]
+    label = rng.choice([pt.side for pt in ends] if ends and rng.random() < 0.75 else labels)
+    marked = {pt.position for pt in ends if pt.side == label}
+    cuts = [Fraction(0), *sorted(marked), Fraction(1)]
+    g = rng.randrange(len(cuts) - 1)
+    lo, hi = cuts[g], cuts[g + 1]
+    q1, q2 = sorted(rng.sample(range(1, 20), 2))
+    return tuple(BoundaryPoint(label, lo + (hi - lo) * q / 20) for q in (q1, q2))
+
+
+def decided(pob):
+    """Everything a check reports on a book, or the error it raises."""
+    try:
+        return (
+            validate_pob(pob),
+            veering_report(pob),
+            contact_verdict(pob),
+            canonical_pob(pob),
+        )
+    except InvalidOpenBookError as e:
+        return validate_pob(pob), str(e)
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        associated_pob(pretzel_decompose(PretzelSpec((-3, 3, 1))))[2],
+        hopf_pob(-1),
+        PartialOpenBook(PolygonPresentation((B("D"),)), (), ()),
+    ],
+    ids=["pretzel(-3,3,1)", "hopf(-2)", "disk"],
+)
+def test_stabilized_books_decide_as_fresh_books(start):
+    # stabilizing carries the check, veering and (when kept) the verdict;
+    # a fresh copy of every book, rebuilt with nothing kept, must agree
+    rng = random.Random(7)
+    pob, carried = start, 0
+    for step in range(24):
+        if step % 4 == 0:
+            contact_verdict(pob)
+        elif step % 4 == 3:
+            # nothing kept: the next book carries no verdict
+            pob = fresh(pob)
+        site = free_site(pob) if step % 2 else random_site(pob, rng)
+        book = positive_stabilization(pob, site)
+        carried += "_checked" in book.__dict__
+        assert decided(book) == decided(fresh(book))
+        if not validate_pob(book):
+            pob = book
+    # free sites sit above every marked point and always carry
+    assert carried >= 12
+    assert len(pob.basis) > len(start.basis) + 12
+
+
+def test_failed_new_arc_tests_keep_nothing(monkeypatch):
+    pob = positive_stabilization(hopf_pob(+1))
+    contact_verdict(pob)
+    monkeypatch.setattr(plumbook.openbook, "interior_intersections", lambda p, a, b: 1)
+    book = positive_stabilization(pob)
+    assert not {"_checked", "_veering", "_verdict"} & book.__dict__.keys()
+    monkeypatch.undo()
+    # checked in full on first use instead
+    assert decided(book) == decided(fresh(book))
+    assert contact_verdict(book).status is VerdictStatus.NONZERO_TIGHT
+
+
+def test_stabilization_counts_only_the_new_arc(monkeypatch):
+    pob = associated_pob(pretzel_decompose(PretzelSpec((-3, 5, 7, 1))))[2]
+    contact_verdict(pob)
+    calls = []
+    original = plumbook.arcs.minimal_position
+    monkeypatch.setattr(
+        plumbook.arcs, "minimal_position", lambda p, a, b: calls.append(a) or original(p, a, b)
+    )
+    for _ in range(30):
+        k = len(pob.basis)
+        calls.clear()
+        pob = positive_stabilization(pob)
+        validate_pob(pob)
+        veering_report(pob)
+        contact_verdict(pob)
+        # disjointness from k old arcs of each kind, then a new matrix
+        # column of k entries and a new row of k + 1
+        assert len(calls) <= 4 * k + 1

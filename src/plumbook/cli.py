@@ -168,8 +168,9 @@ def cmd_check(args) -> int:
 
 # each step tests and counts only the new arc against the old ones, so a
 # chain costs about count^2: with count 200, pretzel(-3,3,1) takes about
-# 2 s and a 10-band Hopf star about 3 s on a Xeon vCPU (count 60 took 3 s
-# when every step checked the whole book; this shared host varies up to 2x)
+# 4 s and a 10-band Hopf star about 7 s on a busy shared Xeon vCPU, half
+# that when the host is quiet (count 60 took 3 s when every step checked
+# the whole book)
 MAX_STABILIZE_COUNT = 200
 
 

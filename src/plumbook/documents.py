@@ -42,7 +42,7 @@ class Document:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DocumentError(f"unknown document kind {self.kind!r}")
-        if self.version != CURRENT_VERSION:
+        if _integer(self.version, "version") != CURRENT_VERSION:
             raise DocumentError(f"unsupported version {self.version!r}")
 
 
@@ -54,6 +54,13 @@ def _name(value, what: str) -> str:
     """A label, pair name or end marker: it must be a JSON string."""
     if not isinstance(value, str):
         raise DocumentError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    """A count, sign or version: a JSON integer, not a bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DocumentError(f"{what} must be an integer, got {value!r}")
     return value
 
 
@@ -115,7 +122,7 @@ def arc_payload(a: Arc) -> dict:
 def arc_from(payload) -> Arc:
     try:
         word = tuple(
-            Crossing(_name(c["pair"], "crossing pair"), int(c["direction"]))
+            Crossing(_name(c["pair"], "crossing pair"), _integer(c["direction"], "direction"))
             for c in payload["crossings"]
         )
         return Arc(_point_from(payload["start"]), _point_from(payload["end"]), word)
@@ -130,7 +137,7 @@ def star_payload(star: StarPlumbing) -> dict:
 def star_from(payload) -> StarPlumbing:
     try:
         return StarPlumbing(
-            tuple(TwistedAnnulus(int(t)) for t in payload["halftwists"])
+            tuple(TwistedAnnulus(_integer(t, "halftwists")) for t in payload["halftwists"])
         )
     except (KeyError, TypeError, ValueError) as e:
         raise DocumentError(f"bad star payload: {e}") from e
@@ -142,7 +149,7 @@ def pretzel_payload(spec: PretzelSpec) -> dict:
 
 def pretzel_from(payload) -> PretzelSpec:
     try:
-        return PretzelSpec(tuple(int(c) for c in payload["coefficients"]))
+        return PretzelSpec(tuple(_integer(c, "coefficient") for c in payload["coefficients"]))
     except (KeyError, TypeError, ValueError) as e:
         raise DocumentError(f"bad pretzel payload: {e}") from e
 
@@ -221,6 +228,8 @@ def parse_documents(text: str) -> list[Document]:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError(f"not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise DocumentError("not valid JSON: nested too deeply") from e
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):

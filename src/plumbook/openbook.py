@@ -19,9 +19,11 @@ reduced arcs and ranked marked points on the book for every operation
 below, and veering_report and contact_verdict keep their results beside
 them.  Books, arcs and surfaces are frozen, so the results cannot go stale,
 and they are not fields, so equality, hashing, repr and documents ignore
-them.  Operations on an invalid book raise on every call.  A positive
-stabilization derives these results from its book's, testing and counting
-only the arc it adds.
+them.  Operations on an invalid book raise on every call.  Each of the
+three results is computed by one function that extends the result for a
+book's first arcs: a fresh book extends the empty prefix, and a positive
+stabilization extends its old book's, testing and counting only the arc it
+adds.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product, zip_longest
 from typing import NamedTuple, Optional
 
 from .arcs import (
@@ -114,20 +116,17 @@ class _CheckedBook(NamedTuple):
     sides: dict[str, tuple[Fraction, ...]]
 
 
-def _side_index(points) -> dict[str, tuple[Fraction, ...]]:
+def _add_ends(sides: dict[str, tuple[Fraction, ...]], arcs) -> None:
+    """Add the endpoint positions of arcs to the side index sides; they lie
+    above the positions already there."""
     on: dict[str, list[Fraction]] = {}
-    for pt in points:
-        on.setdefault(pt.side, []).append(pt.position)
-    for ts in on.values():
+    for a in arcs:
+        for pt in (a.start, a.end):
+            on.setdefault(pt.side, []).append(pt.position)
+    for side, ts in on.items():
         ts.sort()
-    return {
-        side: tuple(t for i, t in enumerate(ts) if i == 0 or t != ts[i - 1])
-        for side, ts in on.items()
-    }
-
-
-def _ends(arcs) -> list[BoundaryPoint]:
-    return [pt for a in arcs for pt in (a.start, a.end)]
+        new = tuple(t for i, t in enumerate(ts) if i == 0 or t != ts[i - 1])
+        sides[side] = sides.get(side, ()) + new
 
 
 def _adjacent(x: BoundaryPoint, y: BoundaryPoint, sides) -> bool:
@@ -159,7 +158,11 @@ def validate_pob(pob: PartialOpenBook) -> list[Violation]:
     return list(_kept(pob, "_checked", _check).violations)
 
 
-def _check(pob: PartialOpenBook) -> _CheckedBook:
+def _check(pob: PartialOpenBook, prior: Optional[_CheckedBook] = None) -> _CheckedBook:
+    """The check of pob, extending prior: the check of a valid book made of
+    pob's first arcs, its side index moved to pob's positions.  pob's further
+    endpoints must lie above prior's points of their sides, so prior's ranks
+    and adjacencies stand and only tests involving a further arc are run."""
     _geometry(pob.surface)
     if len(pob.basis) != len(pob.images):
         count = f"{len(pob.basis)} basis arcs but {len(pob.images)} images"
@@ -168,25 +171,27 @@ def _check(pob: PartialOpenBook) -> _CheckedBook:
     p = pob.surface
     basis = tuple(reduce(p, a) for a in pob.basis)
     images = tuple(reduce(p, a) for a in pob.images)
-    ends = _ends((*basis, *images))
-    sides = _side_index(ends)
+    k, sides = (len(prior.basis), dict(prior.sides)) if prior is not None else (0, {})
+    _add_ends(sides, (*basis[k:], *images[k:]))
+    new = range(k, len(basis))
     for name, arcs in (("basis", basis), ("image", images)):
-        for i, a in enumerate(arcs):
-            if not is_embedded(p, a):
+        for i in new:
+            if not is_embedded(p, arcs[i]):
                 out.append(Violation("ArcNotEmbedded", f"{name} arc {i} crosses itself"))
+    # the pairs with an arc past the prior, in index order
+    pairs = (*product(range(k), new), *combinations(new, 2))
     for code, arcs in (("BasisNotDisjoint", basis), ("ImagesNotDisjoint", images)):
-        for i in range(len(arcs)):
-            for j in range(i + 1, len(arcs)):
-                n = interior_intersections(p, arcs[i], arcs[j])
-                if n:
-                    out.append(Violation(code, f"arcs {i} and {j} cross {n} time(s)"))
-    for i, (a, h) in enumerate(zip(basis, images)):
-        if _oriented_image(a, h, sides) is None:
+        for i, j in pairs:
+            n = interior_intersections(p, arcs[i], arcs[j])
+            if n:
+                out.append(Violation(code, f"arcs {i} and {j} cross {n} time(s)"))
+    for i in new:
+        if _oriented_image(basis[i], images[i], sides) is None:
             out.append(
                 Violation("EndpointMismatch", f"image {i} does not end beside basis arc {i}")
             )
     # only endpoints sharing a point leave fewer positions than endpoints
-    if len(ends) > sum(map(len, sides.values())):
+    if 2 * (len(basis) + len(images)) > sum(map(len, sides.values())):
         out += _ties(basis, images)
     return _CheckedBook(tuple(out), basis, images, sides)
 
@@ -224,10 +229,10 @@ def _ties(basis, images) -> list[Violation]:
 
 def _require_pob(pob: PartialOpenBook) -> _CheckedBook:
     """The kept check of a valid book; raises InvalidOpenBookError."""
-    violations = validate_pob(pob)
-    if violations:
-        raise InvalidOpenBookError(violations)
-    return pob.__dict__["_checked"]
+    checked = _kept(pob, "_checked", _check)
+    if checked.violations:
+        raise InvalidOpenBookError(checked.violations)
+    return checked
 
 
 def _oriented_image(a: Arc, h: Arc, sides) -> Optional[Arc]:
@@ -251,14 +256,11 @@ def veering_report(pob: PartialOpenBook) -> VeeringReport:
     return _kept(pob, "_veering", _veering)
 
 
-def _veering(pob: PartialOpenBook) -> VeeringReport:
+def _veering(pob: PartialOpenBook, known=()) -> VeeringReport:
+    """The report of pob whose first arcs have the verdicts known."""
     checked = _require_pob(pob)
-    return VeeringReport(
-        tuple(
-            _veer(pob.surface, a, h, checked.sides)
-            for a, h in zip(checked.basis, checked.images)
-        )
-    )
+    pairs = zip(checked.basis[len(known):], checked.images[len(known):])
+    return VeeringReport((*known, *(_veer(pob.surface, a, h, checked.sides) for a, h in pairs)))
 
 
 def _veer(p: PolygonPresentation, a: Arc, h: Arc, sides) -> ArcVeer:
@@ -286,21 +288,10 @@ def contact_verdict(pob: PartialOpenBook) -> ContactVerdict:
     return _kept(pob, "_verdict", _verdict)
 
 
-def _verdict(pob: PartialOpenBook) -> ContactVerdict:
+def _verdict(pob: PartialOpenBook, known=()) -> ContactVerdict:
+    """The verdict of pob whose first basis arcs and images have the
+    intersection matrix known; a right-veering book extends it to all."""
     report = veering_report(pob)
-    matrix = None
-    if report.is_right_veering:
-        checked = _require_pob(pob)
-        matrix = tuple(
-            tuple(interior_intersections(pob.surface, a, h) for h in checked.images)
-            for a in checked.basis
-        )
-    return _decide(report, matrix)
-
-
-def _decide(report: VeeringReport, matrix) -> ContactVerdict:
-    """The verdict from the veering report and, for a right-veering book,
-    its basis-by-image intersection matrix."""
     if not report.verdicts:
         return ContactVerdict(
             VerdictStatus.NONZERO_TIGHT,
@@ -315,6 +306,12 @@ def _decide(report: VeeringReport, matrix) -> ContactVerdict:
                 "witnesses an overtwisted structure",
                 witness_index=i,
             )
+    checked = _require_pob(pob)
+    p = pob.surface
+    matrix = tuple(
+        (*row, *(interior_intersections(p, a, h) for h in checked.images[len(row):]))
+        for row, a in zip_longest(known, checked.basis, fillvalue=())
+    )
     if all(matrix[i][i] == 0 for i in range(len(matrix))):
         return ContactVerdict(
             VerdictStatus.NONZERO_TIGHT,
@@ -374,10 +371,11 @@ def positive_stabilization(
     boundary side, so the cyclic order of the old addresses is unchanged.
 
     The new book therefore carries the old book's check, veering report and
-    (when the old book keeps one) contact verdict, extended by tests and
-    counts of the new arc and image alone.  Two marked points on either side
-    of the site may stop being beside each other, so such a site, or a
-    failed test, leaves the new book to be checked in full on first use.
+    (when the old book keeps one) contact verdict, each extended to the new
+    arc and image by the function that decides a fresh book.  Two marked
+    points on either side of the site may stop being beside each other, so
+    such a site, or a failed test of the new pair, leaves the new book to be
+    checked in full on first use.
     """
     checked = _require_pob(pob)
     if site is None:
@@ -441,60 +439,23 @@ def positive_stabilization(
     new_image = twist_about_band(surface, pushed, pair, +1)
     book = PartialOpenBook(surface, (*basis, new_basis), (*images, new_image))
     if split in (0, len(marked)):
-        # no marked points on both sides of the site; moving keeps the order
-        # of the side's points
+        # no marked points on both sides of the site: the old points keep
+        # their order, and the new ones lie above them on side label or on
+        # the new side mid_label
         moved = {s: ts for s, ts in checked.sides.items() if s != label}
         if below:
             moved[label] = below
         elif marked:
             moved[post_label] = tuple((t - hi) / (1 - hi) for t in marked)
-        _carry(pob, book, moved)
+        extended = _check(book, checked._replace(sides=moved))
+        if not extended.violations:
+            object.__setattr__(book, "_checked", extended)
+            object.__setattr__(book, "_veering", _veering(book, veering_report(pob).verdicts))
+            kept = pob.__dict__.get("_verdict")
+            # a kept witness has no matrix, and the new book veers left too
+            if kept is not None:
+                object.__setattr__(book, "_verdict", _verdict(book, kept.matrix or ()))
     return book
-
-
-def _carry(old: PartialOpenBook, book: PartialOpenBook, moved) -> None:
-    """Keep on book, old stabilized once, what old keeps, extended to the
-    new last arc and image; keep nothing if a test of the new pair fails.
-
-    moved is old's side index with its points where book has them.  The new
-    pair is tested as _check tests every arc: no point tied with an old
-    endpoint, image ending beside its arc, embedded, disjoint from the old
-    arcs of its kind.  Only the new veering verdict and the new row and
-    column of the intersection matrix are computed."""
-    p = book.surface
-    basis = tuple(reduce(p, a) for a in book.basis)
-    images = tuple(reduce(p, h) for h in book.images)
-    a, h = basis[-1], images[-1]
-    # the new points sit above every old point of their side (at its top,
-    # or on a new side), so none ties an old endpoint and the old positions
-    # keep their ranks; anything else is left to the full check
-    sides = dict(moved)
-    for s, new in _side_index(_ends((a, h))).items():
-        old_ts = moved.get(s, ())
-        if old_ts and new[0] <= old_ts[-1]:
-            return
-        sides[s] = old_ts + new
-    if _oriented_image(a, h, sides) is None:
-        return
-    if not (is_embedded(p, a) and is_embedded(p, h)):
-        return
-    if any(interior_intersections(p, b, a) for b in basis[:-1]):
-        return
-    if any(interior_intersections(p, g, h) for g in images[:-1]):
-        return
-    object.__setattr__(book, "_checked", _CheckedBook((), basis, images, sides))
-    report = VeeringReport((*veering_report(old).verdicts, _veer(p, a, h, sides)))
-    object.__setattr__(book, "_veering", report)
-    matrix = None
-    if report.is_right_veering:
-        kept = old.__dict__.get("_verdict")
-        if kept is None:
-            return
-        matrix = tuple(
-            (*row, interior_intersections(p, b, h)) for row, b in zip(kept.matrix, basis)
-        )
-        matrix += (tuple(interior_intersections(p, a, g) for g in images),)
-    object.__setattr__(book, "_verdict", _decide(report, matrix))
 
 
 def dividing_set_counts(pob: PartialOpenBook) -> tuple[int, int]:

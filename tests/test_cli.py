@@ -354,11 +354,13 @@ def test_emit_dot_needs_a_drawable_document(capsys, tmp_path):
 
 def test_malformed_input_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{ not json", encoding="utf-8")
-    for sub in ("check", "stabilize", "emit-dot"):
-        code, _out, err = run(capsys, sub, str(bad))
-        assert code == 2
-        assert err.startswith("error:")
+    # the second is nested too deeply for the JSON decoder
+    for text in ("{ not json", "[" * 200_000):
+        bad.write_text(text, encoding="utf-8")
+        for sub in ("check", "stabilize", "emit-dot"):
+            code, _out, err = run(capsys, sub, str(bad))
+            assert code == 2
+            assert err.startswith("error: not valid JSON")
 
 
 def test_missing_file_exits_2(capsys):
@@ -473,6 +475,21 @@ def test_positions_only_in_the_written_form():
             code, out, err = run_on_text([sub, "-"], text)
             assert (code, out) == (2, "")
             assert f"bad rational {value!r}" in err
+
+
+def test_integer_fields_only_as_json_integers():
+    pob = pob_index(PRETZEL_DOCS)
+    for leaf, what in (
+        ((pob, "payload", "images", 0, "crossings", 0, "direction"), "direction"),
+        ((pob, "payload", "star", "halftwists", 0), "halftwists"),
+        ((pob, "version"), "version"),
+    ):
+        for value in (True, -1.2, 2.5, 1.0, "1"):
+            text = json.dumps(replaced(PRETZEL_DOCS, leaf, value))
+            for sub in ("check", "stabilize", "emit-dot"):
+                code, out, err = run_on_text([sub, "-"], text)
+                assert (code, out) == (2, "")
+                assert f"{what} must be an integer, got {value!r}" in err
 
 
 def test_unknown_pair_is_named():

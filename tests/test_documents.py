@@ -112,3 +112,6 @@ def test_malformed_documents_rejected():
         surface_from({"sides": [{"wat": 1}]})
     with pytest.raises(DocumentError):
         arc_from({"start": {"side": "B1", "position": "x/y"}, "end": {}, "crossings": []})
+    for value in (True, 3.0, -1.2, "3"):
+        with pytest.raises(DocumentError, match="coefficient must be an integer"):
+            pretzel_from({"coefficients": [-3, value, 1]})

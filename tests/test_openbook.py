@@ -491,6 +491,59 @@ def test_failed_new_arc_tests_keep_nothing(monkeypatch):
     assert contact_verdict(book).status is VerdictStatus.NONZERO_TIGHT
 
 
+TWICE = ((("st", 1), ("st", 1)), ("Bl00", "Bl00h"))
+ONCE = ((("st0", 1),), ("Bl00", "Bl00t0"))
+
+
+@pytest.mark.parametrize(
+    "basis_arc, image",
+    [
+        # the new basis arc crosses basis arcs 1 and 2
+        (TWICE, TWICE),
+        # the new image crosses itself
+        (ONCE, ((("st0", -1),), ("Bl00", "Bl00t0"))),
+        # the new image ends on another side than its basis arc
+        (ONCE, ((("st0", 1),), ("Bl00", "Br01"))),
+    ],
+    ids=["crossing-basis", "image-not-embedded", "far-image"],
+)
+@pytest.mark.parametrize("k", [3, 1])
+def test_prefix_check_lists_what_a_fresh_check_lists(basis_arc, image, k, monkeypatch):
+    # a valid book of 3 pairs, then one more pair whose points lie above
+    # every marked point of their sides, as stabilization adds them; the
+    # prior is the check of the first k pairs, so with k = 1 three pairs,
+    # one failing, extend it
+    start = associated_pob(pretzel_decompose(PretzelSpec((-3, 3, 1))))[2]
+    valid = positive_stabilization(positive_stabilization(start))
+    prefix = PartialOpenBook(valid.surface, valid.basis[:k], valid.images[:k])
+    prior = plumbook.openbook._check(prefix)
+    assert prior.violations == ()
+    ends = [pt for x in (*valid.basis, *valid.images) for pt in (x.start, x.end)]
+
+    def arc(spec, n):
+        word, sides = spec
+        points = []
+        for side in sides:
+            top = max((pt.position for pt in ends if pt.side == side), default=Fraction(0))
+            points.append(BoundaryPoint(side, top + (1 - top) * n / 3))
+        return Arc(*points, tuple(Crossing(*c) for c in word))
+
+    book = PartialOpenBook(
+        valid.surface, (*valid.basis, arc(basis_arc, 1)), (*valid.images, arc(image, 2))
+    )
+    tested = []
+    original = plumbook.openbook.is_embedded
+    monkeypatch.setattr(
+        plumbook.openbook, "is_embedded", lambda p, x: tested.append(x) or original(p, x)
+    )
+    extended = plumbook.openbook._check(book, prior)
+    monkeypatch.undo()
+    # only the pairs past the prior are tested for embedding
+    assert len(tested) == 2 * (len(book.basis) - k)
+    assert extended.violations
+    assert list(extended.violations) == validate_pob(fresh(book))
+
+
 def test_stabilization_counts_only_the_new_arc(monkeypatch):
     pob = associated_pob(pretzel_decompose(PretzelSpec((-3, 5, 7, 1))))[2]
     contact_verdict(pob)

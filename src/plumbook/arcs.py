@@ -19,6 +19,10 @@ question below becomes finite combinatorics on the polygon's cyclic order:
 * twisting about a band core inserts one signed crossing for every essential
   meeting of the arc with the core.
 
+All three read one counterclockwise order on the polygon circle, the tuple
+order of addresses rotated to start at a reference (_key), with exact
+integer and Fraction comparisons only.
+
 Exact endpoint coincidences never count as crossings: strands emanating from
 a shared point can always be combed apart.
 
@@ -72,22 +76,17 @@ class Divergence(Enum):
 
 # An address is a location on the polygon circle: a marked point on a side
 # (side_index, position), 0 < position < 1, or a whole glued side acting as
-# a door (side_index, 0).  The tuple is also the address's counterclockwise
-# key from the start of side 0: tuples order exactly as the numbers
-# side_index + t, t a point's position or a door's midpoint (see _key).
+# a door (side_index, 0), alone on its side.  Tuple order is the
+# counterclockwise order from the start of side 0; _key rotates it to start
+# at any reference address.
 Address = tuple[int, Union[Fraction, int]]
 
 
-def _door_out(geo: _Geometry, c: Crossing) -> int:
-    """Side through which a strand leaves its chamber when performing c."""
+def _doors(geo: _Geometry, c: Crossing) -> tuple[int, int]:
+    """Sides through which a strand performing c leaves its chamber and
+    re-enters the next one."""
     left, right = geo.pair_sides[c.pair]
-    return left if c.direction > 0 else right
-
-
-def _door_in(geo: _Geometry, c: Crossing) -> int:
-    """Side through which the strand re-enters after performing c."""
-    left, right = geo.pair_sides[c.pair]
-    return right if c.direction > 0 else left
+    return (left, right) if c.direction > 0 else (right, left)
 
 
 def _check_endpoint(geo: _Geometry, pt: BoundaryPoint) -> None:
@@ -111,9 +110,10 @@ class _ArcData:
         self.geo = geo
         self.arc = arc
         self._reversed: Optional[_ArcData] = None
-        self.letters = [_door_out(geo, c) for c in arc.crossings]
+        doors = [_doors(geo, c) for c in arc.crossings]
+        self.letters = [out for out, _ in doors]
         entries: list[Address] = [(geo.boundary_index[arc.start.side], arc.start.position)]
-        entries += [(_door_in(geo, c), 0) for c in arc.crossings]
+        entries += [(in_, 0) for _, in_ in doors]
         exits: list[Address] = [(side, 0) for side in self.letters]
         exits.append((geo.boundary_index[arc.end.side], arc.end.position))
         self.slots: list[tuple[Address, Address]] = list(zip(entries, exits))
@@ -128,31 +128,10 @@ class _ArcData:
         return self._reversed
 
 
-def _key(n: int, ref_side: int, ref_param: Optional[Fraction], addr: Address) -> Address:
-    """Counterclockwise position of an address, measured from a reference,
-    as the tuple (off, pos): off is the side offset from the reference side,
-    plus n when the address wraps behind a marked reference, and pos is the
-    address's own second entry (a point's position, 0 for a door).
-
-    The reference is either a whole door side (ref_param None) or a marked
-    point; addresses on the reference side behind the point wrap to the end.
-    The tuples order exactly as the numbers off + t, t being a point's
-    position or a door's midpoint, because off is an integer and t lies in
-    the open unit interval; distinct addresses share a side only when both
-    are marked points, so a door's 0 never meets a different pos.
-    """
-    side, pos = addr
-    off = (side - ref_side) % n
-    if ref_param is not None and off == 0 and pos < ref_param:
-        off += n
-    return off, pos
-
-
-def _in_open(x: Address, lo: Address, hi: Address) -> bool:
-    """Strict membership in the counterclockwise open interval lo -> hi."""
-    if lo < hi:
-        return lo < x < hi
-    return x > lo or x < hi
+def _key(ref: Address, addr: Address) -> tuple[bool, Address]:
+    """Counterclockwise position of addr seen from ref: addresses from ref on
+    come first in tuple order, those behind it wrap to the end."""
+    return addr < ref, addr
 
 
 def _linked(a: tuple[Address, Address], b: tuple[Address, Address]) -> bool:
@@ -239,7 +218,7 @@ def _forward_alignments(u: list[int], w: list[int]) -> Iterator[tuple[int, int, 
             yield m0, k0, r
 
 
-def _corridor_linked(n: int, da: _ArcData, db: _ArcData, m0: int, k0: int, r: int) -> bool:
+def _corridor_linked(da: _ArcData, db: _ArcData, m0: int, k0: int, r: int) -> bool:
     """Whether two strands sharing corridors m0..m0+r / k0..k0+r must cross.
 
     Entries into the first shared chamber are ordered counterclockwise from
@@ -248,16 +227,16 @@ def _corridor_linked(n: int, da: _ArcData, db: _ArcData, m0: int, k0: int, r: in
     agree (each door passage reverses the transverse order once and is
     compensated by the chamber between, leaving this invariant).
     """
-    ein_a, (d_out, _) = da.slots[m0]
+    ein_a, d_out = da.slots[m0]
     ein_b = db.slots[k0][0]
     if ein_a == ein_b:
         return False
-    (d_in, _), eout_a = da.slots[m0 + r]
+    d_in, eout_a = da.slots[m0 + r]
     eout_b = db.slots[k0 + r][1]
     if eout_a == eout_b:
         return False
-    order_in = _key(n, d_out, None, ein_a) < _key(n, d_out, None, ein_b)
-    order_out = _key(n, d_in, None, eout_a) < _key(n, d_in, None, eout_b)
+    order_in = _key(d_out, ein_a) < _key(d_out, ein_b)
+    order_out = _key(d_in, eout_a) < _key(d_in, eout_b)
     return order_in == order_out
 
 
@@ -266,16 +245,15 @@ def _count(da: _ArcData, db: _ArcData) -> int:
     in both directions.  With db is da this is the self-count: the
     placements laying the strand on itself or on its own reversal are the
     same lift, not a pair, and every other one is met from both strands."""
-    n = da.geo.n
     same = db is da
     db_rev = db.reversed
     total = 0
     for m0, k0, r in _forward_alignments(da.letters, db.letters):
         if not (same and m0 == k0):
-            total += _corridor_linked(n, da, db, m0, k0, r)
+            total += _corridor_linked(da, db, m0, k0, r)
     for m0, k0, r in _forward_alignments(da.letters, db_rev.letters):
         if not (same and m0 + k0 == len(da.letters)):
-            total += _corridor_linked(n, da, db_rev, m0, k0, r)
+            total += _corridor_linked(da, db_rev, m0, k0, r)
     for m, ca in enumerate(da.chords):
         for k, cb in enumerate(db.chords):
             if not (same and m == k):
@@ -370,12 +348,8 @@ def first_divergence(p: PolygonPresentation, a: Arc, b: Arc) -> Divergence:
         ea = da.slots[m][1]
         eb = db.slots[m][1]
         if ea != eb:
-            ref_side, ref_pos = da.slots[m][0]
-            # only the start point is a marked reference; later entries are doors
-            ref_param: Optional[Fraction] = ref_pos if m == 0 else None
-            key_a = _key(da.geo.n, ref_side, ref_param, ea)
-            key_b = _key(da.geo.n, ref_side, ref_param, eb)
-            return Divergence.RIGHT_OF if key_b < key_a else Divergence.LEFT_OF
+            ref = da.slots[m][0]
+            return Divergence.RIGHT_OF if _key(ref, eb) < _key(ref, ea) else Divergence.LEFT_OF
         m += 1
     # identical words and end, distinct start positions on the shared side:
     # the counterclockwise copy stays on the right all along
@@ -413,8 +387,9 @@ def twist_about_band(p: PolygonPresentation, a: Arc, pair: str, sign: int) -> Ar
     left_door = (geo.pair_sides[pair][0], 0)
     pieces: list[Crossing] = []
     for m, (entry, exit_) in enumerate(da.slots):
+        # a chord linked with the core shares no address with it
         if _linked(da.chords[m], core):
-            orientation = 1 if _in_open(left_door, entry, exit_) else -1
+            orientation = 1 if _key(entry, left_door) < _key(entry, exit_) else -1
             pieces.append(Crossing(pair, sign * orientation))
         if m < len(ra.crossings):
             pieces.append(ra.crossings[m])

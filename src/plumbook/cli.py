@@ -21,11 +21,13 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from itertools import product
 
 from . import documents as doc
 from .arcs import interior_intersections, reduce as reduce_arc
 from .errors import DocumentError, UnknownPairError
 from .openbook import (
+    MAX_STABILIZE_COUNT,
     PartialOpenBook,
     contact_verdict,
     dividing_set_counts,
@@ -166,14 +168,6 @@ def cmd_check(args) -> int:
     return 0
 
 
-# each step tests and counts only the new arc against the old ones, so a
-# chain costs about count^2: with count 200, pretzel(-3,3,1) takes about
-# 4 s and a 10-band Hopf star about 7 s on a busy shared Xeon vCPU, half
-# that when the host is quiet (count 60 took 3 s when every step checked
-# the whole book)
-MAX_STABILIZE_COUNT = 200
-
-
 def cmd_stabilize(args) -> int:
     if args.count < 0:
         raise DocumentError("count must be nonnegative")
@@ -225,15 +219,14 @@ MAX_FAMILY_K = 500
 def _family_rows(k_max: int, spread: int):
     """Pretzel tails over odd values in [-spread, spread] that keep the
     decomposition inside the surveyed family: no flat band, no non-leading
-    Hopf band, at least one negatively twisted band.  Rows come in
-    depth-first order: each tail, then its extensions by each value."""
+    Hopf band, at least one negatively twisted band.  Rows come in sorted
+    order of their tails: each tail, then its extensions by each value."""
     if k_max > MAX_FAMILY_K:
         raise DocumentError(f"family k={k_max}; at most k={MAX_FAMILY_K} is supported")
-    # the allowed values, largest first: odd 3..spread, then odd -5..-spread;
-    # tails of only the low ones lack an n >= 3.  Specs are counted, only
-    # until the count passes the limit, before anything is listed.
+    # the allowed values: odd 3..spread and odd -5..-spread; tails of only
+    # the low ones lack an n >= 3.  Specs are counted, only until the count
+    # passes the limit, before anything is listed.
     high, low = max(0, (spread - 1) // 2), max(0, (spread - 3) // 2)
-    descending = (range(2 * high + 1, 2, -2), range(-5, -4 - 2 * low, -2))
     count = 0
     for m in range(1, k_max):
         count += (high + low) ** m - low**m
@@ -242,15 +235,9 @@ def _family_rows(k_max: int, spread: int):
                 f"family k={k_max} range={spread} lists too many specs; "
                 f"at most {MAX_FAMILY_SPECS} are supported"
             )
-    rows = []
-    stack = [()]
-    while stack:
-        tail = stack.pop()
-        if any(n >= 3 for n in tail):
-            rows.append((-3, *tail, 1))
-        if len(tail) < k_max - 1:
-            stack.extend(tail + (n,) for values in descending for n in values)
-    return rows
+    values = (*range(3, 2 * high + 2, 2), *range(-5, -4 - 2 * low, -2))
+    tails = (t for m in range(1, k_max) for t in product(values, repeat=m) if max(t) >= 3)
+    return [(-3, *t, 1) for t in sorted(tails)]
 
 
 class _AssertionFailed(Exception):
@@ -370,22 +357,30 @@ def cmd_paper_examples(args) -> int:
     return 0
 
 
+def _dot_quoted(text: str) -> str:
+    """text as a DOT quoted string, its backslashes and double quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _dot_for_surface(p: PolygonPresentation, arcs=()) -> str:
     geo = _geometry(p)
     lines = ["graph polygon {", "  layout=circo;"]
     for i, s in enumerate(p.sides):
         if isinstance(s, Boundary):
-            lines.append(f'  s{i} [label="{s.label}"];')
+            lines.append(f"  s{i} [label={_dot_quoted(s.label)}];")
         else:
-            lines.append(f'  s{i} [label="{s.pair}.{s.end.value[0]}", shape=box];')
+            label = _dot_quoted(f"{s.pair}.{s.end.value[0]}")
+            lines.append(f"  s{i} [label={label}, shape=box];")
     for i in range(geo.n):
         lines.append(f"  s{i} -- s{(i + 1) % geo.n};")
     for pair in sorted(geo.pair_sides):
         i, j = sorted(geo.pair_sides[pair])
-        lines.append(f'  s{i} -- s{j} [label="{pair}", style=dashed, constraint=false];')
-    for label, a, style in arcs:
+        label = _dot_quoted(pair)
+        lines.append(f"  s{i} -- s{j} [label={label}, style=dashed, constraint=false];")
+    for name, a, style in arcs:
         i, j = geo.boundary_index[a.start.side], geo.boundary_index[a.end.side]
-        lines.append(f'  s{i} -- s{j} [label="{label}", style={style}, constraint=false];')
+        label = _dot_quoted(name)
+        lines.append(f"  s{i} -- s{j} [label={label}, style={style}, constraint=false];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -16,21 +16,21 @@ from typing import Optional
 
 from .arcs import Arc, Crossing
 from .errors import DocumentError
-from .openbook import PartialOpenBook
-from .plumbing import PretzelSpec, StarPlumbing, TwistedAnnulus
+from .openbook import MAX_STABILIZE_COUNT, PartialOpenBook
+from .plumbing import MAX_HOPF_SUMMANDS, PretzelSpec, StarPlumbing, TwistedAnnulus
 from .surface import Boundary, BoundaryPoint, End, Glued, PolygonPresentation
 
 CURRENT_VERSION = 1
 KINDS = ("surface", "arc", "pob", "star", "pretzel", "report")
 
 # Larger books are refused before any geometry, since checking one compares
-# every pair of arcs letter by letter.  The limits admit every book the
-# tools write: build star writes 2^10 - 1 crossings on 10 basis arcs at the
-# Hopf limit, and one stabilize run adds at most 200 basis arcs, 200 images
-# and 200 crossings.  Checking that largest book, 420 arcs and 1223
-# crossings, takes about 1.2 s on a Xeon vCPU.
-MAX_BOOK_ARCS = 420
-MAX_BOOK_CROSSINGS = 1223
+# every pair of arcs letter by letter.  The limits are the largest book the
+# tools write: build star writes 2^k - 1 crossings on k basis arcs at the
+# Hopf limit, and one stabilize run adds at most one basis arc and one image
+# of one crossing per step.  Checking that book, 420 arcs and 1223
+# crossings at the limits 10 and 200, takes about 1.2 s on a Xeon vCPU.
+MAX_BOOK_ARCS = 2 * (MAX_HOPF_SUMMANDS + MAX_STABILIZE_COUNT)
+MAX_BOOK_CROSSINGS = 2**MAX_HOPF_SUMMANDS - 1 + MAX_STABILIZE_COUNT
 
 
 @dataclass(frozen=True)

@@ -357,6 +357,13 @@ def _fresh(base: str, taken: set) -> str:
     return f"{base}{k}"
 
 
+# stabilize --count refuses more: each step tests and counts only the new
+# arc against the old ones, so a chain costs about count^2; with count 200,
+# pretzel(-3,3,1) takes about 4 s and a 10-band Hopf star about 7 s on a
+# busy shared Xeon vCPU, half that when the host is quiet
+MAX_STABILIZE_COUNT = 200
+
+
 def positive_stabilization(
     pob: PartialOpenBook, site: Optional[tuple[BoundaryPoint, BoundaryPoint]] = None
 ) -> PartialOpenBook:

@@ -278,6 +278,23 @@ def test_divergence_parallel_copies_orders_by_position():
     assert first_divergence(HEXAGON, b, a) is Divergence.LEFT_OF
 
 
+def test_divergence_exit_at_the_reference_comes_first():
+    # b's first exit is a's start point: seen from a it opens the
+    # counterclockwise scan, so b departs right; seen from b it comes before
+    # a's exit only when b starts below it on the side
+    a = arc("B1", (1, 3), "B2", (1, 3))
+    a_band = arc("B1", (1, 3), "B2", (1, 3), CP)
+    b_back = arc("B1", (2, 3), "B1", (1, 3))
+    b_ahead = arc("B1", (1, 6), "B1", (1, 3))
+    for x, y, xy, yx in (
+        (a, b_back, Divergence.RIGHT_OF, Divergence.RIGHT_OF),
+        (a, b_ahead, Divergence.RIGHT_OF, Divergence.LEFT_OF),
+        (a_band, b_back, Divergence.RIGHT_OF, Divergence.RIGHT_OF),
+    ):
+        assert first_divergence(HEXAGON, x, y) is xy
+        assert first_divergence(HEXAGON, y, x) is yx
+
+
 # --- twists: Hopf band anchors ---
 
 
@@ -404,8 +421,9 @@ def circle_addresses(draw):
 @example((3, 2, None, [(2, Fraction(1, 4)), (2, Fraction(3, 4)), (0, 0)]))
 def test_order_keys_match_exact_numbers(case):
     n, ref_side, ref_param, addresses = case
+    ref = (ref_side, 0 if ref_param is None else ref_param)
     for x in addresses:
         for y in addresses:
-            kx, ky = (_key(n, ref_side, ref_param, a) for a in (x, y))
+            kx, ky = (_key(ref, a) for a in (x, y))
             rx, ry = (reference_key(n, ref_side, ref_param, a) for a in (x, y))
             assert (kx < ky, kx == ky) == (rx < ry, rx == ry)

@@ -6,6 +6,7 @@ import inspect
 import io
 import itertools
 import json
+import re
 import sys
 import tracemalloc
 
@@ -332,6 +333,26 @@ def test_emit_dot_disk_is_a_plain_cycle(capsys, tmp_path):
     assert code == 0
     assert out.count(" -- ") == 4
     assert "dashed" not in out
+
+
+def test_emit_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
+    from plumbook.surface import Boundary, End, Glued, PolygonPresentation
+
+    left, right = Glued("c\\", End.LEFT), Glued("c\\", End.RIGHT)
+    sides = (Boundary('a"b'), left, Boundary("B2"), Boundary("B3"), right, Boundary("B4"))
+    path = tmp_path / "quoted.json"
+    path.write_text(
+        doc.print_document(doc.surface_document(PolygonPresentation(sides))), encoding="utf-8"
+    )
+    code, out, _err = run(capsys, "emit-dot", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    assert r'  s0 [label="a\"b"];' in lines
+    assert r'  s1 [label="c\\.l", shape=box];' in lines
+    assert r'  s1 -- s4 [label="c\\", style=dashed, constraint=false];' in lines
+    # with escapes removed, every line's quotes pair up
+    for line in lines:
+        assert re.sub(r"\\.", "", line).count('"') % 2 == 0
 
 
 def test_emit_dot_prefers_pob_overlays(capsys, tmp_path):

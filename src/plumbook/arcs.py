@@ -246,14 +246,16 @@ def _count(da: _ArcData, db: _ArcData) -> int:
     placements laying the strand on itself or on its own reversal are the
     same lift, not a pair, and every other one is met from both strands."""
     same = db is da
-    db_rev = db.reversed
     total = 0
     for m0, k0, r in _forward_alignments(da.letters, db.letters):
         if not (same and m0 == k0):
             total += _corridor_linked(da, db, m0, k0, r)
-    for m0, k0, r in _forward_alignments(da.letters, db_rev.letters):
-        if not (same and m0 + k0 == len(da.letters)):
-            total += _corridor_linked(da, db_rev, m0, k0, r)
+    # a crossing-free strand shares no corridor, so b's reversal is not built
+    if da.letters and db.letters:
+        db_rev = db.reversed
+        for m0, k0, r in _forward_alignments(da.letters, db_rev.letters):
+            if not (same and m0 + k0 == len(da.letters)):
+                total += _corridor_linked(da, db_rev, m0, k0, r)
     for m, ca in enumerate(da.chords):
         for k, cb in enumerate(db.chords):
             if not (same and m == k):
@@ -278,8 +280,9 @@ def minimal_position(
     da, db = _reduced_view(p, a), _reduced_view(p, b)
     ra, rb = da.arc, db.arc
     # duplicates of one unoriented class, either parametrization, are a
-    # self-intersection query, not a pair of parallel copies
-    same = ra == rb or ra == db.reversed.arc
+    # self-intersection query, not a pair of parallel copies; b's reversal
+    # is built only when it has a's endpoints
+    same = ra == rb or (ra.start == rb.end and ra.end == rb.start and ra == db.reversed.arc)
     return ra, rb, _count(da, da if same else db)
 
 

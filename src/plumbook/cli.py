@@ -35,12 +35,16 @@ from .openbook import (
     veering_report,
 )
 from .plumbing import (
+    MAX_HOPF_SUMMANDS,
     PretzelSpec,
     StarPlumbing,
     TwistedAnnulus,
     associated_pob,
+    associated_pob_on,
+    hopf_summands,
     is_strongly_quasipositive,
     pretzel_decompose,
+    star_sum_surface,
 )
 from .surface import (
     Boundary,
@@ -72,10 +76,23 @@ def _read_input(path: str) -> str:
 
 
 def _find_pob(text: str):
+    """The first pob document's book and star.  A book equal to its star's
+    book, as build writes it, is replaced by that book built on the
+    document's own surface, which carries its check certified by
+    construction; any other book is checked in full on first use."""
     docs = doc.parse_documents(text)
     for d in docs:
         if d.kind == "pob":
-            return doc.pob_from(d.payload)
+            pob, star = doc.pob_from(d.payload)
+            if (
+                star is not None
+                and len(hopf_summands(star)) <= MAX_HOPF_SUMMANDS
+                and pob.surface == star_sum_surface(star).presentation
+            ):
+                built = associated_pob_on(star, pob.surface)
+                if built == pob:
+                    pob = built
+            return pob, star
     raise DocumentError("no pob document in input")
 
 

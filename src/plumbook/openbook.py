@@ -23,7 +23,8 @@ them.  Operations on an invalid book raise on every call.  Each of the
 three results is computed by one function that extends the result for a
 book's first arcs: a fresh book extends the empty prefix, and a positive
 stabilization extends its old book's, testing and counting only the arc it
-adds.
+adds.  A book whose images one boundary-fixing homeomorphism makes from
+the images of a checked book carries that book's check (certified_book).
 """
 
 from __future__ import annotations
@@ -225,6 +226,28 @@ def _ties(basis, images) -> list[Violation]:
         pair = _TIES[what].format(i, j)
         out.append(Violation("TiedEndpoints", f"{pair} share the point {point}"))
     return out
+
+
+def certified_book(chords: PartialOpenBook, images) -> PartialOpenBook:
+    """The book with the surface and basis of chords and the given images,
+    carrying its check without testing the images.
+
+    Precondition: images[i] = h(chords.images[i]) for one homeomorphism h
+    of the surface that fixes its boundary pointwise.  h keeps every arc
+    embedded and every pair's intersection number, and leaves the endpoints
+    where they are, so a valid chord book, checked in full, makes a valid
+    book with the same side index.  The endpoints are compared, not
+    assumed: an invalid chord book, or images that moved an endpoint, leave
+    the book to the full check.
+    """
+    checked = _kept(chords, "_checked", _check)
+    p = chords.surface
+    book = PartialOpenBook(p, chords.basis, images)
+    ends = [(h.start, h.end) for h in book.images]
+    if not checked.violations and ends == [(c.start, c.end) for c in chords.images]:
+        reduced = tuple(reduce(p, h) for h in book.images)
+        object.__setattr__(book, "_checked", checked._replace(images=reduced))
+    return book
 
 
 def _require_pob(pob: PartialOpenBook) -> _CheckedBook:

@@ -24,7 +24,7 @@ from plumbook.cli import (
 )
 from plumbook.documents import MAX_BOOK_ARCS, MAX_BOOK_CROSSINGS
 from plumbook.errors import DocumentError
-from plumbook.plumbing import MAX_HOPF_SUMMANDS
+from plumbook.plumbing import MAX_HOPF_SUMMANDS, StarPlumbing, TwistedAnnulus, star_sum_surface
 
 GOLDEN_ROW = "pretzel(-3,3,1) | 1 | Right | NonzeroTight | no"
 
@@ -541,6 +541,101 @@ MUTATED = st.one_of(
 )
 
 
+def without_star(docs):
+    """docs without the star of their first pob document; None when there
+    is no such document or its star does not parse."""
+    if not isinstance(docs, list):
+        return None
+    for i, d in enumerate(docs):
+        if isinstance(d, dict) and d.get("kind") == "pob":
+            payload = d.get("payload")
+            if not isinstance(payload, dict) or "star" not in payload:
+                return None
+            try:
+                doc.star_from(payload["star"])
+            except DocumentError:
+                return None
+            return dropped(docs, (i, "payload", "star"))
+    return None
+
+
+def outcome(argv, docs):
+    """Exit code, stdout without its sqp line, and stderr of a run."""
+    code, out, err = run_on_text(argv, json.dumps(docs))
+    assert "Traceback" not in err
+    kept = [line for line in out.splitlines(keepends=True) if not line.startswith("sqp: ")]
+    return code, "".join(kept), err
+
+
+def assert_star_changes_only_sqp(docs):
+    # a book equal to its star's book is taken as built; every other book
+    # is checked as if the document carried no star
+    bare = without_star(docs)
+    assert bare is not None
+    for argv in (["check", "-", "--format", "text"], ["stabilize", "-"]):
+        assert outcome(argv, docs) == outcome(argv, bare)
+
+
+def test_documents_not_matching_their_star_are_checked_in_full():
+    pob = pob_index(STAR_DOCS)
+    star = (pob, "payload", "star", "halftwists")
+    flipped = (pob, "payload", "images", 2, "crossings", 1, "direction")
+    eleven = [2] * (MAX_HOPF_SUMMANDS + 1)
+    surface = doc.surface_payload(
+        star_sum_surface(StarPlumbing(tuple(TwistedAnnulus(t) for t in eleven))).presentation
+    )
+    cases = [
+        changed(STAR_DOCS, flipped, lambda d: -d),
+        replaced(STAR_DOCS, star, [-2, -2, -2]),
+        replaced(STAR_DOCS, star, [2, 2, 2, 2]),
+        # the star's own polygon, and more Hopf summands than a star may have
+        replaced(replaced(STAR_DOCS, star, eleven), (pob, "payload", "surface"), surface),
+        PRETZEL_DOCS,
+        STAR_DOCS,
+    ]
+    for docs in cases:
+        assert_star_changes_only_sqp(docs)
+    # the flipped crossing makes image 2 cross itself and the others
+    codes = [outcome(["check", "-"], docs)[0] for docs in cases]
+    assert codes == [2, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "argv, build_digest, check_digest",
+    [
+        (
+            ("9",),
+            "0f47db126344e5d979d084fdab860641217bdc8418bf4d9bdc24821608fb6643",
+            "da998a976b4c51aaf595b1cf1b36a34f78a6c96e173155239a178af144991b46",
+        ),
+        (
+            ("9", "--mirror"),
+            "f34d39d6db905209e1dc1d23cf1be2d9e54ca069916398a6b34a5dcc3467ff72",
+            "5698a78a66fb16db1bac630fd904042ce4fdec95e1296af86549dd6cb5a1b816",
+        ),
+        (
+            ("10",),
+            "8e5ba6d8ecf01e659078ec93be12b62992dc167acfe92917acf6529ab4d888eb",
+            "9ad0e9ad1d6ac8f3be41bcba741ded6ab892aea38ef84d3e67b0848a77ccc985",
+        ),
+        (
+            ("10", "--mirror"),
+            "a74d6e1701df975e979ac9d1b27ce7f9b573de2b689b8c052c42413cf1ef455c",
+            "d4cd20364414fe4a5e09959740685cd28864c46bd5429ea9d9ff23370e661250",
+        ),
+    ],
+)
+def test_large_hopf_stars_stdout_is_pinned(argv, build_digest, check_digest):
+    # the benchmark pins k = 4..8; these books take the certified check
+    k, *mirror = argv
+    code, built, _err = run_on_text(["build", "star", ",".join(["2"] * int(k)), *mirror], "")
+    assert code == 0
+    assert hashlib.sha256(built.encode("utf-8")).hexdigest() == build_digest
+    code, checked, _err = run_on_text(["check", "-"], built)
+    assert code == 0
+    assert hashlib.sha256(checked.encode("utf-8")).hexdigest() == check_digest
+
+
 @settings(max_examples=150, deadline=None)
 @given(MUTATED)
 def test_mutated_documents_never_crash(case):
@@ -552,3 +647,5 @@ def test_mutated_documents_never_crash(case):
         code, _out, err = run_on_text(argv, text)
         assert code in (0, 2)
         assert "Traceback" not in err
+    if without_star(docs) is not None:
+        assert_star_changes_only_sqp(docs)

@@ -1,5 +1,6 @@
 """Partial open books: validation, veering, verdicts, stabilization."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from plumbook.errors import (
 from plumbook.openbook import (
     ArcVeer,
     PartialOpenBook,
+    certified_book,
     VerdictStatus,
     canonical_pob,
     contact_verdict,
@@ -562,3 +564,56 @@ def test_stabilization_counts_only_the_new_arc(monkeypatch):
         # disjointness from k old arcs of each kind, then a new matrix
         # column of k entries and a new row of k + 1
         assert len(calls) <= 4 * k + 1
+
+
+def stars(twists, most):
+    """Every star of at most most bands with halftwists from twists."""
+    for k in range(1, most + 1):
+        for bands in itertools.product(twists, repeat=k):
+            yield StarPlumbing(tuple(TwistedAnnulus(t) for t in bands))
+
+
+def test_star_books_are_certified_by_construction():
+    # a star's images are one homeomorphism applied to disjoint chords, so
+    # its book carries the chord book's check with the images put in; a
+    # full check of an equal book must find exactly the same
+    small = list(stars((2, -2, 4, -4, 6, -6), 4))
+    hopf = [StarPlumbing((TwistedAnnulus(t),) * k) for k in range(1, 11) for t in (2, -2)]
+    assert len(small) == 1554
+    for star in (*small, *hopf):
+        book = associated_pob(star)[2]
+        certified = book.__dict__["_checked"]
+        assert certified == plumbook.openbook._check(fresh(book)), star
+        assert certified.violations == ()
+
+
+@pytest.mark.parametrize("bands", [2, 3])
+def test_verdict_extends_every_known_row(bands):
+    # the known matrix of a book's first k arcs is extended by new columns
+    # in its old rows and by new rows; in these stars entry (0, 1) is 1
+    book = associated_pob(StarPlumbing((TwistedAnnulus(2),) * bands))[2]
+    want = contact_verdict(fresh(book))
+    assert want.matrix[0][1] == 1
+    for k in range(bands + 1):
+        known = tuple(row[:k] for row in want.matrix[:k])
+        assert plumbook.openbook._verdict(fresh(book), known) == want
+
+
+def test_certified_book_keeps_nothing_when_its_premise_fails():
+    book = associated_pob(StarPlumbing((TwistedAnnulus(2),) * 2))[2]
+    chords = PartialOpenBook(
+        book.surface, book.basis, tuple(Arc(h.start, h.end) for h in book.images)
+    )
+    assert "_checked" in certified_book(chords, book.images).__dict__
+    h = book.images[0]
+    moved = Arc(BoundaryPoint(h.start.side, Fraction(1, 2)), h.end, h.crossings)
+    short = PartialOpenBook(book.surface, book.basis, chords.images[:1])
+    assert validate_pob(short)
+    for made in (
+        # an image endpoint moved: no boundary-fixing map made the images
+        certified_book(chords, (moved, book.images[1])),
+        # an invalid chord book certifies nothing, though its ends match
+        certified_book(short, book.images[:1]),
+    ):
+        assert "_checked" not in made.__dict__
+        assert validate_pob(made) == validate_pob(fresh(made))

@@ -102,7 +102,7 @@ class _ArcData:
     slot holding its entry and exit address, the same two addresses in
     increasing order as the slot's chord, and the word as its sequence of
     exit doors (a door side names one pair and direction).  Built only by
-    reduce, for the arc it returns, and for that arc's reversal."""
+    reduce, for the arc it returns, and for that arc's kept reversal."""
 
     __slots__ = ("geo", "arc", "letters", "slots", "chords", "_reversed")
 
@@ -121,11 +121,8 @@ class _ArcData:
 
     @property
     def reversed(self) -> "_ArcData":
-        """View of the reversed arc, built once on first use; a reversed
-        reduced word is reduced, on the same endpoints and pairs."""
-        if self._reversed is None:
-            self._reversed = _ArcData(self.geo, reverse(self.arc))
-        return self._reversed
+        """View of the kept reversal of the arc (reverse)."""
+        return reverse(self.arc).__dict__["_view"]
 
 
 def _key(ref: Address, addr: Address) -> tuple[bool, Address]:
@@ -193,7 +190,18 @@ def _reduced_view(p: PolygonPresentation, a: Arc) -> _ArcData:
 
 
 def reverse(a: Arc) -> Arc:
-    return Arc(a.end, a.start, tuple(c.inverse() for c in reversed(a.crossings)))
+    """a run backwards.  A reduced arc keeps its reversal, built once with its
+    own view, so reverse(reverse(a)) is a; a reversed reduced word is
+    reduced, on the same endpoints and pairs."""
+    view = a.__dict__.get("_view")
+    if view is not None and view._reversed is not None:
+        return view._reversed.arc
+    r = Arc(a.end, a.start, tuple(c.inverse() for c in reversed(a.crossings)))
+    if view is not None:
+        view._reversed = _ArcData(view.geo, r)
+        view._reversed._reversed = view
+        object.__setattr__(r, "_view", view._reversed)
+    return r
 
 
 def _forward_alignments(u: list[int], w: list[int]) -> Iterator[tuple[int, int, int]]:

@@ -40,7 +40,6 @@ from .plumbing import (
     StarPlumbing,
     TwistedAnnulus,
     associated_pob,
-    associated_pob_on,
     hopf_summands,
     is_strongly_quasipositive,
     pretzel_decompose,
@@ -77,9 +76,9 @@ def _read_input(path: str) -> str:
 
 def _find_pob(text: str):
     """The first pob document's book and star.  A book equal to its star's
-    book, as build writes it, is replaced by that book built on the
-    document's own surface, which carries its check certified by
-    construction; any other book is checked in full on first use."""
+    book, as build writes it, is replaced by that book (associated_pob),
+    which carries its check certified by construction; any other book is
+    checked in full on first use."""
     docs = doc.parse_documents(text)
     for d in docs:
         if d.kind == "pob":
@@ -89,7 +88,7 @@ def _find_pob(text: str):
                 and len(hopf_summands(star)) <= MAX_HOPF_SUMMANDS
                 and pob.surface == star_sum_surface(star).presentation
             ):
-                built = associated_pob_on(star, pob.surface)
+                built = associated_pob(star)[2]
                 if built == pob:
                     pob = built
             return pob, star

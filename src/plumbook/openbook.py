@@ -161,9 +161,11 @@ def validate_pob(pob: PartialOpenBook) -> list[Violation]:
 
 def _check(pob: PartialOpenBook, prior: Optional[_CheckedBook] = None) -> _CheckedBook:
     """The check of pob, extending prior: the check of a valid book made of
-    pob's first arcs, its side index moved to pob's positions.  pob's further
-    endpoints must lie above prior's points of their sides, so prior's ranks
-    and adjacencies stand and only tests involving a further arc are run."""
+    pob's first pairs, moved (positive_stabilization) or their images under
+    a boundary-fixing homeomorphism (certified_book), its side index moved
+    to pob's positions.  pob's further endpoints must lie above prior's
+    points of their sides, so prior's ranks and adjacencies stand and only
+    tests involving a further arc are run."""
     _geometry(pob.surface)
     if len(pob.basis) != len(pob.images):
         count = f"{len(pob.basis)} basis arcs but {len(pob.images)} images"
@@ -235,18 +237,16 @@ def certified_book(chords: PartialOpenBook, images) -> PartialOpenBook:
     Precondition: images[i] = h(chords.images[i]) for one homeomorphism h
     of the surface that fixes its boundary pointwise.  h keeps every arc
     embedded and every pair's intersection number, and leaves the endpoints
-    where they are, so a valid chord book, checked in full, makes a valid
-    book with the same side index.  The endpoints are compared, not
-    assumed: an invalid chord book, or images that moved an endpoint, leave
-    the book to the full check.
+    where they are, so a valid chord book, checked in full, is the prior
+    of the book's check: with no arc past it, only the tie scan runs.  The
+    endpoints are compared, not assumed: an invalid chord book, or images
+    that moved an endpoint, leave the book to the full check.
     """
     checked = _kept(chords, "_checked", _check)
-    p = chords.surface
-    book = PartialOpenBook(p, chords.basis, images)
+    book = PartialOpenBook(chords.surface, chords.basis, images)
     ends = [(h.start, h.end) for h in book.images]
     if not checked.violations and ends == [(c.start, c.end) for c in chords.images]:
-        reduced = tuple(reduce(p, h) for h in book.images)
-        object.__setattr__(book, "_checked", checked._replace(images=reduced))
+        object.__setattr__(book, "_checked", _check(book, checked))
     return book
 
 

@@ -12,7 +12,8 @@ none.  The associated partial open book takes those dual arcs as basis and
 their once-twisted pushed-off copies as images, composing twists over every
 Hopf band so the images stay pairwise disjoint.  The images are one
 homeomorphism applied to disjoint chords, so the book is certified by
-construction: the book of the chords is checked, the images are not.
+construction: pob_from_product_disks checks the book of the chords in
+full, and the images take its check untested (openbook.certified_book).
 """
 
 from __future__ import annotations
@@ -173,44 +174,38 @@ def hopf_summands(star: StarPlumbing) -> list[int]:
 
 def _product_disks(
     star: StarPlumbing, surface: PolygonPresentation
-) -> tuple[ProductDiskSystem, tuple[Arc, ...]]:
-    """The system of star on surface, and the pushed-off chords its images
-    come from: one homeomorphism, the twists about every Hopf band from the
-    highest index down, applied to each.  The band cores meet, so the
-    twists do not commute and keep their order."""
+) -> tuple[ProductDiskSystem, ProductDiskSystem]:
+    """The system of star on surface, and the system of the pushed-off
+    chords its images come from, on the same basis arcs: one homeomorphism,
+    the twists about every Hopf band from the highest index down, applied
+    to each chord.  The band cores meet, so the twists do not commute and
+    keep their order."""
     hopf = hopf_summands(star)
     if len(hopf) > MAX_HOPF_SUMMANDS:
         raise ValueError(
             f"star has {len(hopf)} Hopf summands; at most {MAX_HOPF_SUMMANDS} are supported"
         )
     signs = {i: 1 if star.summands[i].halftwists > 0 else -1 for i in hopf}
-    chords = tuple(reduce_arc(surface, _band_dual(i, 2)) for i in hopf)
+    chords = tuple((_band_dual(i, 1), reduce_arc(surface, _band_dual(i, 2))) for i in hopf)
     pairs = []
-    for i, image in zip(hopf, chords):
+    for a, image in chords:
         for j in sorted(hopf, reverse=True):
             image = twist_about_band(surface, image, f"c{j}", signs[j])
-        pairs.append((_band_dual(i, 1), image))
-    return ProductDiskSystem(tuple(pairs)), chords
+        pairs.append((a, image))
+    return ProductDiskSystem(tuple(pairs)), ProductDiskSystem(chords)
 
 
 def pob_from_product_disks(
     surface: PolygonPresentation, system: ProductDiskSystem
 ) -> PartialOpenBook:
-    """Partial open book with the system's arcs as basis.
+    """Partial open book with the system's arcs as basis, checked in full.
 
     The basis must cut the moving subsurface into disks: here that means
     every arc is a single-chamber chord separating the two doors of exactly
-    one band, one arc per band.  The book is checked in full: its images
-    are their own images under the identity.
+    one band, one arc per band.  The book holds the reduced basis arcs: an
+    arc written with cancelling letters comes back as its isotopic word.
     """
-    return _pob(surface, system, tuple(h for _a, h in system.pairs))
-
-
-def _pob(surface: PolygonPresentation, system: ProductDiskSystem, chords) -> PartialOpenBook:
-    """The book of system on surface, whose images are the images of chords
-    under one homeomorphism of surface fixing its boundary: the book of the
-    chords is checked in full, and the images are not tested again
-    (openbook.certified_book)."""
+    basis = []
     seen = set()
     for idx, (a, _h) in enumerate(system.pairs):
         r = reduce_arc(surface, a)
@@ -227,12 +222,12 @@ def _pob(surface: PolygonPresentation, system: ProductDiskSystem, chords) -> Par
         if cut[0] in seen:
             raise NotABasisError(f"band {cut[0]!r} is cut by two arcs")
         seen.add(cut[0])
-    basis = tuple(a for a, _h in system.pairs)
-    chord_book = PartialOpenBook(surface, basis, chords)
-    violations = validate_pob(chord_book)
+        basis.append(r)
+    pob = PartialOpenBook(surface, tuple(basis), tuple(h for _a, h in system.pairs))
+    violations = validate_pob(pob)
     if violations:
         raise NotABasisError("; ".join(str(v) for v in violations))
-    return certified_book(chord_book, tuple(h for _a, h in system.pairs))
+    return pob
 
 
 def is_strongly_quasipositive(star: StarPlumbing) -> bool:
@@ -242,13 +237,9 @@ def is_strongly_quasipositive(star: StarPlumbing) -> bool:
 
 
 def associated_pob(star: StarPlumbing) -> tuple[StarSurface, ProductDiskSystem, PartialOpenBook]:
-    """Surface, product-disk system, and partial open book of a star."""
+    """Surface, product-disk system, and partial open book of a star: the
+    book of the pushed-off chords, checked in full, certifies the images."""
     ss = star_sum_surface(star)
     system, chords = _product_disks(star, ss.presentation)
-    return ss, system, _pob(ss.presentation, system, chords)
-
-
-def associated_pob_on(star: StarPlumbing, surface: PolygonPresentation) -> PartialOpenBook:
-    """The partial open book of a star, built on surface, a presentation
-    equal to the star's polygon (star_sum_surface)."""
-    return _pob(surface, *_product_disks(star, surface))
+    images = tuple(h for _a, h in system.pairs)
+    return ss, system, certified_book(pob_from_product_disks(ss.presentation, chords), images)

@@ -636,6 +636,30 @@ def test_large_hopf_stars_stdout_is_pinned(argv, build_digest, check_digest):
     assert hashlib.sha256(checked.encode("utf-8")).hexdigest() == check_digest
 
 
+@pytest.mark.parametrize(
+    "argv, count, digest",
+    [
+        (
+            ("pretzel", "-3,3,1"),
+            200,
+            "08e93717da98170cbc997552b367d9e7d444fe0cfb5378c8c7f364537c1b23e1",
+        ),
+        (
+            ("star", "2,2,2,2,2,2,2,2,2,2"),
+            40,
+            "fa2dbd56a016c65ec2fc3444264b60c0514c95df73d8d58dd5d6f52ab78322c3",
+        ),
+    ],
+)
+def test_long_stabilize_chains_stdout_is_pinned(argv, count, digest):
+    # the certified star book and the kept reversals run on every step
+    code, built, _err = run_on_text(["build", *argv], "")
+    assert code == 0
+    code, out, _err = run_on_text(["stabilize", "-", "--count", str(count)], built)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 @settings(max_examples=150, deadline=None)
 @given(MUTATED)
 def test_mutated_documents_never_crash(case):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import plumbook.arcs
 import plumbook.plumbing
 import plumbook.surface
 from plumbook.arcs import Arc, Crossing, interior_intersections
@@ -153,6 +154,35 @@ def test_associated_pob_validates_one_presentation(monkeypatch):
     contact_verdict(pob)
     assert seen == [ss.presentation]
     assert system == product_disk_basis(star)
+
+
+def test_star_books_go_through_one_checked_path(monkeypatch):
+    # the book of the basis and its chords is built and checked by the one
+    # public function, and each arc gets one view: the basis chord, the
+    # pushed-off chord and the twisted image
+    calls, built = [], []
+    original = plumbook.plumbing.pob_from_product_disks
+    monkeypatch.setattr(
+        plumbook.plumbing,
+        "pob_from_product_disks",
+        lambda p, system: calls.append(system) or original(p, system),
+    )
+    view_init = plumbook.arcs._ArcData.__init__
+    monkeypatch.setattr(
+        plumbook.arcs._ArcData,
+        "__init__",
+        lambda self, geo, a: built.append(a) or view_init(self, geo, a),
+    )
+    associated_pob(pretzel_decompose(PretzelSpec((-3, 5, -7, 1))))
+    assert len(calls) == 1
+    assert len(built) == 3
+    # a caller's basis arc with cancelling letters comes back reduced
+    (a, h), = product_disk_basis(star_of(2)).pairs
+    written = Arc(a.start, a.end, (Crossing("c0", 1), Crossing("c0", -1)))
+    pob = original(star_sum_surface(star_of(2)).presentation, ProductDiskSystem(((written, h),)))
+    assert validate_pob(pob) == []
+    assert pob.basis == (a,)
+    assert pob.basis[0].crossings == ()
 
 
 def test_stars_beyond_the_hopf_limit_are_refused(monkeypatch):

@@ -28,7 +28,6 @@ from .openbook import (
     PartialOpenBook,
     VeeringReport,
     VerdictStatus,
-    canonical_pob,
     contact_verdict,
     dividing_set_counts,
     free_site,
@@ -57,10 +56,8 @@ from .surface import (
     Glued,
     PolygonPresentation,
     boundary_components,
-    canonical_relabel,
     euler_characteristic,
     genus,
-    merge_boundary_runs,
     validate,
 )
 
@@ -87,8 +84,6 @@ __all__ = [
     "VerdictStatus",
     "associated_pob",
     "boundary_components",
-    "canonical_pob",
-    "canonical_relabel",
     "contact_verdict",
     "dividing_set_counts",
     "euler_characteristic",
@@ -99,7 +94,6 @@ __all__ = [
     "is_embedded",
     "is_isotopic",
     "is_strongly_quasipositive",
-    "merge_boundary_runs",
     "minimal_position",
     "pob_from_product_disks",
     "positive_stabilization",

@@ -304,35 +304,12 @@ def is_embedded(p: PolygonPresentation, a: Arc) -> bool:
     return _count(da, da) == 0
 
 
-def is_isotopic(
-    p: PolygonPresentation, a: Arc, b: Arc, endpoints_fixed: bool = True
-) -> bool:
-    """Isotopy of arcs, orientation-blind.
-
-    With endpoints fixed this is equality of reduced words and endpoints (up
-    to reversing one arc).  Without, each endpoint may additionally slide
-    along its own boundary side as long as it passes no other endpoint of
-    the two arcs.
-    """
+def is_isotopic(p: PolygonPresentation, a: Arc, b: Arc) -> bool:
+    """Isotopy of arcs with endpoints fixed, orientation-blind: equality of
+    reduced words and endpoints, up to reversing one arc."""
     ra = reduce(p, a)
     rb = reduce(p, b)
-    if endpoints_fixed:
-        return ra == rb or ra == reverse(rb)
-
-    def slidable(x: BoundaryPoint, y: BoundaryPoint, others: tuple[BoundaryPoint, ...]) -> bool:
-        if x.side != y.side:
-            return False
-        lo, hi = sorted((x.position, y.position))
-        return not any(o.side == x.side and lo < o.position < hi for o in others)
-
-    for cand in (rb, reverse(rb)):
-        if ra.crossings != cand.crossings:
-            continue
-        if slidable(ra.start, cand.start, (ra.end, cand.end)) and slidable(
-            ra.end, cand.end, (ra.start, cand.start)
-        ):
-            return True
-    return False
+    return ra == rb or ra == reverse(rb)
 
 
 def first_divergence(p: PolygonPresentation, a: Arc, b: Arc) -> Divergence:

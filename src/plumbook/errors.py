@@ -47,10 +47,6 @@ class InvalidOpenBookError(_ViolationsError):
     """Raised when an operation needs a valid partial open book but got violations."""
 
 
-class SiteObstructedError(ValueError):
-    """The requested stabilization site is not a free boundary segment."""
-
-
 class NotABasisError(ValueError):
     """A product-disk system does not cut its supporting subsurface into disks."""
 

@@ -46,17 +46,15 @@ from .arcs import (
     reverse,
     twist_about_band,
 )
-from .errors import InvalidOpenBookError, SiteObstructedError, Violation
+from .errors import InvalidOpenBookError, Violation
 from .surface import (
     Boundary,
     BoundaryPoint,
     End,
     Glued,
     PolygonPresentation,
-    _canonical_data,
     _geometry,
     boundary_components,
-    merge_boundary_runs,
 )
 
 
@@ -387,49 +385,28 @@ def _fresh(base: str, taken: set) -> str:
 MAX_STABILIZE_COUNT = 200
 
 
-def positive_stabilization(
-    pob: PartialOpenBook, site: Optional[tuple[BoundaryPoint, BoundaryPoint]] = None
-) -> PartialOpenBook:
-    """Plumb a positive Hopf band onto a free boundary segment.
+def positive_stabilization(pob: PartialOpenBook) -> PartialOpenBook:
+    """Plumb a positive Hopf band onto the free boundary segment free_site(pob).
 
     The segment between the two site points is cut out and replaced by a new
     1-handle (one glued pair) with a fresh boundary side inside it.  One new
     basis arc runs once over the handle; its image is the pushed-off copy
     twisted positively about the handle.  All existing arcs keep their
-    words, and their endpoints only get rescaled within the split side, so
-    every prior comparison is untouched: the new sides sit inside one
-    boundary side, so the cyclic order of the old addresses is unchanged.
+    words.  Every marked point of the split side lies below the segment, so
+    their endpoints there are only rescaled onto its first part, and every
+    prior comparison is untouched: the new sides sit inside one boundary
+    side, so the cyclic order of the old addresses is unchanged.
 
     The new book therefore carries the old book's check, veering report and
     (when the old book keeps one) contact verdict, each extended to the new
-    arc and image by the function that decides a fresh book.  Two marked
-    points on either side of the site may stop being beside each other, so
-    such a site, or a failed test of the new pair, leaves the new book to be
-    checked in full on first use.
+    arc and image by the function that decides a fresh book.  A failed test
+    of the new pair leaves the new book to be checked in full on first use.
     """
     checked = _require_pob(pob)
-    if site is None:
-        site = free_site(pob)
-    q1, q2 = site
-    if q1.side != q2.side:
-        raise SiteObstructedError("site points must lie on one boundary side")
-    label = q1.side
-    lo, hi = sorted((q1.position, q2.position))
-    if lo == hi:
-        raise SiteObstructedError("site needs two distinct points")
-    if not 0 < lo < hi < 1:
-        raise SiteObstructedError(f"site [{lo}, {hi}] leaves the open unit interval")
+    q1, _ = free_site(pob)
+    label, lo = q1.side, q1.position
     sides = pob.surface.sides
     labels = {s.label for s in sides if isinstance(s, Boundary)}
-    if label not in labels:
-        raise SiteObstructedError(f"no boundary side {label!r}")
-    marked = checked.sides.get(label, ())
-    split = bisect_left(marked, lo)
-    if split < len(marked) and marked[split] <= hi:
-        raise SiteObstructedError(
-            f"segment [{lo}, {hi}] on {label!r} meets the marked point {marked[split]}"
-        )
-
     pairs = {s.pair for s in sides if isinstance(s, Glued)}
     mid_label = _fresh(f"{label}h", labels)
     post_label = _fresh(f"{label}t", labels | {mid_label})
@@ -450,11 +427,7 @@ def positive_stabilization(
     surface = PolygonPresentation(tuple(new_sides))
 
     def move(pt: BoundaryPoint) -> BoundaryPoint:
-        if pt.side != label:
-            return pt
-        if pt.position < lo:
-            return BoundaryPoint(label, pt.position / lo)
-        return BoundaryPoint(post_label, (pt.position - hi) / (1 - hi))
+        return BoundaryPoint(label, pt.position / lo) if pt.side == label else pt
 
     def move_arc(a: Arc) -> Arc:
         return Arc(move(a.start), move(a.end), a.crossings)
@@ -462,29 +435,22 @@ def positive_stabilization(
     basis = [move_arc(a) for a in pob.basis]
     images = [move_arc(a) for a in pob.images]
 
-    below = tuple(t / lo for t in marked[:split])
+    below = tuple(t / lo for t in checked.sides.get(label, ()))
     t1, t2 = _free_gap(label, below)
     new_basis = Arc(t1, BoundaryPoint(mid_label, Fraction(1, 3)))
     pushed = Arc(t2, BoundaryPoint(mid_label, Fraction(2, 3)))
     new_image = twist_about_band(surface, pushed, pair, +1)
     book = PartialOpenBook(surface, (*basis, new_basis), (*images, new_image))
-    if split in (0, len(marked)):
-        # no marked points on both sides of the site: the old points keep
-        # their order, and the new ones lie above them on side label or on
-        # the new side mid_label
-        moved = {s: ts for s, ts in checked.sides.items() if s != label}
-        if below:
-            moved[label] = below
-        elif marked:
-            moved[post_label] = tuple((t - hi) / (1 - hi) for t in marked)
-        extended = _check(book, checked._replace(sides=moved))
-        if not extended.violations:
-            object.__setattr__(book, "_checked", extended)
-            object.__setattr__(book, "_veering", _veering(book, veering_report(pob).verdicts))
-            kept = pob.__dict__.get("_verdict")
-            # a kept witness has no matrix, and the new book veers left too
-            if kept is not None:
-                object.__setattr__(book, "_verdict", _verdict(book, kept.matrix or ()))
+    # the old points keep their order, and the new ones lie above them on
+    # side label or on the new side mid_label
+    extended = _check(book, checked._replace(sides={**checked.sides, label: below}))
+    if not extended.violations:
+        object.__setattr__(book, "_checked", extended)
+        object.__setattr__(book, "_veering", _veering(book, veering_report(pob).verdicts))
+        kept = pob.__dict__.get("_verdict")
+        # a kept witness has no matrix, and the new book veers left too
+        if kept is not None:
+            object.__setattr__(book, "_verdict", _verdict(book, kept.matrix or ()))
     return book
 
 
@@ -494,47 +460,3 @@ def dividing_set_counts(pob: PartialOpenBook) -> tuple[int, int]:
     neighborhood is one rectangle per basis arc."""
     _require_pob(pob)
     return len(boundary_components(pob.surface)), len(pob.basis)
-
-
-def canonical_pob(pob: PartialOpenBook):
-    """Hashable normal form, equal for books differing by relabeling,
-    rotation, boundary subdivision, or endpoint sliding within sides.
-
-    Boundary runs are merged, the polygon is canonically rotated and
-    relabeled (all tying rotations tried, smallest overall form kept), and
-    endpoint positions are replaced by their rank among the marked points
-    of their side.
-    """
-    checked = _require_pob(pob)
-    merged, point_map = merge_boundary_runs(pob.surface)
-    # a merged side lists its runs' marked points in run order, so a point
-    # ranks after every point on the earlier sides of its run
-    before: dict[str, int] = {}
-    count: dict[str, int] = {}
-    for label, (new_label, _index, _run) in point_map.items():
-        before[label] = count.get(new_label, 0)
-        count[new_label] = before[label] + len(checked.sides.get(label, ()))
-
-    def rank(pt: BoundaryPoint) -> tuple[str, tuple[int, int]]:
-        new_label = point_map[pt.side][0]
-        r = before[pt.side] + bisect_left(checked.sides[pt.side], pt.position)
-        return new_label, (r + 1, count[new_label] + 1)
-
-    moved = [
-        (rank(r.start), rank(r.end), tuple((c.pair, c.direction) for c in r.crossings))
-        for r in (*checked.basis, *checked.images)
-    ]
-    relabeled, maps = _canonical_data(merged)
-    sides_sig = tuple(
-        ("B", s.label) if isinstance(s, Boundary) else ("G", s.pair, s.end.value)
-        for s in relabeled.sides
-    )
-    k = len(pob.basis)
-    candidates = []
-    for label_map, pair_map in maps:
-        arcs = tuple(
-            ((label_map[s0], r0), (label_map[s1], r1), tuple((pair_map[pr], d) for pr, d in word))
-            for (s0, r0), (s1, r1), word in moved
-        )
-        candidates.append((arcs[:k], arcs[k:]))
-    return (sides_sig, *min(candidates))

@@ -10,7 +10,11 @@ Product disks are table-driven: a Hopf summand (2 half twists either way)
 carries exactly one, dual to its band; flatter or more twisted bands carry
 none.  The associated partial open book takes those dual arcs as basis and
 their once-twisted pushed-off copies as images, composing twists over every
-Hopf band so the images stay pairwise disjoint.  The images are one
+Hopf band so the images stay pairwise disjoint.  So the twist counts of
+non-Hopf bands do not enter the book: it reads only the band count and the
+signs and places of the Hopf summands, and the 2680 specs of the family
+sweep decide only 4 distinct books.  Strong quasipositivity reads every
+twist.  The images are one
 homeomorphism applied to disjoint chords, so the book is certified by
 construction: pob_from_product_disks checks the book of the chords in
 full, and the images take its check untested (openbook.certified_book).

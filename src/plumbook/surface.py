@@ -189,13 +189,14 @@ def validate(p: PolygonPresentation) -> list[Violation]:
         for c in range(n):
             if isinstance(p.sides[c], Boundary) or isinstance(p.sides[(c - 1) % n], Boundary):
                 on_boundary.add(roots[c])
-        interior = sorted({roots[c] for c in range(n)} - on_boundary)
-        for root in interior:
-            members = [c for c in range(n) if roots[c] == root]
+        orbits: dict[int, list[int]] = {}
+        for c in range(n):
+            orbits.setdefault(roots[c], []).append(c)
+        for root in sorted(orbits.keys() - on_boundary):
             out.append(
                 Violation(
                     "InteriorVertex",
-                    f"corner orbit {members} lies in the surface interior; "
+                    f"corner orbit {orbits[root]} lies in the surface interior; "
                     "arc normal forms need every polygon vertex on the boundary",
                 )
             )
@@ -256,86 +257,3 @@ def genus(p: PolygonPresentation) -> int:
             [Violation("NonOrientable", f"chi={chi}, b={b} admit no nonnegative integer genus")]
         )
     return num // 2
-
-
-def _canonical_data(
-    p: PolygonPresentation,
-) -> tuple[PolygonPresentation, list[tuple[dict[str, str], dict[str, str]]]]:
-    """The polygon relabeled b{i}/p{i} along its minimal-signature rotation,
-    and the label and pair maps of every rotation giving that signature.
-
-    Usually one; symmetric polygons may give several, and callers that
-    canonicalize richer structures break the tie themselves.
-    """
-    n = len(p.sides)
-    best = None
-    found: list[tuple[dict[str, int], dict[str, int]]] = []
-    for r in range(n):
-        bmap: dict[str, int] = {}
-        pmap: dict[str, int] = {}
-        sig = []
-        for k in range(n):
-            s = p.sides[(r + k) % n]
-            if isinstance(s, Boundary):
-                sig.append(("B", bmap.setdefault(s.label, len(bmap))))
-            else:
-                sig.append(("G", pmap.setdefault(s.pair, len(pmap)), s.end.value))
-        if best is None or sig < best:
-            best, found = sig, []
-        if sig == best:
-            found.append((bmap, pmap))
-    relabeled = PolygonPresentation(
-        tuple(Boundary(f"b{e[1]}") if e[0] == "B" else Glued(f"p{e[1]}", End(e[2])) for e in best)
-    )
-    return relabeled, [
-        ({old: f"b{i}" for old, i in bmap.items()}, {old: f"p{i}" for old, i in pmap.items()})
-        for bmap, pmap in found
-    ]
-
-
-def canonical_relabel(p: PolygonPresentation) -> PolygonPresentation:
-    """Rotation- and label-independent normal form of a presentation.
-
-    Two presentations describe the same polygon with sides renamed and the
-    cyclic order rotated iff their canonical forms are equal.
-    """
-    _geometry(p)
-    return _canonical_data(p)[0]
-
-
-def merge_boundary_runs(
-    p: PolygonPresentation,
-) -> tuple[PolygonPresentation, dict[str, tuple[str, int, int]]]:
-    """Fuse maximal cyclic runs of consecutive boundary sides into single sides.
-
-    Returns the fused presentation and, per old label, the new label plus the
-    (index, length) of the old side inside its run, so marked points rescale
-    as position -> (index + position) / length.  Merging does not change the
-    surface; it only coarsens the boundary subdivision.
-    """
-    _geometry(p)
-    n = len(p.sides)
-    point_map: dict[str, tuple[str, int, int]] = {}
-    free = [isinstance(s, Boundary) for s in p.sides]
-    # from `start`, no boundary run wraps around the seam; without glued
-    # sides the whole polygon is one run
-    start = next((i for i in range(n) if not (free[i - 1] and free[i])), 0)
-    sides: list[Side] = []
-    run: list[str] = []
-
-    def flush() -> None:
-        if run:
-            for k, old in enumerate(run):
-                point_map[old] = (run[0], k, len(run))
-            sides.append(Boundary(run[0]))
-            run.clear()
-
-    for k in range(n):
-        s = p.sides[(start + k) % n]
-        if isinstance(s, Boundary):
-            run.append(s.label)
-        else:
-            flush()
-            sides.append(s)
-    flush()
-    return PolygonPresentation(tuple(sides)), point_map

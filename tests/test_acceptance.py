@@ -103,6 +103,14 @@ def test_1_pretzel_331_pipeline_golden(capsys):
 
 
 def test_2_family_sweep_tight_and_never_sqp():
+    """Every spec of the family sweep decides NonzeroTight and is not SQP.
+
+    The twist counts of non-Hopf bands do not enter a star's book: the book
+    reads only the band count and the signs and places of the Hopf (+-2)
+    bands.  Every spec here has one Hopf band, the leading positive one, so
+    the 2680 specs decide only 4 distinct books, one per band count 2 to 5.
+    Strong quasipositivity reads every twist.
+    """
     # odd middle coefficients in [-9, 9]; excluding -3, -1, 1 keeps the
     # decomposition free of zero-twist and non-leading Hopf bands, and one
     # coefficient >= 3 forces a negatively twisted band
@@ -114,6 +122,7 @@ def test_2_family_sweep_tight_and_never_sqp():
         if any(n >= 3 for n in tail)
     ]
     assert len(specs) == 2680
+    books = set()
     start = time.perf_counter()
     for coeffs in specs:
         star = pretzel_decompose(PretzelSpec(coeffs))
@@ -122,8 +131,10 @@ def test_2_family_sweep_tight_and_never_sqp():
         assert len(system.pairs) == 1, coeffs
         assert contact_verdict(pob).status is VerdictStatus.NONZERO_TIGHT, coeffs
         assert not is_strongly_quasipositive(star), coeffs
+        books.add(pob)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"sweep took {elapsed:.2f}s, budget 10s"
+    assert len(books) == 4
 
 
 def test_3_positive_stars_are_sqp_right_veering_tight():

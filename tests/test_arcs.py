@@ -231,22 +231,6 @@ def test_isotopic_fixed_accepts_reversal_only():
     assert not is_isotopic(HEXAGON, a, arc("B1", (1, 4), "B2", (1, 3), CP))
 
 
-def test_isotopic_unfixed_slides_endpoints_past_nothing():
-    a = arc("B1", (1, 3), "B2", (1, 3))
-    assert is_isotopic(HEXAGON, a, arc("B1", (1, 5), "B2", (2, 3)), endpoints_fixed=False)
-    assert not is_isotopic(HEXAGON, a, arc("B1", (1, 3), "B3", (1, 3)), endpoints_fixed=False)
-
-
-def test_isotopic_unfixed_blocked_by_intervening_endpoint():
-    # both ends on one side: sliding b.start past a.end is not allowed
-    a = arc("B1", (1, 4), "B1", (1, 2), CP, CP)
-    b = arc("B1", (3, 4), "B1", (1, 2), CP, CP)
-    assert not is_isotopic(HEXAGON, a, b, endpoints_fixed=False)
-    c = arc("B1", (1, 4), "B1", (3, 4), CP, CP)
-    slid = arc("B1", (1, 3), "B1", (3, 4), CP, CP)
-    assert is_isotopic(HEXAGON, c, slid, endpoints_fixed=False)
-
-
 # --- first divergence ---
 
 

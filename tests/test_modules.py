@@ -9,7 +9,6 @@ import plumbook
 PRIVATE_IMPORTS = {
     ("arcs", "surface", "_Geometry"),
     ("arcs", "surface", "_geometry"),
-    ("openbook", "surface", "_canonical_data"),
     ("openbook", "surface", "_geometry"),
     ("cli", "surface", "_geometry"),
 }
@@ -42,3 +41,53 @@ def test_no_new_private_imports():
         ("plumbing", "arcs", "_key"),
         ("plumbing", "openbook", "_check"),
     ]
+
+
+def test_public_api_is_pinned():
+    # adding a name to the public API, or taking one out, is a decision
+    assert sorted(plumbook.__all__) == [
+        "Arc",
+        "ArcVeer",
+        "Boundary",
+        "BoundaryPoint",
+        "ContactVerdict",
+        "Crossing",
+        "Divergence",
+        "End",
+        "Glued",
+        "PartialOpenBook",
+        "PolygonPresentation",
+        "PretzelSpec",
+        "ProductDiskSystem",
+        "StarPlumbing",
+        "StarSurface",
+        "TwistedAnnulus",
+        "VeeringReport",
+        "VerdictStatus",
+        "associated_pob",
+        "boundary_components",
+        "contact_verdict",
+        "dividing_set_counts",
+        "euler_characteristic",
+        "first_divergence",
+        "free_site",
+        "genus",
+        "interior_intersections",
+        "is_embedded",
+        "is_isotopic",
+        "is_strongly_quasipositive",
+        "minimal_position",
+        "pob_from_product_disks",
+        "positive_stabilization",
+        "pretzel_decompose",
+        "product_disk_basis",
+        "reduce",
+        "reverse",
+        "star_sum_surface",
+        "twisted_annulus",
+        "validate",
+        "validate_pob",
+        "veering_report",
+    ]
+    for name in plumbook.__all__:
+        assert hasattr(plumbook, name), name

@@ -35,7 +35,6 @@ from plumbook.surface import (
     Glued,
     PolygonPresentation,
     boundary_components,
-    canonical_relabel,
     euler_characteristic,
     genus,
     validate,
@@ -174,8 +173,12 @@ def test_rotation_changes_nothing_observable(k, r):
     rotated = PolygonPresentation(sides[r % len(sides) :] + sides[: r % len(sides)])
     assert validate(rotated) == []
     assert euler_characteristic(rotated) == euler_characteristic(p)
-    assert len(boundary_components(rotated)) == len(boundary_components(p))
-    assert canonical_relabel(rotated) == canonical_relabel(p)
+    assert genus(rotated) == genus(p)
+    # each boundary circle keeps its labels; rotation only moves the start
+    # of the walk along them
+    assert sorted(map(sorted, boundary_components(rotated))) == sorted(
+        map(sorted, boundary_components(p))
+    )
 
 
 @settings(max_examples=25, deadline=None)

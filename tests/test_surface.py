@@ -1,5 +1,6 @@
 """Polygon presentations: validation diagnostics, chi, boundary walks, genus."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import plumbook.surface
 from plumbook.arcs import Arc, first_divergence, minimal_position, reduce
 from plumbook.documents import surface_payload
-from plumbook.errors import InvalidPresentationError
+from plumbook.errors import InvalidPresentationError, Violation
 from plumbook.surface import (
     Boundary,
     BoundaryPoint,
@@ -15,10 +16,8 @@ from plumbook.surface import (
     Glued,
     PolygonPresentation,
     boundary_components,
-    canonical_relabel,
     euler_characteristic,
     genus,
-    merge_boundary_runs,
     validate,
 )
 
@@ -123,6 +122,28 @@ def test_folded_disk_has_interior_vertex():
     assert "InteriorVertex" in codes(p)
 
 
+def test_interior_vertices_are_listed_in_linear_time():
+    # n folded pairs behind one boundary side: corner 2 + 2j, between the
+    # two halves of pair j, is an orbit of its own in the interior; a
+    # validation that rescans every corner per orbit took about 32 s here
+    n = 20_000
+    sides = [B("b")]
+    for j in range(n):
+        sides += [G(f"p{j}", L), G(f"p{j}", R)]
+    p = poly(*sides)
+    began = time.perf_counter()
+    found = validate(p)
+    assert time.perf_counter() - began < 2
+    assert found == [
+        Violation(
+            "InteriorVertex",
+            f"corner orbit [{2 + 2 * j}] lies in the surface interior; "
+            "arc normal forms need every polygon vertex on the boundary",
+        )
+        for j in range(n)
+    ]
+
+
 def test_operations_refuse_invalid_input():
     p = poly(B("B1"), G("A", L))
     with pytest.raises(InvalidPresentationError) as exc:
@@ -139,49 +160,6 @@ def test_rotation_preserves_invariants():
         assert euler_characteristic(q) == 0
         assert len(boundary_components(q)) == 2
         assert genus(q) == 0
-
-
-def test_canonical_relabel_identifies_rotations():
-    n = len(HEXAGON.sides)
-    canon = canonical_relabel(HEXAGON)
-    for r in range(n):
-        q = poly(*(HEXAGON.sides[(i + r) % n] for i in range(n)))
-        assert canonical_relabel(q) == canon
-
-
-def test_canonical_relabel_identifies_renamings():
-    renamed = poly(B("x"), G("band", L), B("y"), B("z"), G("band", R), B("w"))
-    assert canonical_relabel(renamed) == canonical_relabel(HEXAGON)
-    assert canonical_relabel(star(2, tag="q")) == canonical_relabel(star(2))
-
-
-def test_canonical_relabel_of_a_symmetric_polygon():
-    # two minimal rotations (0 and 4) tie; both relabel to the same polygon
-    ring = poly(B("a"), G("x", L), B("b"), G("x", R), B("c"), G("y", L), B("d"), G("y", R))
-    want = poly(B("b0"), G("p0", L), B("b1"), G("p0", R), B("b2"), G("p1", L), B("b3"), G("p1", R))
-    for r in range(0, 8, 2):
-        assert canonical_relabel(poly(*ring.sides[r:], *ring.sides[:r])) == want
-
-
-def test_merge_boundary_runs_fuses_adjacent_sides():
-    p = poly(B("x"), B("y"), G("a", L), B("z"), G("a", R))
-    merged, point_map = merge_boundary_runs(p)
-    assert merged.sides == (B("x"), G("a", L), B("z"), G("a", R))
-    assert point_map == {"x": ("x", 0, 2), "y": ("x", 1, 2), "z": ("z", 0, 1)}
-
-
-def test_merge_boundary_runs_all_boundary_collapses_to_one_side():
-    merged, point_map = merge_boundary_runs(poly(B("a"), B("b"), B("c")))
-    assert merged == poly(B("a"))
-    assert point_map == {"a": ("a", 0, 3), "b": ("a", 1, 3), "c": ("a", 2, 3)}
-
-
-def test_merge_preserves_surface_invariants():
-    for p in (HEXAGON, star(2), star(3)):
-        merged, _ = merge_boundary_runs(p)
-        assert euler_characteristic(merged) == euler_characteristic(p)
-        assert len(boundary_components(merged)) == len(boundary_components(p))
-        assert genus(merged) == genus(p)
 
 
 def test_boundary_point_coerces_position():

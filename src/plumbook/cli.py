@@ -19,6 +19,7 @@ input.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from itertools import product
@@ -419,7 +420,10 @@ def cmd_emit_dot(args) -> int:
     raise DocumentError("no surface or pob document in input")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: parsing leaves
+    it as it was, so every main call can share it."""
     parser = argparse.ArgumentParser(
         prog="plumbook",
         description="plumbed Seifert surfaces and their partial open books",

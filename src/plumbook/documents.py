@@ -1,9 +1,11 @@
 """JSON documents for every value the command line reads or writes.
 
-A document is {"kind": ..., "version": 1, "payload": ...} rendered with
-sorted keys and a trailing newline, so identical values print to identical
-bytes.  Rational positions travel as "num/den" strings.  A stream may hold
-one document or an array of them.
+A document is {"kind": ..., "version": 1, "payload": ...}.  Its bytes are
+exactly json.dumps(value, indent=2, sort_keys=True) plus a newline, with
+non-ASCII characters escaped, so identical values print to identical bytes.
+A small writer for the types documents hold reproduces those bytes, and a
+test holds it to json.dumps.  Rational positions travel as "num/den"
+strings.  A stream may hold one document or an array of them.
 """
 
 from __future__ import annotations
@@ -214,12 +216,64 @@ def _doc_json(doc: Document) -> dict:
     return {"kind": doc.kind, "version": doc.version, "payload": doc.payload}
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _write(value, indent: str, out: list) -> None:
+    """Append the pieces of json.dumps(value, indent=2, sort_keys=True),
+    nested at indent, to out.  Anything but str-keyed dicts, lists, tuples,
+    str, int, bool and None raises TypeError (_quote refuses other keys)."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            out.append(sep)
+            out.append(_quote(key))
+            out.append(": ")
+            _write(value[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        raise TypeError(f"documents hold no {type(value).__name__} values")
+
+
+def _dumps(value) -> str:
+    out = []
+    _write(value, "", out)
+    out.append("\n")
+    return "".join(out)
+
+
 def print_document(doc: Document) -> str:
-    return json.dumps(_doc_json(doc), indent=2, sort_keys=True) + "\n"
+    return _dumps(_doc_json(doc))
 
 
 def print_documents(docs) -> str:
-    return json.dumps([_doc_json(d) for d in docs], indent=2, sort_keys=True) + "\n"
+    return _dumps([_doc_json(d) for d in docs])
 
 
 def parse_documents(text: str) -> list[Document]:

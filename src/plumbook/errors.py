@@ -16,12 +16,20 @@ class Violation:
         return f"{self.code}: {self.detail}"
 
 
+# the message names this many violations; .violations keeps them all
+MAX_LISTED_VIOLATIONS = 20
+
+
 class _ViolationsError(ValueError):
     """An operation needed a valid object; carries the violations found."""
 
     def __init__(self, violations):
         self.violations = tuple(violations)
-        super().__init__("; ".join(str(v) for v in self.violations))
+        listed = [str(v) for v in self.violations[:MAX_LISTED_VIOLATIONS]]
+        more = len(self.violations) - len(listed)
+        if more:
+            listed.append(f"(and {more} more)")
+        super().__init__("; ".join(listed))
 
 
 class InvalidPresentationError(_ViolationsError):

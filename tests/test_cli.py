@@ -6,7 +6,9 @@ import inspect
 import io
 import itertools
 import json
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 
@@ -20,13 +22,28 @@ from plumbook.cli import (
     MAX_FAMILY_SPECS,
     MAX_STABILIZE_COUNT,
     _family_rows,
+    build_parser,
     main,
 )
 from plumbook.documents import MAX_BOOK_ARCS, MAX_BOOK_CROSSINGS
-from plumbook.errors import DocumentError
+from plumbook.errors import MAX_LISTED_VIOLATIONS, DocumentError, InvalidPresentationError
 from plumbook.plumbing import MAX_HOPF_SUMMANDS, StarPlumbing, TwistedAnnulus, star_sum_surface
+from plumbook.surface import euler_characteristic
 
 GOLDEN_ROW = "pretzel(-3,3,1) | 1 | Right | NonzeroTight | no"
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def fresh_python(*argv) -> str:
+    """stdout of a new interpreter that imports this checkout's plumbook"""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout
 
 
 def run(capsys, *argv):
@@ -382,6 +399,45 @@ def test_malformed_input_exits_2(capsys, tmp_path):
             code, _out, err = run(capsys, sub, str(bad))
             assert code == 2
             assert err.startswith("error: not valid JSON")
+
+
+def test_a_long_violation_list_is_summarized():
+    # 20,000 folded pairs give 20,000 interior vertices: the error line
+    # names the first few, so it stays short, and the exception keeps all
+    n = 20_000
+    sides = [{"boundary": "b"}]
+    sides += [{"pair": f"p{j}", "end": e} for j in range(n) for e in ("left", "right")]
+    payload = {"surface": {"sides": sides}, "basis": [], "images": []}
+    text = json.dumps({"kind": "pob", "version": 1, "payload": payload})
+    code, out, err = run_on_text(["check", "-"], text)
+    assert code == 2
+    assert out == ""
+    assert len(err.encode("utf-8")) < 4096
+    assert err.count("InteriorVertex") == MAX_LISTED_VIOLATIONS
+    assert err.endswith(f"; (and {n - MAX_LISTED_VIOLATIONS} more)\n")
+    with pytest.raises(InvalidPresentationError) as exc:
+        euler_characteristic(doc.surface_from(payload["surface"]))
+    assert len(exc.value.violations) == n
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+    # nothing is built at import
+    probe = "import plumbook.cli as c; print(c.build_parser.cache_info().currsize)"
+    assert fresh_python("-c", probe) == "0\n"
+
+
+def test_shared_parser_carries_nothing_between_calls(capsys, tmp_path):
+    path = build_file(capsys, tmp_path, "build", "star", "2,-2")
+    code, out, _err = run(capsys, "check", str(path), "--checks", "rv", "--format", "text")
+    assert (code, out) == (0, "rv: Right,Left\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(path), "--format", "xml"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _err = run(capsys, "check", str(path))
+    assert code == 0
+    assert out == fresh_python("-m", "plumbook.cli", "check", str(path))
 
 
 def test_missing_file_exits_2(capsys):

@@ -1,10 +1,13 @@
 """Document round-trips and byte determinism."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from plumbook.arcs import Arc, Crossing
+from plumbook.cli import main
 from plumbook.documents import (
     Document,
     arc_document,
@@ -115,3 +118,64 @@ def test_malformed_documents_rejected():
     for value in (True, 3.0, -1.2, "3"):
         with pytest.raises(DocumentError, match="coefficient must be an integer"):
             pretzel_from({"coefficients": [-3, value, 1]})
+
+
+def dumped(value) -> str:
+    """The bytes documents are specified to print as."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII, astral and lone
+# surrogate code points: every escape json.dumps makes
+CHARACTERS = 'ab"\\/\x00\x01\x1f\x7f \u00e9\u20ac\u2028\ud800\udfff\U0001f600'
+
+
+def random_value(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(10 if depth < 4 else 6)
+    if kind == 0:
+        return rng.choice((None, True, False, 0, 1, -1))
+    if kind == 1:
+        return rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, 400))
+    if kind < 6:
+        return "".join(rng.choice(CHARACTERS) for _ in range(rng.randrange(6)))
+    size = rng.randrange(5)
+    if kind < 8:
+        return {
+            "".join(rng.choice(CHARACTERS) for _ in range(rng.randrange(4))): random_value(
+                rng, depth + 1
+            )
+            for _ in range(size)
+        }
+    items = [random_value(rng, depth + 1) for _ in range(size)]
+    return items if kind == 8 else tuple(items)
+
+
+def test_writer_matches_json_dumps_on_random_values():
+    rng = random.Random(20261018)
+    fixed = [{}, [], (), {"": {}, "a": [[], {}]}, [True, 1, False, 0, None], 10**300, -(2**64)]
+    for value in fixed + [random_value(rng) for _ in range(3000)]:
+        doc = Document("report", 1, value)
+        want = {"kind": "report", "version": 1, "payload": value}
+        assert print_document(doc) == dumped(want)
+        assert print_documents([doc, doc]) == dumped([want, want])
+
+
+@pytest.mark.parametrize(
+    "argv", [("build", "pretzel", "-3,3,1"), ("build", "star", "2,2,2,2,2,2,2,2")]
+)
+def test_writer_matches_json_dumps_on_built_documents(capsys, argv):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert out == dumped(json.loads(out))
+    docs = parse_documents(out)
+    assert print_documents(docs) == out
+    for d in docs:
+        assert print_document(d) == dumped(
+            {"kind": d.kind, "version": d.version, "payload": d.payload}
+        )
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 2), {1, 2}, {1: 2}])
+def test_writer_refuses_what_documents_do_not_hold(value):
+    with pytest.raises(TypeError):
+        print_document(Document("report", 1, {"x": [value]}))

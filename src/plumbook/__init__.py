@@ -47,7 +47,6 @@ from .plumbing import (
     pretzel_decompose,
     product_disk_basis,
     star_sum_surface,
-    twisted_annulus,
 )
 from .surface import (
     Boundary,
@@ -102,7 +101,6 @@ __all__ = [
     "reduce",
     "reverse",
     "star_sum_surface",
-    "twisted_annulus",
     "validate",
     "validate_pob",
     "veering_report",

@@ -166,19 +166,18 @@ def reduce(p: PolygonPresentation, a: Arc) -> Arc:
     view = a.__dict__.get("_view")
     if view is not None and view.geo is geo:
         return a
+    stack: list[Crossing] = []
     for c in a.crossings:
         if c.pair not in geo.pair_sides:
             raise UnknownPairError(c.pair)
-    _check_endpoint(geo, a.start)
-    _check_endpoint(geo, a.end)
-    if a.start == a.end:
-        raise ValueError("arc endpoints coincide exactly; use distinct positions")
-    stack: list[Crossing] = []
-    for c in a.crossings:
         if stack and stack[-1].pair == c.pair and stack[-1].direction == -c.direction:
             stack.pop()
         else:
             stack.append(c)
+    _check_endpoint(geo, a.start)
+    _check_endpoint(geo, a.end)
+    if a.start == a.end:
+        raise ValueError("arc endpoints coincide exactly; use distinct positions")
     r = Arc(a.start, a.end, tuple(stack))
     object.__setattr__(r, "_view", _ArcData(geo, r))
     return r

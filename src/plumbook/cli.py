@@ -44,7 +44,6 @@ from .plumbing import (
     hopf_summands,
     is_strongly_quasipositive,
     pretzel_decompose,
-    star_sum_surface,
 )
 from .surface import (
     Boundary,
@@ -79,15 +78,16 @@ def _find_pob(text: str):
     """The first pob document's book and star.  A book equal to its star's
     book, as build writes it, is replaced by that book (associated_pob),
     which carries its check certified by construction; any other book is
-    checked in full on first use."""
+    checked in full on first use.  A star is built only when its 6k-gon
+    can be the book's polygon and its Hopf summands are within the limit."""
     docs = doc.parse_documents(text)
     for d in docs:
         if d.kind == "pob":
             pob, star = doc.pob_from(d.payload)
             if (
                 star is not None
+                and len(pob.surface.sides) == 6 * len(star.summands)
                 and len(hopf_summands(star)) <= MAX_HOPF_SUMMANDS
-                and pob.surface == star_sum_surface(star).presentation
             ):
                 built = associated_pob(star)[2]
                 if built == pob:

@@ -129,12 +129,12 @@ def _add_ends(sides: dict[str, tuple[Fraction, ...]], arcs) -> None:
 
 
 def _adjacent(x: BoundaryPoint, y: BoundaryPoint, sides) -> bool:
-    """Same side, equal or with no third marked point strictly between;
-    a side with at most two marked positions has no third point at all."""
+    """Same side, equal or with no third marked point strictly between:
+    both are in the side's index, so their ranks differ by at most one."""
     if x.side != y.side:
         return False
     ts = sides[x.side]
-    return len(ts) <= 2 or abs(bisect_left(ts, x.position) - bisect_left(ts, y.position)) <= 1
+    return abs(bisect_left(ts, x.position) - bisect_left(ts, y.position)) <= 1
 
 
 def _kept(pob: PartialOpenBook, name: str, compute):

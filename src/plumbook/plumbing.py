@@ -29,6 +29,7 @@ from fractions import Fraction
 from .arcs import Arc, bands_cut, reduce as reduce_arc, twist_about_band
 from .errors import (
     HopfOnlyWarning,
+    InvalidOpenBookError,
     NotABasisError,
     OddTwistError,
     ZeroTwistError,
@@ -57,10 +58,6 @@ class TwistedAnnulus:
             raise ZeroTwistError(
                 "a flat band is compressible and admits no incompressible plumbing summand"
             )
-
-
-def twisted_annulus(t: int) -> TwistedAnnulus:
-    return TwistedAnnulus(int(t))
 
 
 @dataclass(frozen=True)
@@ -160,43 +157,15 @@ def _band_dual(i: int, third: int) -> Arc:
 
 
 def product_disk_basis(star: StarPlumbing) -> ProductDiskSystem:
-    """One (arc, image) pair per Hopf summand, none for other bands.
-
-    The arc is the band's dual chord; the image is its pushed-off copy
-    twisted once about every Hopf band, matching each band's handedness.
-    Composing over all Hopf bands (innermost band last) keeps distinct
-    images disjoint from each other.  Image i carries 2^i crossings, so
-    stars with more than MAX_HOPF_SUMMANDS Hopf summands are refused.
-    """
-    return _product_disks(star, star_sum_surface(star).presentation)[0]
+    """One (arc, image) pair per Hopf summand, none for other bands: the
+    system of associated_pob.  Image i carries 2^i crossings, so stars with
+    more than MAX_HOPF_SUMMANDS Hopf summands are refused."""
+    return associated_pob(star)[1]
 
 
 def hopf_summands(star: StarPlumbing) -> list[int]:
     """Indices of the star's Hopf summands: bands of 2 half twists either way."""
     return [i for i, s in enumerate(star.summands) if abs(s.halftwists) == 2]
-
-
-def _product_disks(
-    star: StarPlumbing, surface: PolygonPresentation
-) -> tuple[ProductDiskSystem, ProductDiskSystem]:
-    """The system of star on surface, and the system of the pushed-off
-    chords its images come from, on the same basis arcs: one homeomorphism,
-    the twists about every Hopf band from the highest index down, applied
-    to each chord.  The band cores meet, so the twists do not commute and
-    keep their order."""
-    hopf = hopf_summands(star)
-    if len(hopf) > MAX_HOPF_SUMMANDS:
-        raise ValueError(
-            f"star has {len(hopf)} Hopf summands; at most {MAX_HOPF_SUMMANDS} are supported"
-        )
-    signs = {i: 1 if star.summands[i].halftwists > 0 else -1 for i in hopf}
-    chords = tuple((_band_dual(i, 1), reduce_arc(surface, _band_dual(i, 2))) for i in hopf)
-    pairs = []
-    for a, image in chords:
-        for j in sorted(hopf, reverse=True):
-            image = twist_about_band(surface, image, f"c{j}", signs[j])
-        pairs.append((a, image))
-    return ProductDiskSystem(tuple(pairs)), ProductDiskSystem(chords)
 
 
 def pob_from_product_disks(
@@ -230,7 +199,8 @@ def pob_from_product_disks(
     pob = PartialOpenBook(surface, tuple(basis), tuple(h for _a, h in system.pairs))
     violations = validate_pob(pob)
     if violations:
-        raise NotABasisError("; ".join(str(v) for v in violations))
+        # the bounded listing of an invalid book, under this function's error
+        raise NotABasisError(str(InvalidOpenBookError(violations)))
     return pob
 
 
@@ -241,9 +211,30 @@ def is_strongly_quasipositive(star: StarPlumbing) -> bool:
 
 
 def associated_pob(star: StarPlumbing) -> tuple[StarSurface, ProductDiskSystem, PartialOpenBook]:
-    """Surface, product-disk system, and partial open book of a star: the
-    book of the pushed-off chords, checked in full, certifies the images."""
+    """Surface, product-disk system, and partial open book of a star.
+
+    Each Hopf summand's dual chord is a basis arc, and its image is the
+    pushed-off chord moved by one homeomorphism: a twist about every Hopf
+    band, matching its handedness, from the highest index down.  The band
+    cores meet, so the twists do not commute and keep their order; so
+    composed, distinct images stay disjoint.  The book of the pushed-off
+    chords, on the same basis arcs and checked in full, certifies the
+    images.
+    """
+    hopf = hopf_summands(star)
+    if len(hopf) > MAX_HOPF_SUMMANDS:
+        raise ValueError(
+            f"star has {len(hopf)} Hopf summands; at most {MAX_HOPF_SUMMANDS} are supported"
+        )
+    signs = {i: 1 if star.summands[i].halftwists > 0 else -1 for i in hopf}
     ss = star_sum_surface(star)
-    system, chords = _product_disks(star, ss.presentation)
-    images = tuple(h for _a, h in system.pairs)
-    return ss, system, certified_book(pob_from_product_disks(ss.presentation, chords), images)
+    surface = ss.presentation
+    chords = tuple((_band_dual(i, 1), reduce_arc(surface, _band_dual(i, 2))) for i in hopf)
+    pairs = []
+    for a, image in chords:
+        for j in reversed(hopf):
+            image = twist_about_band(surface, image, f"c{j}", signs[j])
+        pairs.append((a, image))
+    images = tuple(h for _a, h in pairs)
+    book = certified_book(pob_from_product_disks(surface, ProductDiskSystem(chords)), images)
+    return ss, ProductDiskSystem(tuple(pairs)), book

@@ -14,11 +14,13 @@ polygon corner must land on the surface boundary.  The last condition keeps
 the chamber decomposition of the universal cover a tree, which the arc
 calculus relies on.
 
-A presentation is validated once per object: the first validation that
-passes keeps the indexed view it built on the object, for every later
-operation.  Presentations are frozen, so that view cannot go stale, and it
-is not a field, so equality, hashing, repr and documents ignore it.  An
-invalid presentation keeps nothing and raises on every call.
+A presentation is validated once per object: validation walks the sides
+once and builds the indexed view from that walk, corner orbits included,
+and the first validation that passes keeps it on the object for every
+later operation (the Euler characteristic reads the kept orbits).
+Presentations are frozen, so that view cannot go stale, and it is not a
+field, so equality, hashing, repr and documents ignore it.  An invalid
+presentation keeps nothing and raises on every call.
 """
 
 from __future__ import annotations
@@ -84,25 +86,36 @@ class BoundaryPoint:
 
 
 class _Geometry:
-    """Indexed view of a presentation shared by the arc machinery."""
+    """Indexed view of a presentation shared by the arc machinery: the side
+    count, the side of each boundary label, the (left, right) sides of each
+    pair in the side order of the left halves, and the root of each
+    corner's orbit under the pair identifications."""
 
-    __slots__ = ("n", "boundary_index", "pair_sides")
+    __slots__ = ("n", "boundary_index", "pair_sides", "roots")
 
-    def __init__(self, p: PolygonPresentation):
-        self.n = len(p.sides)
-        self.boundary_index: dict[str, int] = {}
-        left: dict[str, int] = {}
-        right: dict[str, int] = {}
-        for i, s in enumerate(p.sides):
-            if isinstance(s, Boundary):
-                self.boundary_index[s.label] = i
-            elif s.end is End.LEFT:
-                left[s.pair] = i
-            else:
-                right[s.pair] = i
-        self.pair_sides: dict[str, tuple[int, int]] = {
-            pair: (left[pair], right[pair]) for pair in left if pair in right
-        }
+    def __init__(
+        self, n: int, boundary_index: dict[str, int], pair_sides: dict[str, tuple[int, int]]
+    ):
+        self.n = n
+        self.boundary_index = boundary_index
+        self.pair_sides = pair_sides
+        # union-find over corners: gluing left occurrence i to right
+        # occurrence j reversed identifies corner i with corner j+1 and
+        # corner i+1 with corner j; the union order picks each root
+        parent = list(range(n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for i, j in pair_sides.values():
+            for x, y in ((i, (j + 1) % n), ((i + 1) % n, j)):
+                rx, ry = find(x), find(y)
+                if rx != ry:
+                    parent[rx] = ry
+        self.roots = [find(c) for c in range(n)]
 
 
 def _geometry(p: PolygonPresentation) -> _Geometry:
@@ -116,48 +129,29 @@ def _geometry(p: PolygonPresentation) -> _Geometry:
     return geo
 
 
-def _corner_orbits(geo: _Geometry) -> list[int]:
-    """Union-find roots of polygon corners under the pair identifications.
-
-    Gluing left occurrence i to right occurrence j reversed identifies
-    corner i with corner j+1 and corner i+1 with corner j.
-    """
-    n = geo.n
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for i, j in geo.pair_sides.values():
-        union(i, (j + 1) % n)
-        union((i + 1) % n, j)
-    return [find(c) for c in range(n)]
-
-
 def validate(p: PolygonPresentation) -> list[Violation]:
     """Check all presentation invariants; empty list means valid.  A valid
-    presentation keeps the first geometry built here: its arcs refer to it."""
+    presentation keeps the geometry built from this walk of its sides: its
+    arcs refer to it."""
     out: list[Violation] = []
     if not p.sides:
         return [Violation("EmptyPolygon", "presentation has no sides")]
 
-    seen_labels: set[str] = set()
+    n = len(p.sides)
+    boundary_index: dict[str, int] = {}
+    boundary_sides: list[int] = []
     occurrences: dict[str, list[End]] = {}
-    for s in p.sides:
+    left: dict[str, int] = {}
+    right: dict[str, int] = {}
+    for i, s in enumerate(p.sides):
         if isinstance(s, Boundary):
-            if s.label in seen_labels:
+            if s.label in boundary_index:
                 out.append(Violation("DuplicateLabel", f"boundary label {s.label!r} used twice"))
-            seen_labels.add(s.label)
+            boundary_index[s.label] = i
+            boundary_sides.append(i)
         else:
             occurrences.setdefault(s.pair, []).append(s.end)
+            (left if s.end is End.LEFT else right)[s.pair] = i
 
     pairs_ok = True
     for pair, ends in sorted(occurrences.items()):
@@ -176,22 +170,18 @@ def validate(p: PolygonPresentation) -> list[Violation]:
             )
             pairs_ok = False
 
-    if not seen_labels:
+    if not boundary_index:
         out.append(Violation("NoBoundary", "all sides glued: closed surfaces are rejected"))
 
-    if pairs_ok and seen_labels:
-        n = len(p.sides)
-        geo = _Geometry(p)
-        roots = _corner_orbits(geo)
-        # corner c borders sides c-1 and c; it is a boundary vertex iff some
-        # corner in its orbit touches a Boundary side
-        on_boundary: set[int] = set()
-        for c in range(n):
-            if isinstance(p.sides[c], Boundary) or isinstance(p.sides[(c - 1) % n], Boundary):
-                on_boundary.add(roots[c])
+    if pairs_ok and boundary_index:
+        geo = _Geometry(n, boundary_index, {pair: (i, right[pair]) for pair, i in left.items()})
+        roots = geo.roots
+        # an orbit is on the boundary iff it holds a corner of a boundary
+        # side, a duplicated label's sides included
+        on_boundary = {roots[c] for i in boundary_sides for c in (i, (i + 1) % n)}
         orbits: dict[int, list[int]] = {}
-        for c in range(n):
-            orbits.setdefault(roots[c], []).append(c)
+        for c, root in enumerate(roots):
+            orbits.setdefault(root, []).append(c)
         for root in sorted(orbits.keys() - on_boundary):
             out.append(
                 Violation(
@@ -209,7 +199,7 @@ def euler_characteristic(p: PolygonPresentation) -> int:
     """V - E + F of the glued-up complex: one face, one edge per boundary side
     or glued pair, and one vertex per corner orbit."""
     geo = _geometry(p)
-    vertices = len(set(_corner_orbits(geo)))
+    vertices = len(set(geo.roots))
     edges = len(geo.boundary_index) + len(geo.pair_sides)
     return vertices - edges + 1
 

@@ -27,7 +27,13 @@ from plumbook.cli import (
 )
 from plumbook.documents import MAX_BOOK_ARCS, MAX_BOOK_CROSSINGS
 from plumbook.errors import MAX_LISTED_VIOLATIONS, DocumentError, InvalidPresentationError
-from plumbook.plumbing import MAX_HOPF_SUMMANDS, StarPlumbing, TwistedAnnulus, star_sum_surface
+from plumbook.plumbing import (
+    MAX_HOPF_SUMMANDS,
+    StarPlumbing,
+    TwistedAnnulus,
+    associated_pob,
+    star_sum_surface,
+)
 from plumbook.surface import euler_characteristic
 
 GOLDEN_ROW = "pretzel(-3,3,1) | 1 | Right | NonzeroTight | no"
@@ -630,6 +636,40 @@ def assert_star_changes_only_sqp(docs):
     assert bare is not None
     for argv in (["check", "-", "--format", "text"], ["stabilize", "-"]):
         assert outcome(argv, docs) == outcome(argv, bare)
+
+
+def wrap_everywhere(monkeypatch, fn, wrapper):
+    """Rebind, in every loaded plumbook module, each attribute that is fn."""
+    for name, module in list(sys.modules.items()):
+        if name == "plumbook" or name.startswith("plumbook."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
+def test_check_builds_a_written_star_once(monkeypatch):
+    built = []
+    original = star_sum_surface
+    wrap_everywhere(monkeypatch, original, lambda star: built.append(star) or original(star))
+    code, _out, _err = run_on_text(["check", "-"], json.dumps(STAR_DOCS))
+    assert code == 0
+    assert len(built) == 1
+
+
+def test_a_star_that_cannot_be_the_books_is_not_built(monkeypatch):
+    # a 12-gon book whose star lists 200,000 bands: no 1,200,000-gon is built
+    def refuse(star):
+        raise AssertionError("built a star that cannot be the book's")
+
+    wrap_everywhere(monkeypatch, associated_pob, refuse)
+    wrap_everywhere(monkeypatch, star_sum_surface, refuse)
+    star = (pob_index(PRETZEL_DOCS), "payload", "star", "halftwists")
+    text = json.dumps(replaced(PRETZEL_DOCS, star, [4] * 200_000))
+    code, out, err = run_on_text(["check", "-"], text)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7c1b95453e27cbd56636757176b46106ac8ec1e0b99ae9c02aafc574985ccb81"
+    )
 
 
 def test_documents_not_matching_their_star_are_checked_in_full():

@@ -84,7 +84,6 @@ def test_public_api_is_pinned():
         "reduce",
         "reverse",
         "star_sum_surface",
-        "twisted_annulus",
         "validate",
         "validate_pob",
         "veering_report",

@@ -7,8 +7,9 @@ import pytest
 
 import plumbook.arcs
 import plumbook.openbook
-from plumbook.arcs import Arc, Crossing, minimal_position
-from plumbook.documents import pob_payload
+from plumbook.arcs import Arc, Crossing, minimal_position, reverse
+from plumbook.cli import main
+from plumbook.documents import pob_document, pob_payload, print_documents
 from plumbook.errors import (
     InvalidOpenBookError,
     InvalidPresentationError,
@@ -497,10 +498,10 @@ def test_star_books_are_certified_by_construction():
 
 def test_every_distinct_star_book_decides_as_the_paper_says():
     # a star's book depends only on its band count and on the signs and
-    # places of its Hopf (+-2) bands, so the patterns in {2, -2, 4}^k, k <= 5,
-    # are every distinct star book of at most five bands
-    books = {star: associated_pob(star)[2] for star in stars((2, -2, 4), 5)}
-    assert len(set(books.values())) == 363
+    # places of its Hopf (+-2) bands, so the patterns in {2, -2, 4}^k, k <= 6,
+    # are every distinct star book of at most six bands
+    books = {star: associated_pob(star)[2] for star in stars((2, -2, 4), 6)}
+    assert len(set(books.values())) == 1092
     fibered = 0
     for star, pob in books.items():
         verdict = contact_verdict(pob)
@@ -518,7 +519,32 @@ def test_every_distinct_star_book_decides_as_the_paper_says():
         verdicts = veering_report(pob).verdicts
         first_left = verdicts.index(ArcVeer.LEFT) if ArcVeer.LEFT in verdicts else None
         assert verdict.witness_index == first_left, star
-    assert fibered == 62
+    assert fibered == 126
+
+
+@pytest.mark.parametrize(
+    "twists",
+    [(2,), (-2,), (2, -4), (2, 2, 2), (2, -2, 2)],
+    ids=["hopf(+2)", "hopf(-2)", "pretzel(-3,3,1)", "star 2,2,2", "star 2,-2,2"],
+)
+def test_images_written_end_to_start_decide_as_the_forward_book(twists, tmp_path, capsys):
+    star = StarPlumbing(tuple(TwistedAnnulus(t) for t in twists))
+    forward = associated_pob(star)[2]
+    backward = PartialOpenBook(
+        forward.surface, forward.basis, tuple(reverse(h) for h in forward.images)
+    )
+    assert backward.images != forward.images
+    assert validate_pob(backward) == []
+    assert veering_report(backward) == veering_report(fresh(forward))
+    assert contact_verdict(backward) == contact_verdict(fresh(forward))
+    # the command line checks the written book in full, with the same report
+    outputs = []
+    for book in (forward, backward):
+        path = tmp_path / "book.json"
+        path.write_text(print_documents([pob_document(book, star)]), encoding="utf-8")
+        assert main(["check", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("bands", [2, 3])

@@ -9,6 +9,7 @@ import plumbook.plumbing
 import plumbook.surface
 from plumbook.arcs import Arc, Crossing, interior_intersections
 from plumbook.errors import (
+    MAX_LISTED_VIOLATIONS,
     HopfOnlyWarning,
     NotABasisError,
     OddTwistError,
@@ -27,7 +28,6 @@ from plumbook.plumbing import (
     pretzel_decompose,
     product_disk_basis,
     star_sum_surface,
-    twisted_annulus,
 )
 from plumbook.surface import (
     BoundaryPoint,
@@ -47,12 +47,12 @@ def star_of(*twists):
 
 
 def test_twisted_annulus_validation():
-    assert twisted_annulus(2).halftwists == 2
-    assert twisted_annulus(-4).halftwists == -4
+    assert TwistedAnnulus(2).halftwists == 2
+    assert TwistedAnnulus(-4).halftwists == -4
     with pytest.raises(OddTwistError):
-        twisted_annulus(3)
+        TwistedAnnulus(3)
     with pytest.raises(ZeroTwistError):
-        twisted_annulus(0)
+        TwistedAnnulus(0)
 
 
 def test_star_needs_a_summand():
@@ -236,6 +236,30 @@ def test_not_a_basis_doubled_band():
     )
     with pytest.raises(NotABasisError, match="two arcs"):
         pob_from_product_disks(p, ProductDiskSystem(((a, h), (shifted_a, shifted_h))))
+
+
+def test_not_a_basis_message_is_bounded():
+    # 25 images on the far side of their bands do not end beside their
+    # chords: the message names the first few violations, as an invalid
+    # book's error does, instead of all 25
+    k = 25
+    p = star_sum_surface(star_of(*[2] * k)).presentation
+    third = Fraction(1, 3)
+    system = ProductDiskSystem(
+        tuple(
+            (
+                Arc(BoundaryPoint(f"Bl{i}0", third), BoundaryPoint(f"Br{i}0", third)),
+                Arc(BoundaryPoint(f"Bl{i}1", third), BoundaryPoint(f"Br{i}1", third)),
+            )
+            for i in range(k)
+        )
+    )
+    with pytest.raises(NotABasisError) as exc:
+        pob_from_product_disks(p, system)
+    message = str(exc.value)
+    assert message.startswith("EndpointMismatch: image 0 does not end beside basis arc 0; ")
+    assert message.count("EndpointMismatch") == MAX_LISTED_VIOLATIONS
+    assert message.endswith(f"; (and {k - MAX_LISTED_VIOLATIONS} more)")
 
 
 def test_strongly_quasipositive_iff_all_bands_positive():

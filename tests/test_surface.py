@@ -1,6 +1,9 @@
 """Polygon presentations: validation diagnostics, chi, boundary walks, genus."""
 
+import hashlib
+import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -144,6 +147,47 @@ def test_interior_vertices_are_listed_in_linear_time():
     ]
 
 
+def random_presentations(seed, count):
+    """Seeded presentations of 0-4 pairs, each of 1-3 halves with mostly
+    one end of each, named out of sorted order, and 0-5 boundary sides
+    whose labels often repeat, all in random side order."""
+    rng = random.Random(seed)
+    names = ["z", "c0", "b", "p9", "a", "c10", "y2", "m"]
+    labels = ["B0", "B1", "B2", "B3", "B4", "B5", "B6", "B7"]
+    for _ in range(count):
+        sides = []
+        for pair in rng.sample(names, rng.randint(0, 4)):
+            halves = rng.choice((1, 2, 2, 2, 2, 2, 2, 2, 3))
+            if halves == 2 and rng.random() < 0.9:
+                ends = [L, R]
+            else:
+                ends = [rng.choice((L, R)) for _ in range(halves)]
+            sides += [G(pair, e) for e in ends]
+        pool = labels[: rng.choice((2, 4, 8, 8, 8))]
+        sides += [B(rng.choice(pool)) for _ in range(rng.randint(0, 5))]
+        rng.shuffle(sides)
+        yield poly(*sides)
+
+
+def test_validation_of_a_random_corpus_is_pinned():
+    # violations in their order, and chi and the boundary words of the
+    # valid presentations, for 7,000 presentations; the digest pins them
+    digest = hashlib.sha256()
+    seen = Counter()
+    for p in random_presentations(13, 7000):
+        found = validate(p)
+        digest.update(str(found).encode())
+        seen.update({v.code for v in found})
+        seen["several interior vertices"] += [v.code for v in found].count("InteriorVertex") > 1
+        if not found:
+            seen["valid"] += 1
+            digest.update(str((euler_characteristic(p), boundary_components(p))).encode())
+    assert min(seen.values()) >= 200, seen
+    assert digest.hexdigest() == (
+        "df1fa2f45a376418a92e3f780aecc057d8673a054c1c2583151693f9b3cfc489"
+    )
+
+
 def test_operations_refuse_invalid_input():
     p = poly(B("B1"), G("A", L))
     with pytest.raises(InvalidPresentationError) as exc:
@@ -193,13 +237,15 @@ def test_one_geometry_per_fresh_presentation(monkeypatch):
     built = []
     original = plumbook.surface._Geometry.__init__
     monkeypatch.setattr(
-        plumbook.surface._Geometry, "__init__", lambda self, p: built.append(p) or original(self, p)
+        plumbook.surface._Geometry,
+        "__init__",
+        lambda self, *walk: built.append(self) or original(self, *walk),
     )
     p = star(2)
     a = Arc(BoundaryPoint("Bl00", Fraction(1, 3)), BoundaryPoint("Br00", Fraction(1, 3)))
     euler_characteristic(p)
     ra = reduce(p, a)
-    assert built == [p]
+    assert len(built) == 1 and built[0] is p.__dict__["_geometry"]
     # validating again builds another view but keeps the first one, which
     # the arcs reduced on p refer to
     assert validate(p) == []

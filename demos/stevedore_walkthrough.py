@@ -26,8 +26,7 @@ def main():
     print(f"plumbing of twisted annuli, halftwists: {bands}")
     print("  the +2 band is a positive Hopf band; the -4 band carries no product disk")
 
-    ss, system, pob = associated_pob(star)
-    p = ss.presentation
+    p, system, pob = associated_pob(star)
     chi = euler_characteristic(p)
     print(
         f"star surface: chi {chi}, genus {genus(p)}, "

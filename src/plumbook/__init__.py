@@ -39,7 +39,6 @@ from .plumbing import (
     PretzelSpec,
     ProductDiskSystem,
     StarPlumbing,
-    StarSurface,
     TwistedAnnulus,
     associated_pob,
     is_strongly_quasipositive,
@@ -77,7 +76,6 @@ __all__ = [
     "PretzelSpec",
     "ProductDiskSystem",
     "StarPlumbing",
-    "StarSurface",
     "TwistedAnnulus",
     "VeeringReport",
     "VerdictStatus",

@@ -22,11 +22,12 @@ import argparse
 import functools
 import re
 import sys
+import warnings
 from itertools import product
 
 from . import documents as doc
 from .arcs import interior_intersections, reduce as reduce_arc
-from .errors import DocumentError, UnknownPairError
+from .errors import DocumentError, InvalidPresentationError, UnknownPairError
 from .openbook import (
     MAX_STABILIZE_COUNT,
     PartialOpenBook,
@@ -48,13 +49,11 @@ from .plumbing import (
 from .surface import (
     Boundary,
     PolygonPresentation,
-    _geometry,
     boundary_components,
     euler_characteristic,
     genus,
+    validate,
 )
-
-CHECK_NAMES = ("rv", "contact", "sqp", "dividing")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -108,80 +107,68 @@ def _star_from_args(args) -> StarPlumbing:
 
 def cmd_build(args) -> int:
     star = _star_from_args(args)
-    ss, _system, pob = associated_pob(star)
+    surface, _system, pob = associated_pob(star)
     out = [
         doc.star_document(star),
-        doc.surface_document(ss.presentation),
+        doc.surface_document(surface),
         doc.pob_document(pob, star),
     ]
     sys.stdout.write(doc.print_documents(out))
     return 0
 
 
-def _run_checks(pob: PartialOpenBook, star, names):
-    results = {}
-    for name in names:
-        if name == "rv":
-            results["rv"] = [v.value for v in veering_report(pob).verdicts]
-        elif name == "contact":
-            v = contact_verdict(pob)
-            results["contact"] = {
-                "status": v.status.value,
-                "reason": v.reason,
-                "witness_index": v.witness_index,
-                "matrix": None if v.matrix is None else [list(r) for r in v.matrix],
-            }
-        elif name == "sqp":
-            if star is None:
-                results["sqp"] = {
-                    "value": None,
-                    "note": "no star decomposition attached to this pob document",
-                }
-            else:
-                results["sqp"] = {"value": is_strongly_quasipositive(star)}
-        elif name == "dividing":
-            s_count, p_count = dividing_set_counts(pob)
-            results["dividing"] = {
-                "surface_boundary": s_count,
-                "subsurface_boundary": p_count,
-                "note": "subsurface counted as one component per basis arc; "
-                "connectedness of the neighborhood is not assumed",
-            }
-    return results
+def _rv(pob: PartialOpenBook, star):
+    value = [v.value for v in veering_report(pob).verdicts]
+    return value, "rv: " + (",".join(value) if value else "-")
 
 
-def _format_check_text(results) -> str:
-    lines = []
-    for name in CHECK_NAMES:
-        if name not in results:
-            continue
-        value = results[name]
-        if name == "rv":
-            lines.append("rv: " + (",".join(value) if value else "-"))
-        elif name == "contact":
-            lines.append(f"contact: {value['status']} ({value['reason']})")
-        elif name == "sqp":
-            v = value["value"]
-            lines.append("sqp: " + ("unknown" if v is None else ("yes" if v else "no")))
-        elif name == "dividing":
-            lines.append(
-                f"dividing: surface {value['surface_boundary']}, "
-                f"subsurface {value['subsurface_boundary']}"
-            )
-    return "\n".join(lines) + "\n"
+def _contact(pob: PartialOpenBook, star):
+    v = contact_verdict(pob)
+    entry = {
+        "status": v.status.value,
+        "reason": v.reason,
+        "witness_index": v.witness_index,
+        "matrix": None if v.matrix is None else [list(r) for r in v.matrix],
+    }
+    return entry, f"contact: {v.status.value} ({v.reason})"
+
+
+def _sqp(pob: PartialOpenBook, star):
+    if star is None:
+        note = "no star decomposition attached to this pob document"
+        return {"value": None, "note": note}, "sqp: unknown"
+    value = is_strongly_quasipositive(star)
+    return {"value": value}, "sqp: " + ("yes" if value else "no")
+
+
+def _dividing(pob: PartialOpenBook, star):
+    s_count, p_count = dividing_set_counts(pob)
+    entry = {
+        "surface_boundary": s_count,
+        "subsurface_boundary": p_count,
+        "note": "subsurface counted as one component per basis arc; "
+        "connectedness of the neighborhood is not assumed",
+    }
+    return entry, f"dividing: surface {s_count}, subsurface {p_count}"
+
+
+# each check gives its report entry and its text line; check runs the
+# requested ones in this order, once each
+CHECKS = {"rv": _rv, "contact": _contact, "sqp": _sqp, "dividing": _dividing}
 
 
 def cmd_check(args) -> int:
     pob, star = _find_pob(_read_input(args.input))
-    names = CHECK_NAMES if args.checks is None else tuple(args.checks.split(","))
-    for n in names:
-        if n not in CHECK_NAMES:
-            raise DocumentError(f"unknown check {n!r}; pick from {','.join(CHECK_NAMES)}")
-    results = _run_checks(pob, star, names)
+    asked = CHECKS if args.checks is None else args.checks.split(",")
+    for n in asked:
+        if n not in CHECKS:
+            raise DocumentError(f"unknown check {n!r}; pick from {','.join(CHECKS)}")
+    results = {name: check(pob, star) for name, check in CHECKS.items() if name in asked}
     if args.format == "text":
-        sys.stdout.write(_format_check_text(results))
+        sys.stdout.write("".join(line + "\n" for _entry, line in results.values()))
     else:
-        sys.stdout.write(doc.print_document(doc.report_document({"checks": results})))
+        checks = {name: entry for name, (entry, _line) in results.items()}
+        sys.stdout.write(doc.print_document(doc.report_document({"checks": checks})))
     return 0
 
 
@@ -271,10 +258,10 @@ def _paper_suite(mirror: bool, family):
             raise _AssertionFailed(what)
 
     def pipeline(star):
-        ss, system, pob = associated_pob(star)
+        surface, system, pob = associated_pob(star)
         rep = veering_report(pob)
         verdict = contact_verdict(pob)
-        return ss, system, pob, rep, verdict
+        return surface, system, pob, rep, verdict
 
     def row(name, system, rep, verdict, star):
         veering = ",".join(v.value for v in rep.verdicts) if rep.verdicts else "-"
@@ -291,8 +278,7 @@ def _paper_suite(mirror: bool, family):
         f"pretzel(-3,3,1) must decompose as bands [2, -4], got {twists} "
         "(twist-sign convention: a mirrored run negates every band)",
     )
-    ss, system, pob, rep, verdict = pipeline(star)
-    p = ss.presentation
+    p, system, pob, rep, verdict = pipeline(star)
     need(euler_characteristic(p) == -1, "pretzel(-3,3,1) surface must have chi -1")
     need(genus(p) == 1, "pretzel(-3,3,1) surface must have genus 1")
     need(len(boundary_components(p)) == 1, "pretzel(-3,3,1) must bound a knot")
@@ -316,7 +302,7 @@ def _paper_suite(mirror: bool, family):
         (-1, "Left", "OvertwistedWitness"),
     ):
         star = StarPlumbing((TwistedAnnulus(2 * sign),))
-        _ss, system, _pob, rep, verdict = pipeline(star)
+        _p, system, _pob, rep, verdict = pipeline(star)
         name = f"hopf({2 * sign:+d})"
         need(
             [v.value for v in rep.verdicts] == [want_veer],
@@ -328,7 +314,7 @@ def _paper_suite(mirror: bool, family):
     # bounded family sweep
     for coeffs in family_rows:
         star = pretzel_decompose(PretzelSpec(coeffs), mirror=mirror)
-        _ss, system, _pob, rep, verdict = pipeline(star)
+        _p, system, _pob, rep, verdict = pipeline(star)
         name = f"pretzel({','.join(str(c) for c in coeffs)})"
         need(
             len(system.pairs) == 1,
@@ -380,22 +366,32 @@ def _dot_quoted(text: str) -> str:
 
 
 def _dot_for_surface(p: PolygonPresentation, arcs=()) -> str:
-    geo = _geometry(p)
+    """DOT text of p: the cycle of its sides, a dashed edge per glued pair,
+    and an edge per (name, arc, style) between the arc's endpoint sides.
+    An invalid p raises InvalidPresentationError, and an arc that is not
+    on p raises as reduce does."""
+    violations = validate(p)
+    if violations:
+        raise InvalidPresentationError(violations)
     lines = ["graph polygon {", "  layout=circo;"]
+    boundary_index, pair_sides = {}, {}
     for i, s in enumerate(p.sides):
         if isinstance(s, Boundary):
+            boundary_index[s.label] = i
             lines.append(f"  s{i} [label={_dot_quoted(s.label)}];")
         else:
+            pair_sides.setdefault(s.pair, []).append(i)
             label = _dot_quoted(f"{s.pair}.{s.end.value[0]}")
             lines.append(f"  s{i} [label={label}, shape=box];")
-    for i in range(geo.n):
-        lines.append(f"  s{i} -- s{(i + 1) % geo.n};")
-    for pair in sorted(geo.pair_sides):
-        i, j = sorted(geo.pair_sides[pair])
+    n = len(p.sides)
+    for i in range(n):
+        lines.append(f"  s{i} -- s{(i + 1) % n};")
+    for pair, (i, j) in sorted(pair_sides.items()):
         label = _dot_quoted(pair)
         lines.append(f"  s{i} -- s{j} [label={label}, style=dashed, constraint=false];")
     for name, a, style in arcs:
-        i, j = geo.boundary_index[a.start.side], geo.boundary_index[a.end.side]
+        reduce_arc(p, a)  # checks a against p; reducing keeps the endpoints
+        i, j = boundary_index[a.start.side], boundary_index[a.end.side]
         label = _dot_quoted(name)
         lines.append(f"  s{i} -- s{j} [label={label}, style={style}, constraint=false];")
     lines.append("}")
@@ -409,8 +405,7 @@ def cmd_emit_dot(args) -> int:
             pob, _star = doc.pob_from(d.payload)
             arcs = []
             for i, (a, h) in enumerate(zip(pob.basis, pob.images)):
-                arcs.append((f"a{i}", reduce_arc(pob.surface, a), "bold"))
-                arcs.append((f"h(a{i})", reduce_arc(pob.surface, h), "dotted"))
+                arcs += [(f"a{i}", a, "bold"), (f"h(a{i})", h, "dotted")]
             sys.stdout.write(_dot_for_surface(pob.surface, arcs))
             return 0
     for d in docs:
@@ -477,11 +472,18 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(_shield_negative_numbers(argv))
-    try:
-        return args.func(args)
-    except (UnknownPairError, ValueError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
+    # each warning the command raises becomes one stderr line, also when
+    # the command then fails
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code, error = args.func(args), ""
+        except (UnknownPairError, ValueError) as e:
+            code, error = 2, f"error: {e}\n"
+    for w in caught:
+        sys.stderr.write(f"warning: {w.message}\n")
+    sys.stderr.write(error)
+    return code
 
 
 def entry() -> None:

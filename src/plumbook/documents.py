@@ -139,7 +139,7 @@ def star_payload(star: StarPlumbing) -> dict:
 def star_from(payload) -> StarPlumbing:
     try:
         return StarPlumbing(
-            tuple(TwistedAnnulus(_integer(t, "halftwists")) for t in payload["halftwists"])
+            tuple(TwistedAnnulus(t) for t in payload["halftwists"])
         )
     except (KeyError, TypeError, ValueError) as e:
         raise DocumentError(f"bad star payload: {e}") from e
@@ -151,7 +151,7 @@ def pretzel_payload(spec: PretzelSpec) -> dict:
 
 def pretzel_from(payload) -> PretzelSpec:
     try:
-        return PretzelSpec(tuple(_integer(c, "coefficient") for c in payload["coefficients"]))
+        return PretzelSpec(tuple(payload["coefficients"]))
     except (KeyError, TypeError, ValueError) as e:
         raise DocumentError(f"bad pretzel payload: {e}") from e
 

@@ -1,10 +1,11 @@
 """Twisted-annulus plumbings: star sums, pretzel surfaces, product disks.
 
 A star plumbing glues k twisted annuli along one central polygon region.
-Its polygon presentation is a 6k-gon: each band contributes two glued
-sides (one pair) and four boundary sides.  Pretzel links (p1, ..., pk, 1)
-with odd pi decompose as such stars with one annulus of -(pi + 1) half
-twists per coefficient; the leading -3 gives the positive Hopf band.
+Its surface (star_sum_surface) is a polygon presentation, a 6k-gon: band
+i contributes the glued pair c{i} and four boundary sides.  Pretzel links
+(p1, ..., pk, 1) with odd pi decompose as such stars with one annulus of
+-(pi + 1) half twists per coefficient; the leading -3 gives the positive
+Hopf band.
 
 Product disks are table-driven: a Hopf summand (2 half twists either way)
 carries exactly one, dual to its band; flatter or more twisted bands carry
@@ -14,10 +15,11 @@ Hopf band so the images stay pairwise disjoint.  So the twist counts of
 non-Hopf bands do not enter the book: it reads only the band count and the
 signs and places of the Hopf summands, and the 2680 specs of the family
 sweep decide only 4 distinct books.  Strong quasipositivity reads every
-twist.  The images are one
-homeomorphism applied to disjoint chords, so the book is certified by
-construction: pob_from_product_disks checks the book of the chords in
-full, and the images take its check untested (openbook.certified_book).
+twist.  The images are one homeomorphism applied to disjoint chords, so
+the book is certified by construction: pob_from_product_disks checks the
+book of the chords in full, and the images take its check untested
+(openbook.certified_book).  associated_pob returns the surface, the
+product-disk system and the book; the first two are read off the book.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ class TwistedAnnulus:
     halftwists: int
 
     def __post_init__(self):
+        if isinstance(self.halftwists, bool) or not isinstance(self.halftwists, int):
+            raise ValueError(f"halftwists must be an integer, got {self.halftwists!r}")
         if self.halftwists % 2:
             raise OddTwistError(
                 f"{self.halftwists} half twists give a nonorientable band; use an even count"
@@ -75,7 +79,10 @@ class PretzelSpec:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(int(c) for c in self.coefficients))
+        object.__setattr__(self, "coefficients", tuple(self.coefficients))
+        for c in self.coefficients:
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise ValueError(f"coefficient must be an integer, got {c!r}")
         if len(self.coefficients) < 2:
             raise ValueError("need at least one pretzel coefficient before the final 1")
         for c in self.coefficients:
@@ -93,14 +100,6 @@ class ProductDiskSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
-
-
-@dataclass(frozen=True)
-class StarSurface:
-    """A star's polygon plus the glued pair belonging to each summand."""
-
-    presentation: PolygonPresentation
-    bands: tuple[str, ...]
 
 
 def pretzel_decompose(spec: PretzelSpec, mirror: bool = False) -> StarPlumbing:
@@ -130,13 +129,14 @@ def pretzel_decompose(spec: PretzelSpec, mirror: bool = False) -> StarPlumbing:
     return StarPlumbing(tuple(summands))
 
 
-def star_sum_surface(star: StarPlumbing) -> StarSurface:
+def star_sum_surface(star: StarPlumbing) -> PolygonPresentation:
     """Polygon presentation of the star: bands around one central chamber.
 
     Side layout, counterclockwise: for each band i first its left door
     flanked by boundary sides Bl{i}0, Br{i}0, then after all k of those the
     right doors flanked by Bl{i}1, Br{i}1.  The central chamber is the
-    2k-gon spanned by the left doors; chi comes out as 1 - k.
+    2k-gon spanned by the left doors; chi comes out as 1 - k.  Band i is
+    the glued pair c{i}.
     """
     k = len(star.summands)
     sides = []
@@ -144,9 +144,7 @@ def star_sum_surface(star: StarPlumbing) -> StarSurface:
         sides += [Boundary(f"Bl{i}0"), Glued(f"c{i}", End.LEFT), Boundary(f"Br{i}0")]
     for i in range(k):
         sides += [Boundary(f"Bl{i}1"), Glued(f"c{i}", End.RIGHT), Boundary(f"Br{i}1")]
-    return StarSurface(
-        PolygonPresentation(tuple(sides)), tuple(f"c{i}" for i in range(k))
-    )
+    return PolygonPresentation(tuple(sides))
 
 
 def _band_dual(i: int, third: int) -> Arc:
@@ -210,8 +208,10 @@ def is_strongly_quasipositive(star: StarPlumbing) -> bool:
     return all(s.halftwists > 0 for s in star.summands)
 
 
-def associated_pob(star: StarPlumbing) -> tuple[StarSurface, ProductDiskSystem, PartialOpenBook]:
-    """Surface, product-disk system, and partial open book of a star.
+def associated_pob(
+    star: StarPlumbing,
+) -> tuple[PolygonPresentation, ProductDiskSystem, PartialOpenBook]:
+    """The star's surface, product-disk system, and partial open book.
 
     Each Hopf summand's dual chord is a basis arc, and its image is the
     pushed-off chord moved by one homeomorphism: a twist about every Hopf
@@ -219,7 +219,8 @@ def associated_pob(star: StarPlumbing) -> tuple[StarSurface, ProductDiskSystem, 
     cores meet, so the twists do not commute and keep their order; so
     composed, distinct images stay disjoint.  The book of the pushed-off
     chords, on the same basis arcs and checked in full, certifies the
-    images.
+    images.  The surface is the book's, and the system pairs the book's
+    basis arcs with their images.
     """
     hopf = hopf_summands(star)
     if len(hopf) > MAX_HOPF_SUMMANDS:
@@ -227,14 +228,12 @@ def associated_pob(star: StarPlumbing) -> tuple[StarSurface, ProductDiskSystem, 
             f"star has {len(hopf)} Hopf summands; at most {MAX_HOPF_SUMMANDS} are supported"
         )
     signs = {i: 1 if star.summands[i].halftwists > 0 else -1 for i in hopf}
-    ss = star_sum_surface(star)
-    surface = ss.presentation
+    surface = star_sum_surface(star)
     chords = tuple((_band_dual(i, 1), reduce_arc(surface, _band_dual(i, 2))) for i in hopf)
-    pairs = []
-    for a, image in chords:
+    images = []
+    for _a, image in chords:
         for j in reversed(hopf):
             image = twist_about_band(surface, image, f"c{j}", signs[j])
-        pairs.append((a, image))
-    images = tuple(h for _a, h in pairs)
+        images.append(image)
     book = certified_book(pob_from_product_disks(surface, ProductDiskSystem(chords)), images)
-    return ss, ProductDiskSystem(tuple(pairs)), book
+    return surface, ProductDiskSystem(tuple(zip(book.basis, book.images))), book

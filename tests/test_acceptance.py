@@ -84,8 +84,7 @@ def test_1_pretzel_331_pipeline_golden(capsys):
     start = time.perf_counter()
     star = pretzel_decompose(PretzelSpec((-3, 3, 1)))
     assert [s.halftwists for s in star.summands] == [2, -4]
-    ss, system, pob = associated_pob(star)
-    p = ss.presentation
+    p, system, pob = associated_pob(star)
     assert euler_characteristic(p) == -1
     assert genus(p) == 1
     assert len(boundary_components(p)) == 1
@@ -281,7 +280,7 @@ def test_6_arc_calculus_matches_the_cover_oracle():
 def test_7_euler_characteristic_laws():
     surfaces = [HEXAGON]
     for k in range(1, 7):
-        p = star_sum_surface(StarPlumbing((TwistedAnnulus(2),) * k)).presentation
+        p = star_sum_surface(StarPlumbing((TwistedAnnulus(2),) * k))
         assert euler_characteristic(p) == 1 - k
         surfaces.append(p)
     _ss, _system, pob = associated_pob(pretzel_decompose(PretzelSpec((-3, 3, 1))))
@@ -295,10 +294,10 @@ def test_7_euler_characteristic_laws():
 
 def test_8_serialization_round_trip_and_determinism(capsys, tmp_path):
     star = pretzel_decompose(PretzelSpec((-3, 3, 1)))
-    ss, _system, pob = associated_pob(star)
+    surface, _system, pob = associated_pob(star)
     docs = [
         doc.star_document(star),
-        doc.surface_document(ss.presentation),
+        doc.surface_document(surface),
         doc.pob_document(pob, star),
         doc.pretzel_document(PretzelSpec((-3, 3, 1))),
         doc.arc_document(pob.basis[0]),

@@ -87,6 +87,25 @@ def test_build_star_mirror_negates(capsys):
     assert doc.parse_documents(out)[0].payload["halftwists"] == [-2, 4]
 
 
+def test_warnings_are_one_line_each(capsys):
+    code, out, err = run(capsys, "build", "pretzel", "-3,-3,1")
+    assert code == 0
+    assert out == run(capsys, "build", "star", "2,2")[1]
+    assert err == (
+        "warning: summand 1 is a bare Hopf band; the surveyed family assumes "
+        "non-leading bands with at least 4 half twists\n"
+    )
+    assert ".py:" not in err
+    # also when the command then fails: the warning comes before the error
+    code, out, err = run(capsys, "build", "pretzel", "-3,-3,-1,1")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "warning: summand 1 is a bare Hopf band; the surveyed family assumes "
+        "non-leading bands with at least 4 half twists",
+        "error: coefficient -1 at index 2 yields a flat compressible band",
+    ]
+
+
 def test_build_even_coefficient_is_an_error(capsys):
     code, out, err = run(capsys, "build", "pretzel", "-3,2,1")
     assert code == 2
@@ -139,7 +158,7 @@ def test_check_rejects_unknown_check_name(capsys, tmp_path):
     path = build_file(capsys, tmp_path, "build", "star", "2")
     code, _out, err = run(capsys, "check", str(path), "--checks", "rv,bogus")
     assert code == 2
-    assert err.startswith("error:")
+    assert err == "error: unknown check 'bogus'; pick from rv,contact,sqp,dividing\n"
 
 
 def test_check_without_pob_document_is_an_error(capsys, tmp_path):
@@ -678,7 +697,7 @@ def test_documents_not_matching_their_star_are_checked_in_full():
     flipped = (pob, "payload", "images", 2, "crossings", 1, "direction")
     eleven = [2] * (MAX_HOPF_SUMMANDS + 1)
     surface = doc.surface_payload(
-        star_sum_surface(StarPlumbing(tuple(TwistedAnnulus(t) for t in eleven))).presentation
+        star_sum_surface(StarPlumbing(tuple(TwistedAnnulus(t) for t in eleven)))
     )
     cases = [
         changed(STAR_DOCS, flipped, lambda d: -d),
@@ -769,3 +788,65 @@ def test_mutated_documents_never_crash(case):
         assert "Traceback" not in err
     if without_star(docs) is not None:
         assert_star_changes_only_sqp(docs)
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("pretzel", "-3,3,1"),
+            "4c7b92125741b817966a5a2faa146e3f417cc7455aaba7dc28632ec815798c45",
+        ),
+        (
+            ("star", "2,-2,2"),
+            "88eb25f6418a22ff3fc2a671f61a6d1870e6f3a86cdc60832be2c115bb23124f",
+        ),
+        (
+            ("star", "2,2,2,2,2,2,2,2,2,2"),
+            "74d5b6525867e798fef05b64a39ba5c0ed87c890d1b114c5bce8f07cd8e17d7e",
+        ),
+    ],
+)
+def test_emit_dot_stdout_is_pinned(argv, digest):
+    code, built, _err = run_on_text(["build", *argv], "")
+    assert code == 0
+    code, out, err = run_on_text(["emit-dot", "-"], built)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_emit_dot_of_a_surface_document_is_pinned():
+    surface_only = [d for d in PRETZEL_DOCS if d["kind"] == "surface"]
+    code, out, err = run_on_text(["emit-dot", "-"], json.dumps(surface_only))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "ae7d62954ec7885aefde9e87b67ed2bbbf557735d49d4e7be6ecae0619c52871"
+    )
+
+
+def test_emit_dot_of_an_invalid_surface_exits_2():
+    sides = [{"boundary": "b"}, {"pair": "p", "end": "left"}, {"boundary": "c"}]
+    text = json.dumps({"kind": "surface", "version": 1, "payload": {"sides": sides}})
+    code, out, err = run_on_text(["emit-dot", "-"], text)
+    assert (code, out) == (2, "")
+    assert err == "error: UnmatchedPair: pair 'p' occurs 1 time(s), expected 2\n"
+
+
+def test_text_checks_print_in_one_order_once_each():
+    built = json.dumps(STAR_DOCS)
+    code, every, _err = run_on_text(["check", "-", "--format", "text"], built)
+    assert code == 0
+    assert [line.split(":")[0] for line in every.splitlines()] == [
+        "rv",
+        "contact",
+        "sqp",
+        "dividing",
+    ]
+    argv = ["check", "-", "--format", "text", "--checks", "dividing,sqp,rv,contact,rv"]
+    assert run_on_text(argv, built) == (0, every, "")
+
+
+def test_structured_checks_hold_only_those_asked():
+    code, out, _err = run_on_text(["check", "-", "--checks", "sqp,rv"], json.dumps(STAR_DOCS))
+    assert code == 0
+    assert sorted(doc.parse_document(out).payload["checks"]) == ["rv", "sqp"]

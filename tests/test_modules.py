@@ -10,7 +10,6 @@ PRIVATE_IMPORTS = {
     ("arcs", "surface", "_Geometry"),
     ("arcs", "surface", "_geometry"),
     ("openbook", "surface", "_geometry"),
-    ("cli", "surface", "_geometry"),
 }
 
 
@@ -60,7 +59,6 @@ def test_public_api_is_pinned():
         "PretzelSpec",
         "ProductDiskSystem",
         "StarPlumbing",
-        "StarSurface",
         "TwistedAnnulus",
         "VeeringReport",
         "VerdictStatus",

@@ -119,7 +119,7 @@ def test_foreign_shared_endpoint_flagged():
 
 
 def test_tied_endpoints_listed_in_order():
-    three = star_sum_surface(StarPlumbing((TwistedAnnulus(2),) * 3)).presentation
+    three = star_sum_surface(StarPlumbing((TwistedAnnulus(2),) * 3))
     basis = (
         Arc(pt("Bl00", 1, 3), pt("Br00", 1, 3)),
         Arc(pt("Br00", 1, 3), pt("Bl10", 1, 3)),

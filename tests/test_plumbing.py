@@ -31,6 +31,7 @@ from plumbook.plumbing import (
 )
 from plumbook.surface import (
     BoundaryPoint,
+    Glued,
     boundary_components,
     euler_characteristic,
     genus,
@@ -53,6 +54,16 @@ def test_twisted_annulus_validation():
         TwistedAnnulus(3)
     with pytest.raises(ZeroTwistError):
         TwistedAnnulus(0)
+
+
+def test_counts_are_integers():
+    # no coercion: a float or a bool is refused, not rounded or counted
+    for t in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="halftwists must be an integer"):
+            TwistedAnnulus(t)
+    for coeffs in ((-3.7, 3, 1), (True, 1), (-3, 3.0, 1)):
+        with pytest.raises(ValueError, match="coefficient must be an integer"):
+            PretzelSpec(coeffs)
 
 
 def test_star_needs_a_summand():
@@ -99,22 +110,23 @@ def test_pretzel_decompose_warns_on_nonleading_hopf():
 def test_star_surface_chi_is_one_minus_k():
     for k in range(1, 6):
         star = star_of(*([2] * k))
-        ss = star_sum_surface(star)
-        assert validate(ss.presentation) == []
-        assert euler_characteristic(ss.presentation) == 1 - k
-        assert ss.bands == tuple(f"c{i}" for i in range(k))
+        p = star_sum_surface(star)
+        assert validate(p) == []
+        assert euler_characteristic(p) == 1 - k
+        assert sorted({s.pair for s in p.sides if isinstance(s, Glued)}) == [
+            f"c{i}" for i in range(k)
+        ]
 
 
 def test_stevedore_surface_invariants():
-    ss = star_sum_surface(pretzel_decompose(PretzelSpec((-3, 3, 1))))
-    p = ss.presentation
+    p = star_sum_surface(pretzel_decompose(PretzelSpec((-3, 3, 1))))
     assert euler_characteristic(p) == -1
     assert genus(p) == 1
     assert len(boundary_components(p)) == 1
 
 
 def test_single_band_star_is_an_annulus():
-    p = star_sum_surface(star_of(2)).presentation
+    p = star_sum_surface(star_of(2))
     assert euler_characteristic(p) == 0
     assert len(boundary_components(p)) == 2
 
@@ -124,7 +136,7 @@ def test_product_disks_come_from_hopf_summands_only():
     assert len(product_disk_basis(star_of(-4)).pairs) == 0
     sys2 = product_disk_basis(star_of(2, 2))
     assert len(sys2.pairs) == 2
-    p = star_sum_surface(star_of(2, 2)).presentation
+    p = star_sum_surface(star_of(2, 2))
     (a0, h0), (a1, h1) = sys2.pairs
     assert interior_intersections(p, a0, a1) == 0
     assert interior_intersections(p, h0, h1) == 0
@@ -150,9 +162,9 @@ def test_associated_pob_validates_one_presentation(monkeypatch):
     original = plumbook.surface.validate
     monkeypatch.setattr(plumbook.surface, "validate", lambda p: seen.append(p) or original(p))
     star = star_of(2, 2, -4)
-    ss, system, pob = associated_pob(star)
+    surface, system, pob = associated_pob(star)
     contact_verdict(pob)
-    assert seen == [ss.presentation]
+    assert seen == [surface]
     assert system == product_disk_basis(star)
 
 
@@ -179,7 +191,7 @@ def test_star_books_go_through_one_checked_path(monkeypatch):
     # a caller's basis arc with cancelling letters comes back reduced
     (a, h), = product_disk_basis(star_of(2)).pairs
     written = Arc(a.start, a.end, (Crossing("c0", 1), Crossing("c0", -1)))
-    pob = original(star_sum_surface(star_of(2)).presentation, ProductDiskSystem(((written, h),)))
+    pob = original(star_sum_surface(star_of(2)), ProductDiskSystem(((written, h),)))
     assert validate_pob(pob) == []
     assert pob.basis == (a,)
     assert pob.basis[0].crossings == ()
@@ -202,7 +214,7 @@ def test_empty_system_gives_empty_basis():
 
 
 def test_not_a_basis_wandering_arc():
-    p = star_sum_surface(star_of(2)).presentation
+    p = star_sum_surface(star_of(2))
     a = Arc(
         BoundaryPoint("Bl00", Fraction(1, 3)),
         BoundaryPoint("Br00", Fraction(1, 3)),
@@ -214,7 +226,7 @@ def test_not_a_basis_wandering_arc():
 
 
 def test_not_a_basis_chord_missing_every_band():
-    p = star_sum_surface(star_of(2)).presentation
+    p = star_sum_surface(star_of(2))
     a = Arc(BoundaryPoint("Bl00", Fraction(1, 3)), BoundaryPoint("Bl00", Fraction(1, 2)))
     h = Arc(BoundaryPoint("Bl00", Fraction(1, 4)), BoundaryPoint("Bl00", Fraction(2, 3)))
     with pytest.raises(NotABasisError, match="expected exactly 1"):
@@ -223,7 +235,7 @@ def test_not_a_basis_chord_missing_every_band():
 
 def test_not_a_basis_doubled_band():
     star = star_of(2)
-    p = star_sum_surface(star).presentation
+    p = star_sum_surface(star)
     (a, h), = product_disk_basis(star).pairs
     shifted_a = Arc(
         BoundaryPoint(a.start.side, Fraction(1, 6)),
@@ -243,7 +255,7 @@ def test_not_a_basis_message_is_bounded():
     # chords: the message names the first few violations, as an invalid
     # book's error does, instead of all 25
     k = 25
-    p = star_sum_surface(star_of(*[2] * k)).presentation
+    p = star_sum_surface(star_of(*[2] * k))
     third = Fraction(1, 3)
     system = ProductDiskSystem(
         tuple(

@@ -50,7 +50,7 @@ HEXAGON = PolygonPresentation(
         Boundary("B4"),
     )
 )
-TWO_STAR = star_sum_surface(StarPlumbing((TwistedAnnulus(2), TwistedAnnulus(2)))).presentation
+TWO_STAR = star_sum_surface(StarPlumbing((TwistedAnnulus(2), TwistedAnnulus(2))))
 TWO_STAR_EDGES = tuple(s.label for s in TWO_STAR.sides if isinstance(s, Boundary))
 
 positions = st.fractions(
@@ -160,7 +160,7 @@ def test_twisting_preserves_intersections(a, b, sign):
 
 @given(st.integers(min_value=1, max_value=6))
 def test_star_euler_characteristic_law(k):
-    p = star_sum_surface(StarPlumbing((TwistedAnnulus(2),) * k)).presentation
+    p = star_sum_surface(StarPlumbing((TwistedAnnulus(2),) * k))
     chi = euler_characteristic(p)
     assert chi == 1 - k
     assert chi == 2 - 2 * genus(p) - len(boundary_components(p))
@@ -168,7 +168,7 @@ def test_star_euler_characteristic_law(k):
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=29))
 def test_rotation_changes_nothing_observable(k, r):
-    p = star_sum_surface(StarPlumbing((TwistedAnnulus(2),) * k)).presentation
+    p = star_sum_surface(StarPlumbing((TwistedAnnulus(2),) * k))
     sides = p.sides
     rotated = PolygonPresentation(sides[r % len(sides) :] + sides[: r % len(sides)])
     assert validate(rotated) == []

@@ -17,7 +17,8 @@ question below becomes finite combinatorics on the polygon's cyclic order:
   side and reports which one peels off to the right, measured
   counterclockwise from the point of entry into the chamber where they part;
 * twisting about a band core inserts one signed crossing for every essential
-  meeting of the arc with the core.
+  meeting of the arc with the core: a substitution on the arc's chamber
+  slots, each slot whose chord meets the core split in two at the band.
 
 All three read one counterclockwise order on the polygon circle, the tuple
 order of addresses rotated to start at a reference (_key), with exact
@@ -28,6 +29,8 @@ a shared point can always be combed apart.
 
 An arc is checked once per presentation object: reduce keeps, on the arc
 it returns, the indexed view that every query below reads.
+twist_about_band derives its result's view from its input's, slot by slot,
+without reducing or checking the result again.
 """
 
 from __future__ import annotations
@@ -92,7 +95,9 @@ def _doors(geo: _Geometry, c: Crossing) -> tuple[int, int]:
 def _check_endpoint(geo: _Geometry, pt: BoundaryPoint) -> None:
     if pt.side not in geo.boundary_index:
         raise MixedSurfacesError(f"boundary side {pt.side!r} is not on this presentation")
-    if not (0 < pt.position < 1):
+    # positions are exact Fractions in lowest terms, positive denominator
+    t = pt.position
+    if not (0 < t.numerator < t.denominator):
         raise ValueError(f"endpoint position {pt.position} outside the open unit interval")
 
 
@@ -101,28 +106,38 @@ class _ArcData:
     geometry it was checked against, one chamber slot per word prefix, each
     slot holding its entry and exit address, the same two addresses in
     increasing order as the slot's chord, and the word as its sequence of
-    exit doors (a door side names one pair and direction).  Built only by
-    reduce, for the arc it returns, and for that arc's kept reversal."""
+    exit doors (a door side names one pair and direction).  Built from its
+    slots, which reduce reads off the word, twist_about_band derives from
+    the view of the arc it twists, and reverse runs backwards; the view
+    keeps itself on its arc."""
 
     __slots__ = ("geo", "arc", "letters", "slots", "chords", "_reversed")
 
-    def __init__(self, geo: _Geometry, arc: Arc):
+    def __init__(self, geo: _Geometry, arc: Arc, slots: list[tuple[Address, Address]]):
         self.geo = geo
         self.arc = arc
         self._reversed: Optional[_ArcData] = None
-        doors = [_doors(geo, c) for c in arc.crossings]
-        self.letters = [out for out, _ in doors]
-        entries: list[Address] = [(geo.boundary_index[arc.start.side], arc.start.position)]
-        entries += [(in_, 0) for _, in_ in doors]
-        exits: list[Address] = [(side, 0) for side in self.letters]
-        exits.append((geo.boundary_index[arc.end.side], arc.end.position))
-        self.slots: list[tuple[Address, Address]] = list(zip(entries, exits))
-        self.chords = [(x, y) if x < y else (y, x) for x, y in self.slots]
+        self.slots = slots
+        # every slot but the last exits through the door of its letter
+        self.letters = [side for _, (side, _) in slots]
+        self.letters.pop()
+        self.chords = [(x, y) if x < y else (y, x) for x, y in slots]
+        object.__setattr__(arc, "_view", self)
 
     @property
     def reversed(self) -> "_ArcData":
         """View of the kept reversal of the arc (reverse)."""
         return reverse(self.arc).__dict__["_view"]
+
+
+def _word_slots(geo: _Geometry, a: Arc) -> list[tuple[Address, Address]]:
+    """The chamber slots of a's word: entry and exit address per prefix."""
+    doors = [_doors(geo, c) for c in a.crossings]
+    entries: list[Address] = [(geo.boundary_index[a.start.side], a.start.position)]
+    entries += [(in_, 0) for _, in_ in doors]
+    exits: list[Address] = [(out, 0) for out, _ in doors]
+    exits.append((geo.boundary_index[a.end.side], a.end.position))
+    return list(zip(entries, exits))
 
 
 def _key(ref: Address, addr: Address) -> tuple[bool, Address]:
@@ -179,7 +194,7 @@ def reduce(p: PolygonPresentation, a: Arc) -> Arc:
     if a.start == a.end:
         raise ValueError("arc endpoints coincide exactly; use distinct positions")
     r = Arc(a.start, a.end, tuple(stack))
-    object.__setattr__(r, "_view", _ArcData(geo, r))
+    _ArcData(geo, r, _word_slots(geo, r))
     return r
 
 
@@ -197,9 +212,9 @@ def reverse(a: Arc) -> Arc:
         return view._reversed.arc
     r = Arc(a.end, a.start, tuple(c.inverse() for c in reversed(a.crossings)))
     if view is not None:
-        view._reversed = _ArcData(view.geo, r)
+        # the reversal passes the same slots backwards, entry and exit swapped
+        view._reversed = _ArcData(view.geo, r, [(y, x) for x, y in reversed(view.slots)])
         view._reversed._reversed = view
-        object.__setattr__(r, "_view", view._reversed)
     return r
 
 
@@ -356,6 +371,15 @@ def twist_about_band(p: PolygonPresentation, a: Arc, pair: str, sign: int) -> Ar
     one detour through the band: a single inserted crossing, signed by the
     twist handedness and by which door the chord faces.
 
+    The image is a substitution on the slots of a's reduced view: a slot
+    missing the core is kept, a slot (entry, exit) meeting it becomes
+    (entry, out door) and (in door, exit) of the inserted crossing, which
+    goes before the slot's own crossing.  The word needs no reduction: each
+    inserted crossing is of pair, which no letter of a crosses, and any two
+    inserted crossings have a letter of a between them, so every adjacent
+    couple is either adjacent in a's reduced word or of two distinct pairs.
+    With a's checked endpoints, the image gets its view from these slots.
+
     Supported for arcs that do not already cross the band themselves, which
     covers every construction in this package (band-dual arcs and their
     composites over other bands).
@@ -366,21 +390,37 @@ def twist_about_band(p: PolygonPresentation, a: Arc, pair: str, sign: int) -> Ar
         raise UnknownPairError(pair)
     if sign not in (1, -1):
         raise ValueError(f"twist sign must be +1 or -1, got {sign}")
-    if any(c.pair == pair for c in ra.crossings):
+    left, right = geo.pair_sides[pair]
+    # a letter of the pair exits through one of its two doors
+    if left in da.letters or right in da.letters:
         raise ValueError(
             f"twist about {pair!r} needs an arc not already crossing that band"
         )
     core = _core_chord(geo, pair)
-    left_door = (geo.pair_sides[pair][0], 0)
-    pieces: list[Crossing] = []
+    left_door = (left, 0)
+    # the inserted crossing with its out and in door, for a slot whose exit
+    # comes before the left door counterclockwise from its entry, then for
+    # one whose exit comes after it
+    detours = []
+    for direction in (-sign, sign):
+        c = Crossing(pair, direction)
+        out, in_ = _doors(geo, c)
+        detours.append((c, (out, 0), (in_, 0)))
+    word: list[Crossing] = []
+    slots: list[tuple[Address, Address]] = []
     for m, (entry, exit_) in enumerate(da.slots):
         # a chord linked with the core shares no address with it
         if _linked(da.chords[m], core):
-            orientation = 1 if _key(entry, left_door) < _key(entry, exit_) else -1
-            pieces.append(Crossing(pair, sign * orientation))
+            c, out, in_ = detours[_key(entry, left_door) < _key(entry, exit_)]
+            word.append(c)
+            slots.append((entry, out))
+            entry = in_
+        slots.append((entry, exit_))
         if m < len(ra.crossings):
-            pieces.append(ra.crossings[m])
-    return reduce(p, Arc(ra.start, ra.end, tuple(pieces)))
+            word.append(ra.crossings[m])
+    r = Arc(ra.start, ra.end, tuple(word))
+    _ArcData(geo, r, slots)
+    return r
 
 
 def bands_cut(p: PolygonPresentation, a: Arc) -> list[str]:

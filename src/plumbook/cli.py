@@ -452,26 +452,20 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("emit-dot", help="graph text for a surface or pob document")
     e.add_argument("input", nargs="?", default="-")
     e.set_defaults(func=cmd_emit_dot)
+    # argparse reads a token that looks like a negative number as a value,
+    # also after an option that takes one (--count -1); its own pattern, the
+    # parser's _negative_number_matcher, admits -3 but not the list -3,3,1,
+    # so here every token starting with -digit counts as such a value
+    for command in sub.choices.values():
+        command._negative_number_matcher = re.compile(r"^-\d")
     return parser
-
-
-def _shield_negative_numbers(argv):
-    """Insert -- before the first token that is a negative number list, so
-    argument parsing does not mistake -3,3,1 for an option."""
-    out = list(argv)
-    for i, tok in enumerate(out):
-        if tok == "--":
-            return out
-        if re.match(r"^-\d", tok):
-            return out[:i] + ["--"] + out[i:]
-    return out
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
-    args = parser.parse_args(_shield_negative_numbers(argv))
+    args = parser.parse_args(argv)
     # each warning the command raises becomes one stderr line, also when
     # the command then fails
     with warnings.catch_warnings(record=True) as caught:

@@ -82,7 +82,10 @@ class BoundaryPoint:
     position: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "position", Fraction(self.position))
+        # an exact Fraction is kept as it is; anything else, subclasses
+        # included, becomes one
+        if type(self.position) is not Fraction:
+            object.__setattr__(self, "position", Fraction(self.position))
 
 
 class _Geometry:

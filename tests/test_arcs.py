@@ -7,6 +7,7 @@ frozen; the sweep against the independent strip model lives in
 test_oracle.py.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,8 @@ from plumbook.arcs import (
     twist_about_band,
 )
 from plumbook.documents import arc_payload
+from plumbook.openbook import positive_stabilization
+from plumbook.plumbing import PretzelSpec, associated_pob, pretzel_decompose
 from plumbook.surface import Boundary, BoundaryPoint, End, Glued, PolygonPresentation
 
 B, L, R = Boundary, End.LEFT, End.RIGHT
@@ -368,6 +371,135 @@ def test_star_images_veer_right_at_both_ends():
             assert interior_intersections(p, a, h) == 0
             assert first_divergence(p, a, h) is Divergence.RIGHT_OF
             assert first_divergence(p, reverse(a), reverse(h)) is Divergence.RIGHT_OF
+
+
+# --- twists as slot substitutions, against insertion then reduction ---
+
+
+def inserted_then_reduced(p, a, pair, sign):
+    """The twist written out on the word: one detour letter before each
+    chamber crossing (and before the end) whose chord meets the band core,
+    signed by which door the chord faces, the result freely reduced.  The
+    chamber addresses are read off p's sides here, not off a kept view."""
+    side_of, doors = {}, {}
+    for i, s in enumerate(p.sides):
+        if isinstance(s, Boundary):
+            side_of[s.label] = i
+        else:
+            doors.setdefault(s.pair, {})[s.end] = (i, 0)
+
+    def out_in(c):
+        left, right = doors[c.pair][L], doors[c.pair][R]
+        return (left, right) if c.direction > 0 else (right, left)
+
+    core = sorted(doors[pair].values())
+    entry = (side_of[a.start.side], a.start.position)
+    pieces = []
+    for c in (*a.crossings, None):
+        exit_ = (side_of[a.end.side], a.end.position) if c is None else out_in(c)[0]
+        lo, hi = sorted((entry, exit_))
+        if (lo < core[0] < hi) != (lo < core[1] < hi):
+            facing_left = _key(entry, doors[pair][L]) < _key(entry, exit_)
+            pieces.append(Crossing(pair, sign if facing_left else -sign))
+        if c is not None:
+            pieces.append(c)
+            entry = out_in(c)[1]
+    return reduce(p, Arc(a.start, a.end, tuple(pieces)))
+
+
+def reduced_words(pairs, length):
+    """Every reduced word over the pairs of at most length letters."""
+    letters = [Crossing(c, d) for c in pairs for d in (1, -1)]
+    words, last = [()], [()]
+    for _ in range(length):
+        last = [w + (c,) for w in last for c in letters if not w or w[-1] != c.inverse()]
+        words += last
+    return words
+
+
+def assert_twists_substitute(p, arcs):
+    """Each arc twisted about every band it does not cross, both ways, is
+    the inserted-then-reduced word, carries the view a fresh reduction
+    builds, and has no cancelling neighbours.  Returns how many twists
+    inserted a letter."""
+    pairs = sorted({s.pair for s in p.sides if isinstance(s, Glued)})
+    inserted = 0
+    for a in arcs:
+        for pair in pairs:
+            if any(c.pair == pair for c in a.crossings):
+                continue
+            for sign in (1, -1):
+                t = twist_about_band(p, a, pair, sign)
+                fresh = reduce(p, Arc(t.start, t.end, t.crossings))
+                assert t == fresh == inserted_then_reduced(p, a, pair, sign)
+                view, built = t.__dict__["_view"], fresh.__dict__["_view"]
+                assert view.arc is t and view.geo is built.geo
+                # the kept reversal runs the slots backwards: the same view
+                # as a reduction of the reversed word
+                back = reverse(t)
+                turned = reduce(p, Arc(back.start, back.end, back.crossings))
+                for v, w in ((view, built), (back.__dict__["_view"], turned.__dict__["_view"])):
+                    assert (v.letters, v.slots, v.chords) == (w.letters, w.slots, w.chords)
+                word = t.crossings
+                assert all(x != y.inverse() for x, y in zip(word, word[1:]))
+                inserted += len(word) > len(a.crossings)
+    return inserted
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_twist_substitutes_slots_on_short_words(k):
+    # a slot's fate reads its own entry and exit only, and only the first
+    # and last slot of a word touch an endpoint: all start sides against
+    # one end side and one start side against all end sides meet every
+    # slot a word can have, all pairs of sides the crossing-free chords
+    p = star(k)
+    labels = [s.label for s in p.sides if isinstance(s, Boundary)]
+    ends = {(s, e) for s in labels for e in labels if labels[0] in (s, e)}
+    arcs = [
+        Arc(BoundaryPoint(s, Fraction(1, 3)), BoundaryPoint(e, Fraction(2, 3)), w)
+        for w in reduced_words([f"c{i}" for i in range(k)], 3)
+        for s, e in (sorted(ends) if w else itertools.product(labels, labels))
+    ]
+    assert assert_twists_substitute(p, arcs)
+
+
+def test_twist_substitutes_slots_on_stabilized_books():
+    pob = associated_pob(pretzel_decompose(PretzelSpec((-3, 3, 1))))[2]
+    for _ in range(3):
+        pob = positive_stabilization(pob)
+    assert assert_twists_substitute(pob.surface, (*pob.basis, *pob.images))
+
+
+def test_twist_refusals_keep_their_messages():
+    chord = arc("B1", (1, 3), "B2", (1, 3))
+    with pytest.raises(UnknownPairError, match="unknown pair 'zz': no glued side"):
+        twist_about_band(HEXAGON, chord, "zz", +1)
+    with pytest.raises(ValueError, match=r"^twist sign must be \+1 or -1, got 0$"):
+        twist_about_band(HEXAGON, chord, "c", 0)
+    crossing = arc("B2", (1, 4), "B3", (1, 4), CM)
+    with pytest.raises(
+        ValueError, match="^twist about 'c' needs an arc not already crossing that band$"
+    ):
+        twist_about_band(HEXAGON, crossing, "c", -1)
+
+
+# --- endpoint positions are decided on integers ---
+
+
+@pytest.mark.parametrize("t", [Fraction(1, 2), Fraction(999999, 1000000)])
+def test_endpoints_inside_the_unit_interval_pass(t):
+    a = Arc(BoundaryPoint("B1", t), BoundaryPoint("B2", Fraction(1, 2)))
+    assert reduce(HEXAGON, a) == a
+
+
+@pytest.mark.parametrize(
+    "t, shown", [(0, "0"), (1, "1"), (Fraction(-1, 3), "-1/3"), (Fraction(4, 3), "4/3")]
+)
+def test_endpoints_outside_the_unit_interval_are_refused(t, shown):
+    a = Arc(BoundaryPoint("B2", Fraction(1, 2)), BoundaryPoint("B1", t))
+    message = f"endpoint position {shown} outside the open unit interval"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        reduce(HEXAGON, a)
 
 
 def reference_key(n, ref_side, ref_param, addr):

@@ -82,6 +82,16 @@ def test_negative_coefficients_survive_parsing(capsys):
     assert plain[0] == 0
 
 
+def test_options_may_follow_a_negative_number(capsys):
+    after = run(capsys, "build", "pretzel", "-3,3,1", "--mirror")
+    before = run(capsys, "build", "pretzel", "--mirror", "-3,3,1")
+    assert after == before
+    assert after[0] == 0
+    # a negative option value reaches the command, which refuses it
+    code, out, err = run(capsys, "stabilize", "-", "--count", "-1")
+    assert (code, out, err) == (2, "", "error: count must be nonnegative\n")
+
+
 def test_build_star_mirror_negates(capsys):
     _code, out, _err = run(capsys, "build", "star", "2,-4", "--mirror")
     assert doc.parse_documents(out)[0].payload["halftwists"] == [-2, 4]

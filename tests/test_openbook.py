@@ -300,7 +300,7 @@ def test_book_decided_from_kept_arc_views(monkeypatch):
     monkeypatch.setattr(
         plumbook.arcs._ArcData,
         "__init__",
-        lambda self, geo, a: built.append(a) or view_init(self, geo, a),
+        lambda self, geo, a, slots: built.append(a) or view_init(self, geo, a, slots),
     )
     reverse = plumbook.openbook.reverse
     monkeypatch.setattr(plumbook.openbook, "reverse", lambda a: turned.append(a) or reverse(a))

@@ -213,6 +213,28 @@ def test_boundary_point_coerces_position():
     assert pt == BoundaryPoint("B1", Fraction(2, 6))
 
 
+class _Third(Fraction):
+    """A Fraction subclass, which a position must not stay."""
+
+
+@pytest.mark.parametrize(
+    "given, exact",
+    [
+        (1, Fraction(1)),
+        ("2/6", Fraction(1, 3)),
+        (Fraction(1, 3), Fraction(1, 3)),
+        (_Third(1, 3), Fraction(1, 3)),
+    ],
+)
+def test_boundary_point_positions_are_exact_fractions(given, exact):
+    position = BoundaryPoint("B1", given).position
+    assert type(position) is Fraction
+    assert position == exact
+    # an exact Fraction is kept, not copied
+    if type(given) is Fraction:
+        assert position is given
+
+
 def test_presentation_validated_once_per_object(monkeypatch):
     seen = []
     original = plumbook.surface.validate

@@ -14,6 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .arcs import Arc, Crossing
@@ -30,7 +31,8 @@ KINDS = ("surface", "arc", "pob", "star", "pretzel", "report")
 # tools write: build star writes 2^k - 1 crossings on k basis arcs at the
 # Hopf limit, and one stabilize run adds at most one basis arc and one image
 # of one crossing per step.  Checking that book, 420 arcs and 1223
-# crossings at the limits 10 and 200, takes about 1.2 s on a Xeon vCPU.
+# crossings at the limits 10 and 200, takes about 1.6 s in process with
+# Python 3.11.7 on a shared 2-vCPU Xeon host.
 MAX_BOOK_ARCS = 2 * (MAX_HOPF_SUMMANDS + MAX_STABILIZE_COUNT)
 MAX_BOOK_CROSSINGS = 2**MAX_HOPF_SUMMANDS - 1 + MAX_STABILIZE_COUNT
 
@@ -168,6 +170,19 @@ def pob_payload(pob: PartialOpenBook, star: Optional[StarPlumbing] = None) -> di
 
 
 def pob_from(payload) -> tuple[PartialOpenBook, Optional[StarPlumbing]]:
+    # counted on the payload, before any arc is built; where the counts
+    # cannot be read, building fails too and says how
+    try:
+        words = [len(a["crossings"]) for a in chain(payload["basis"], payload["images"])]
+    except (KeyError, TypeError):
+        words = []
+    if len(words) > MAX_BOOK_ARCS:
+        raise DocumentError(f"book has {len(words)} arcs; at most {MAX_BOOK_ARCS} are supported")
+    crossings = sum(words)
+    if crossings > MAX_BOOK_CROSSINGS:
+        raise DocumentError(
+            f"book has {crossings} crossings; at most {MAX_BOOK_CROSSINGS} are supported"
+        )
     try:
         pob = PartialOpenBook(
             surface_from(payload["surface"]),
@@ -176,14 +191,6 @@ def pob_from(payload) -> tuple[PartialOpenBook, Optional[StarPlumbing]]:
         )
     except (KeyError, TypeError) as e:
         raise DocumentError(f"bad pob payload: {e}") from e
-    arcs = (*pob.basis, *pob.images)
-    if len(arcs) > MAX_BOOK_ARCS:
-        raise DocumentError(f"book has {len(arcs)} arcs; at most {MAX_BOOK_ARCS} are supported")
-    crossings = sum(len(a.crossings) for a in arcs)
-    if crossings > MAX_BOOK_CROSSINGS:
-        raise DocumentError(
-            f"book has {crossings} crossings; at most {MAX_BOOK_CROSSINGS} are supported"
-        )
     star = star_from(payload["star"]) if "star" in payload else None
     return pob, star
 

@@ -20,11 +20,12 @@ below, and veering_report and contact_verdict keep their results beside
 them.  Books, arcs and surfaces are frozen, so the results cannot go stale,
 and they are not fields, so equality, hashing, repr and documents ignore
 them.  Operations on an invalid book raise on every call.  Each of the
-three results is computed by one function that extends the result for a
-book's first arcs: a fresh book extends the empty prefix, and a positive
-stabilization extends its old book's, testing and counting only the arc it
-adds.  A book whose images one boundary-fixing homeomorphism makes from
-the images of a checked book carries that book's check (certified_book).
+three results is computed by one function on the whole book.  Two
+constructions carry them instead: a book whose images one boundary-fixing
+homeomorphism makes from the images of a checked book carries that book's
+check (certified_book), and a positive stabilization carries its old
+book's results with the one pair it adds, whose counts against the old
+arcs are zero by construction.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, product, zip_longest
+from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .arcs import (
@@ -157,13 +158,10 @@ def validate_pob(pob: PartialOpenBook) -> list[Violation]:
     return list(_kept(pob, "_checked", _check).violations)
 
 
-def _check(pob: PartialOpenBook, prior: Optional[_CheckedBook] = None) -> _CheckedBook:
-    """The check of pob, extending prior: the check of a valid book made of
-    pob's first pairs, moved (positive_stabilization) or their images under
-    a boundary-fixing homeomorphism (certified_book), its side index moved
-    to pob's positions.  pob's further endpoints must lie above prior's
-    points of their sides, so prior's ranks and adjacencies stand and only
-    tests involving a further arc are run."""
+def _check(pob: PartialOpenBook) -> _CheckedBook:
+    """The check of pob: its arcs reduced, each arc tested for embedding,
+    each pair of basis arcs and of images for disjointness, each image for
+    ending beside its basis arc, and all endpoints for ties."""
     _geometry(pob.surface)
     if len(pob.basis) != len(pob.images):
         count = f"{len(pob.basis)} basis arcs but {len(pob.images)} images"
@@ -172,21 +170,18 @@ def _check(pob: PartialOpenBook, prior: Optional[_CheckedBook] = None) -> _Check
     p = pob.surface
     basis = tuple(reduce(p, a) for a in pob.basis)
     images = tuple(reduce(p, a) for a in pob.images)
-    k, sides = (len(prior.basis), dict(prior.sides)) if prior is not None else (0, {})
-    _add_ends(sides, (*basis[k:], *images[k:]))
-    new = range(k, len(basis))
+    sides: dict[str, tuple[Fraction, ...]] = {}
+    _add_ends(sides, (*basis, *images))
     for name, arcs in (("basis", basis), ("image", images)):
-        for i in new:
-            if not is_embedded(p, arcs[i]):
+        for i, a in enumerate(arcs):
+            if not is_embedded(p, a):
                 out.append(Violation("ArcNotEmbedded", f"{name} arc {i} crosses itself"))
-    # the pairs with an arc past the prior, in index order
-    pairs = (*product(range(k), new), *combinations(new, 2))
     for code, arcs in (("BasisNotDisjoint", basis), ("ImagesNotDisjoint", images)):
-        for i, j in pairs:
+        for i, j in combinations(range(len(arcs)), 2):
             n = interior_intersections(p, arcs[i], arcs[j])
             if n:
                 out.append(Violation(code, f"arcs {i} and {j} cross {n} time(s)"))
-    for i in new:
+    for i in range(len(basis)):
         if _oriented_image(basis[i], images[i], sides) is None:
             out.append(
                 Violation("EndpointMismatch", f"image {i} does not end beside basis arc {i}")
@@ -235,8 +230,8 @@ def certified_book(chords: PartialOpenBook, images) -> PartialOpenBook:
     Precondition: images[i] = h(chords.images[i]) for one homeomorphism h
     of the surface that fixes its boundary pointwise.  h keeps every arc
     embedded and every pair's intersection number, and leaves the endpoints
-    where they are, so a valid chord book, checked in full, is the prior
-    of the book's check: with no arc past it, only the tie scan runs.  The
+    where they are, so the book's check is the valid chord book's with the
+    images put in: its side index and ties read only endpoints.  The
     endpoints are compared, not assumed: an invalid chord book, or images
     that moved an endpoint, leave the book to the full check.
     """
@@ -244,7 +239,8 @@ def certified_book(chords: PartialOpenBook, images) -> PartialOpenBook:
     book = PartialOpenBook(chords.surface, chords.basis, images)
     ends = [(h.start, h.end) for h in book.images]
     if not checked.violations and ends == [(c.start, c.end) for c in chords.images]:
-        object.__setattr__(book, "_checked", _check(book, checked))
+        reduced = tuple(reduce(book.surface, h) for h in book.images)
+        object.__setattr__(book, "_checked", checked._replace(images=reduced))
     return book
 
 
@@ -277,11 +273,10 @@ def veering_report(pob: PartialOpenBook) -> VeeringReport:
     return _kept(pob, "_veering", _veering)
 
 
-def _veering(pob: PartialOpenBook, known=()) -> VeeringReport:
-    """The report of pob whose first arcs have the verdicts known."""
+def _veering(pob: PartialOpenBook) -> VeeringReport:
     checked = _require_pob(pob)
-    pairs = zip(checked.basis[len(known):], checked.images[len(known):])
-    return VeeringReport((*known, *(_veer(pob.surface, a, h, checked.sides) for a, h in pairs)))
+    pairs = zip(checked.basis, checked.images)
+    return VeeringReport(tuple(_veer(pob.surface, a, h, checked.sides) for a, h in pairs))
 
 
 def _veer(p: PolygonPresentation, a: Arc, h: Arc, sides) -> ArcVeer:
@@ -309,9 +304,9 @@ def contact_verdict(pob: PartialOpenBook) -> ContactVerdict:
     return _kept(pob, "_verdict", _verdict)
 
 
-def _verdict(pob: PartialOpenBook, known=()) -> ContactVerdict:
-    """The verdict of pob whose first basis arcs and images have the
-    intersection matrix known; a right-veering book extends it to all."""
+def _verdict(pob: PartialOpenBook, matrix=None) -> ContactVerdict:
+    """The verdict of pob.  A right-veering book reads its intersection
+    matrix, i(a_i, h(a_j)) at (i, j), from matrix when given."""
     report = veering_report(pob)
     if not report.verdicts:
         return ContactVerdict(
@@ -327,12 +322,13 @@ def _verdict(pob: PartialOpenBook, known=()) -> ContactVerdict:
                 "witnesses an overtwisted structure",
                 witness_index=i,
             )
-    checked = _require_pob(pob)
-    p = pob.surface
-    matrix = tuple(
-        (*row, *(interior_intersections(p, a, h) for h in checked.images[len(row):]))
-        for row, a in zip_longest(known, checked.basis, fillvalue=())
-    )
+    if matrix is None:
+        checked = _require_pob(pob)
+        p = pob.surface
+        # a stabilized book keeps its old arcs without views on its surface
+        basis = [reduce(p, a) for a in checked.basis]
+        images = [reduce(p, h) for h in checked.images]
+        matrix = tuple(tuple(interior_intersections(p, a, h) for h in images) for a in basis)
     if all(matrix[i][i] == 0 for i in range(len(matrix))):
         return ContactVerdict(
             VerdictStatus.NONZERO_TIGHT,
@@ -378,10 +374,10 @@ def _fresh(base: str, taken: set) -> str:
     return f"{base}{k}"
 
 
-# stabilize --count refuses more: each step tests and counts only the new
-# arc against the old ones, so a chain costs about count^2; with count 200,
-# pretzel(-3,3,1) takes about 4 s and a 10-band Hopf star about 7 s on a
-# busy shared Xeon vCPU, half that when the host is quiet
+# stabilize --count refuses more: each step tests only the new pair, but it
+# copies every old arc and positions grow; with count 200, pretzel(-3,3,1)
+# and a 10-band Hopf star each take about 0.9 s (stabilize wall time,
+# Python 3.11.7 on a shared 2-vCPU Xeon host)
 MAX_STABILIZE_COUNT = 200
 
 
@@ -392,15 +388,23 @@ def positive_stabilization(pob: PartialOpenBook) -> PartialOpenBook:
     1-handle (one glued pair) with a fresh boundary side inside it.  One new
     basis arc runs once over the handle; its image is the pushed-off copy
     twisted positively about the handle.  All existing arcs keep their
-    words.  Every marked point of the split side lies below the segment, so
-    their endpoints there are only rescaled onto its first part, and every
-    prior comparison is untouched: the new sides sit inside one boundary
-    side, so the cyclic order of the old addresses is unchanged.
+    words, and their endpoints on the split side, all below the segment,
+    are rescaled onto its first part, so the cyclic order of the old
+    addresses is unchanged.
 
-    The new book therefore carries the old book's check, veering report and
-    (when the old book keeps one) contact verdict, each extended to the new
-    arc and image by the function that decides a fresh book.  A failed test
-    of the new pair leaves the new book to be checked in full on first use.
+    The new pair meets no old arc.  Its addresses lie in one interval of the
+    polygon circle, from its point on the split side, above every old point
+    there, through the four new sides, and no old address lies in it.  Its
+    only letters are of the fresh pair, which no old word crosses.  So no
+    chord of the new pair is linked with an old chord, they share no
+    corridor, and every count between the new pair and an old arc is 0.
+
+    The new book therefore carries the old book's results: its check, with
+    the old arcs moved and not reduced again; its veering verdicts and the
+    new pair's; and a kept verdict, with its matrix bordered by zeros and
+    the new diagonal entry (a witness has no matrix and stays the witness).
+    The new pair is tested only against itself, and if it fails, the new
+    book keeps nothing and is checked in full on first use.
     """
     checked = _require_pob(pob)
     q1, _ = free_site(pob)
@@ -429,28 +433,39 @@ def positive_stabilization(pob: PartialOpenBook) -> PartialOpenBook:
     def move(pt: BoundaryPoint) -> BoundaryPoint:
         return BoundaryPoint(label, pt.position / lo) if pt.side == label else pt
 
-    def move_arc(a: Arc) -> Arc:
-        return Arc(move(a.start), move(a.end), a.crossings)
+    def move_arcs(arcs) -> tuple[Arc, ...]:
+        return tuple(Arc(move(a.start), move(a.end), a.crossings) for a in arcs)
 
-    basis = [move_arc(a) for a in pob.basis]
-    images = [move_arc(a) for a in pob.images]
-
+    kept_basis, kept_images = move_arcs(checked.basis), move_arcs(checked.images)
+    # the book writes its own arcs: the kept ones, unless a word of the old
+    # book was given unreduced
+    basis = kept_basis if pob.basis == checked.basis else move_arcs(pob.basis)
+    images = kept_images if pob.images == checked.images else move_arcs(pob.images)
     below = tuple(t / lo for t in checked.sides.get(label, ()))
     t1, t2 = _free_gap(label, below)
-    new_basis = Arc(t1, BoundaryPoint(mid_label, Fraction(1, 3)))
+    new_basis = reduce(surface, Arc(t1, BoundaryPoint(mid_label, Fraction(1, 3))))
     pushed = Arc(t2, BoundaryPoint(mid_label, Fraction(2, 3)))
     new_image = twist_about_band(surface, pushed, pair, +1)
     book = PartialOpenBook(surface, (*basis, new_basis), (*images, new_image))
     # the old points keep their order, and the new ones lie above them on
     # side label or on the new side mid_label
-    extended = _check(book, checked._replace(sides={**checked.sides, label: below}))
-    if not extended.violations:
-        object.__setattr__(book, "_checked", extended)
-        object.__setattr__(book, "_veering", _veering(book, veering_report(pob).verdicts))
-        kept = pob.__dict__.get("_verdict")
-        # a kept witness has no matrix, and the new book veers left too
-        if kept is not None:
-            object.__setattr__(book, "_verdict", _verdict(book, kept.matrix or ()))
+    ends = {**checked.sides, label: below}
+    _add_ends(ends, (new_basis, new_image))
+    # the new basis arc is a crossing-free chord, so only its image is tested
+    if not is_embedded(surface, new_image) or _oriented_image(new_basis, new_image, ends) is None:
+        return book
+    kept = checked._replace(
+        basis=(*kept_basis, new_basis), images=(*kept_images, new_image), sides=ends
+    )
+    object.__setattr__(book, "_checked", kept)
+    veer = _veer(surface, new_basis, new_image, ends)
+    object.__setattr__(book, "_veering", VeeringReport((*veering_report(pob).verdicts, veer)))
+    verdict = pob.__dict__.get("_verdict")
+    if verdict is not None and verdict.matrix is not None:
+        row = (0,) * len(verdict.matrix) + (interior_intersections(surface, new_basis, new_image),)
+        verdict = _verdict(book, (*((*r, 0) for r in verdict.matrix), row))
+    if verdict is not None:
+        object.__setattr__(book, "_verdict", verdict)
     return book
 
 

@@ -774,10 +774,16 @@ def test_large_hopf_stars_stdout_is_pinned(argv, build_digest, check_digest):
             40,
             "fa2dbd56a016c65ec2fc3444264b60c0514c95df73d8d58dd5d6f52ab78322c3",
         ),
+        (
+            ("star", "2,2,2,2,2,2,2,2,2,2", "--mirror"),
+            40,
+            "2c3cb73ab6c0cfa7247f313656166eaca656d7620f84957dd22f02ee591c93ab",
+        ),
     ],
 )
 def test_long_stabilize_chains_stdout_is_pinned(argv, count, digest):
-    # the certified star book and the kept reversals run on every step
+    # the certified star book and the kept reversals run on every step, and
+    # the mirrored star's chain carries its witness verdict
     code, built, _err = run_on_text(["build", *argv], "")
     assert code == 0
     code, out, _err = run_on_text(["stabilize", "-", "--count", str(count)], built)

@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+import plumbook.documents
 from plumbook.arcs import Arc, Crossing
 from plumbook.cli import main
 from plumbook.documents import (
+    MAX_BOOK_ARCS,
+    MAX_BOOK_CROSSINGS,
     Document,
     arc_document,
     arc_from,
@@ -118,6 +121,35 @@ def test_malformed_documents_rejected():
     for value in (True, 3.0, -1.2, "3"):
         with pytest.raises(DocumentError, match="coefficient must be an integer"):
             pretzel_from({"coefficients": [-3, value, 1]})
+
+
+def test_oversized_books_are_refused_before_any_arc_is_built(monkeypatch):
+    payload = pob_document(associated_pob(pretzel_decompose(PretzelSpec((-3, 3, 1))))[2]).payload
+    arc, image = payload["basis"][0], payload["images"][0]
+    many = MAX_BOOK_ARCS // 2 + 1
+    too_long = {**image, "crossings": image["crossings"] * (MAX_BOOK_CROSSINGS + 1)}
+    crossings = len(arc["crossings"]) + len(too_long["crossings"])
+    built = []
+    monkeypatch.setattr(plumbook.documents, "arc_from", lambda a: built.append(a) or arc_from(a))
+    for big, message in (
+        (
+            {**payload, "basis": [arc] * many, "images": [image] * many},
+            f"book has {2 * many} arcs; at most {MAX_BOOK_ARCS} are supported",
+        ),
+        (
+            {**payload, "images": [too_long]},
+            f"book has {crossings} crossings; at most {MAX_BOOK_CROSSINGS} are supported",
+        ),
+    ):
+        with pytest.raises(DocumentError) as refused:
+            pob_from(big)
+        assert str(refused.value) == message
+    assert built == []
+    # a malformed payload is built as before, and building it says how
+    for bad in ({**payload, "images": [{**image, "crossings": 5}]}, {**payload, "basis": 5}):
+        with pytest.raises(DocumentError, match="bad (arc|pob) payload"):
+            pob_from(bad)
+    assert built
 
 
 def dumped(value) -> str:

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from certificates import assert_certificate_invariants
+
 import plumbook.arcs
 import plumbook.openbook
-from plumbook.arcs import Arc, Crossing, minimal_position, reverse
+from plumbook.arcs import Arc, Crossing, interior_intersections, minimal_position, reverse
 from plumbook.cli import main
 from plumbook.documents import pob_document, pob_payload, print_documents
 from plumbook.errors import (
@@ -291,10 +293,12 @@ def test_book_checked_once_across_operations(monkeypatch):
 
 
 def test_book_decided_from_kept_arc_views(monkeypatch):
-    pob = associated_pob(pretzel_decompose(PretzelSpec((-3, 3, 1))))[2]
+    stabilized = associated_pob(pretzel_decompose(PretzelSpec((-3, 3, 1))))[2]
     for _ in range(6):
-        pob = positive_stabilization(pob)
-    pob = fresh(pob)
+        stabilized = positive_stabilization(stabilized)
+    # it keeps its check and veering but no verdict, and its kept old arcs
+    # have no views on its surface
+    assert "_verdict" not in stabilized.__dict__
     built, turned = [], []
     view_init = plumbook.arcs._ArcData.__init__
     monkeypatch.setattr(
@@ -304,21 +308,25 @@ def test_book_decided_from_kept_arc_views(monkeypatch):
     )
     reverse = plumbook.openbook.reverse
     monkeypatch.setattr(plumbook.openbook, "reverse", lambda a: turned.append(a) or reverse(a))
-    validate_pob(pob)
-    veering_report(pob)
-    contact_verdict(pob)
-    # a view and its reversal per basis arc and image, each built once:
-    # veering turns arcs around through their kept reversals
-    assert len(built) <= 2 * (len(pob.basis) + len(pob.images))
-    assert turned
-    for a in turned:
-        assert reverse(reverse(a)) is a
-    p = pob.surface
-    kept = [minimal_position(p, a, h)[:2] for a, h in zip(pob.basis, pob.images)]
-    built.clear()
-    for a, h in kept:
-        minimal_position(p, a, h)
-    assert built == []
+    for pob in (fresh(stabilized), stabilized):
+        built.clear()
+        turned.clear()
+        validate_pob(pob)
+        veering_report(pob)
+        contact_verdict(pob)
+        # a view and its reversal per basis arc and image, each built once:
+        # veering turns a fresh book's arcs around through their kept
+        # reversals, and the stabilized book keeps its veering
+        assert len(built) <= 2 * (len(pob.basis) + len(pob.images))
+        assert bool(turned) == (pob is not stabilized)
+        for a in turned:
+            assert reverse(reverse(a)) is a
+        p = pob.surface
+        kept = [minimal_position(p, a, h)[:2] for a, h in zip(pob.basis, pob.images)]
+        built.clear()
+        for a, h in kept:
+            minimal_position(p, a, h)
+        assert built == []
 
 
 def test_kept_check_is_invisible():
@@ -364,20 +372,37 @@ def decided(pob):
         return validate_pob(pob), str(e)
 
 
-@pytest.mark.parametrize(
-    "start",
-    [
-        associated_pob(pretzel_decompose(PretzelSpec((-3, 3, 1))))[2],
-        hopf_pob(-1),
-        PartialOpenBook(PolygonPresentation((B("D"),)), (), ()),
-    ],
-    ids=["pretzel(-3,3,1)", "hopf(-2)", "disk"],
-)
-def test_stabilized_books_decide_as_fresh_books(start):
+STARTS = {
+    "hopf(+2)": (2,),
+    "hopf(-2)": (-2,),
+    "pretzel(-3,3,1)": (2, -4),
+    "star 2,2,2": (2, 2, 2),
+    "star 2,-2,2": (2, -2, 2),
+    "star -2,2": (-2, 2),
+    "star 4": (4,),
+    "star 2,2,-2,2": (2, 2, -2, 2),
+}
+
+
+def start_book(name):
+    if name == "disk":
+        return PartialOpenBook(PolygonPresentation((B("D"),)), (), ())
+    if name == "unknown":
+        # right-veering, and its one arc meets its image once
+        a = Arc(pt("Bl00", 1, 3), pt("Br00", 1, 3))
+        h = Arc(pt("Bl00", 2, 3), pt("Br00", 2, 3), (Crossing("c0", 1), Crossing("c0", 1)))
+        return PartialOpenBook(TWO_STAR, (a,), (h,))
+    return associated_pob(StarPlumbing(tuple(TwistedAnnulus(t) for t in STARTS[name])))[2]
+
+
+@pytest.mark.parametrize("name", [*STARTS, "disk", "unknown"])
+def test_stabilized_books_decide_as_fresh_books(name):
     # stabilizing carries the check, veering and (when kept) the verdict;
-    # a fresh copy of every book, rebuilt with nothing kept, must agree
-    pob = start
-    for step in range(24):
+    # a fresh copy of every book, rebuilt with nothing kept, must agree,
+    # and on it the new pair meets no old arc, which the carried results
+    # take from the construction
+    start = pob = start_book(name)
+    for step in range(25):
         if step % 4 == 0:
             contact_verdict(pob)
         elif step % 4 == 3:
@@ -385,94 +410,65 @@ def test_stabilized_books_decide_as_fresh_books(start):
             pob = fresh(pob)
         pob = positive_stabilization(pob)
         assert "_checked" in pob.__dict__, step
-        assert decided(pob) == decided(fresh(pob))
+        copy = fresh(pob)
+        assert decided(pob) == decided(copy)
         assert validate_pob(pob) == []
-    assert len(pob.basis) == len(start.basis) + 24
+        *old_basis, new_basis = copy.__dict__["_checked"].basis
+        *old_images, new_image = copy.__dict__["_checked"].images
+        counts = [
+            interior_intersections(copy.surface, x, y)
+            for x in (new_basis, new_image)
+            for y in (*old_basis, *old_images)
+        ]
+        assert counts == [0] * len(counts), step
+        assert_certificate_invariants(pob)
+    assert contact_verdict(pob).status is contact_verdict(start).status
+    assert len(pob.basis) == len(start.basis) + 25
 
 
 def test_failed_new_arc_tests_keep_nothing(monkeypatch):
     pob = positive_stabilization(hopf_pob(+1))
     contact_verdict(pob)
-    monkeypatch.setattr(plumbook.openbook, "interior_intersections", lambda p, a, b: 1)
-    book = positive_stabilization(pob)
-    assert not {"_checked", "_veering", "_verdict"} & book.__dict__.keys()
-    monkeypatch.undo()
-    # checked in full on first use instead
-    assert decided(book) == decided(fresh(book))
-    assert contact_verdict(book).status is VerdictStatus.NONZERO_TIGHT
-
-
-TWICE = ((("st", 1), ("st", 1)), ("Bl00", "Bl00h"))
-ONCE = ((("st0", 1),), ("Bl00", "Bl00t0"))
-
-
-@pytest.mark.parametrize(
-    "basis_arc, image",
-    [
-        # the new basis arc crosses basis arcs 1 and 2
-        (TWICE, TWICE),
-        # the new image crosses itself
-        (ONCE, ((("st0", -1),), ("Bl00", "Bl00t0"))),
-        # the new image ends on another side than its basis arc
-        (ONCE, ((("st0", 1),), ("Bl00", "Br01"))),
-    ],
-    ids=["crossing-basis", "image-not-embedded", "far-image"],
-)
-@pytest.mark.parametrize("k", [3, 1])
-def test_prefix_check_lists_what_a_fresh_check_lists(basis_arc, image, k, monkeypatch):
-    # a valid book of 3 pairs, then one more pair whose points lie above
-    # every marked point of their sides, as stabilization adds them; the
-    # prior is the check of the first k pairs, so with k = 1 three pairs,
-    # one failing, extend it
-    start = associated_pob(pretzel_decompose(PretzelSpec((-3, 3, 1))))[2]
-    valid = positive_stabilization(positive_stabilization(start))
-    prefix = PartialOpenBook(valid.surface, valid.basis[:k], valid.images[:k])
-    prior = plumbook.openbook._check(prefix)
-    assert prior.violations == ()
-    ends = [pt for x in (*valid.basis, *valid.images) for pt in (x.start, x.end)]
-
-    def arc(spec, n):
-        word, sides = spec
-        points = []
-        for side in sides:
-            top = max((pt.position for pt in ends if pt.side == side), default=Fraction(0))
-            points.append(BoundaryPoint(side, top + (1 - top) * n / 3))
-        return Arc(*points, tuple(Crossing(*c) for c in word))
-
-    book = PartialOpenBook(
-        valid.surface, (*valid.basis, arc(basis_arc, 1)), (*valid.images, arc(image, 2))
-    )
-    tested = []
-    original = plumbook.openbook.is_embedded
-    monkeypatch.setattr(
-        plumbook.openbook, "is_embedded", lambda p, x: tested.append(x) or original(p, x)
-    )
-    extended = plumbook.openbook._check(book, prior)
-    monkeypatch.undo()
-    # only the pairs past the prior are tested for embedding
-    assert len(tested) == 2 * (len(book.basis) - k)
-    assert extended.violations
-    assert list(extended.violations) == validate_pob(fresh(book))
+    # the new image crosses itself, or it does not end beside its basis arc
+    for name, fail in (("is_embedded", lambda p, a: False), ("_oriented_image", lambda *_: None)):
+        monkeypatch.setattr(plumbook.openbook, name, fail)
+        book = positive_stabilization(pob)
+        assert not {"_checked", "_veering", "_verdict"} & book.__dict__.keys()
+        monkeypatch.undo()
+        # checked in full on first use instead
+        assert decided(book) == decided(fresh(book))
+        assert contact_verdict(book).status is VerdictStatus.NONZERO_TIGHT
 
 
 def test_stabilization_counts_only_the_new_arc(monkeypatch):
-    pob = associated_pob(pretzel_decompose(PretzelSpec((-3, 5, 7, 1))))[2]
-    contact_verdict(pob)
-    calls = []
+    # a step counts only the new pair's diagonal entry, and it builds the
+    # same views whatever the length of the chain
+    calls, views = [], []
     original = plumbook.arcs.minimal_position
     monkeypatch.setattr(
         plumbook.arcs, "minimal_position", lambda p, a, b: calls.append(a) or original(p, a, b)
     )
-    for _ in range(30):
-        k = len(pob.basis)
-        calls.clear()
-        pob = positive_stabilization(pob)
-        validate_pob(pob)
-        veering_report(pob)
+    view_init = plumbook.arcs._ArcData.__init__
+    monkeypatch.setattr(
+        plumbook.arcs._ArcData,
+        "__init__",
+        lambda self, geo, a, slots: views.append(a) or view_init(self, geo, a, slots),
+    )
+    ten = StarPlumbing((TwistedAnnulus(2),) * 10)
+    for star in (pretzel_decompose(PretzelSpec((-3, 5, 7, 1))), ten):
+        pob = associated_pob(star)[2]
         contact_verdict(pob)
-        # disjointness from k old arcs of each kind, then a new matrix
-        # column of k entries and a new row of k + 1
-        assert len(calls) <= 4 * k + 1
+        built = set()
+        for _ in range(20):
+            calls.clear()
+            views.clear()
+            pob = positive_stabilization(pob)
+            validate_pob(pob)
+            veering_report(pob)
+            contact_verdict(pob)
+            assert len(calls) <= 1
+            built.add(len(views))
+        assert len(built) == 1, built
 
 
 def stars(twists, most):
@@ -505,6 +501,7 @@ def test_every_distinct_star_book_decides_as_the_paper_says():
     fibered = 0
     for star, pob in books.items():
         verdict = contact_verdict(pob)
+        assert_certificate_invariants(pob)
         tight = verdict.status is VerdictStatus.NONZERO_TIGHT
         sqp = is_strongly_quasipositive(star)
         twists = [s.halftwists for s in star.summands]
@@ -545,18 +542,6 @@ def test_images_written_end_to_start_decide_as_the_forward_book(twists, tmp_path
         assert main(["check", str(path)]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
-
-
-@pytest.mark.parametrize("bands", [2, 3])
-def test_verdict_extends_every_known_row(bands):
-    # the known matrix of a book's first k arcs is extended by new columns
-    # in its old rows and by new rows; in these stars entry (0, 1) is 1
-    book = associated_pob(StarPlumbing((TwistedAnnulus(2),) * bands))[2]
-    want = contact_verdict(fresh(book))
-    assert want.matrix[0][1] == 1
-    for k in range(bands + 1):
-        known = tuple(row[:k] for row in want.matrix[:k])
-        assert plumbook.openbook._verdict(fresh(book), known) == want
 
 
 def test_certified_book_keeps_nothing_when_its_premise_fails():

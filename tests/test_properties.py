@@ -1,9 +1,12 @@
 """Randomized laws the engine must satisfy on every input."""
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from certificates import assert_certificate_invariants
 
 from plumbook.arcs import (
     Arc,
@@ -11,6 +14,7 @@ from plumbook.arcs import (
     Divergence,
     first_divergence,
     interior_intersections,
+    is_embedded,
     is_isotopic,
     minimal_position,
     reduce,
@@ -18,14 +22,18 @@ from plumbook.arcs import (
     twist_about_band,
 )
 from plumbook.openbook import (
+    PartialOpenBook,
     contact_verdict,
     positive_stabilization,
+    validate_pob,
     veering_report,
 )
 from plumbook.plumbing import (
+    PretzelSpec,
     StarPlumbing,
     TwistedAnnulus,
     associated_pob,
+    pretzel_decompose,
     star_sum_surface,
 )
 from plumbook.surface import (
@@ -166,19 +174,79 @@ def test_star_euler_characteristic_law(k):
     assert chi == 2 - 2 * genus(p) - len(boundary_components(p))
 
 
-@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=29))
-def test_rotation_changes_nothing_observable(k, r):
-    p = star_sum_surface(StarPlumbing((TwistedAnnulus(2),) * k))
-    sides = p.sides
-    rotated = PolygonPresentation(sides[r % len(sides) :] + sides[: r % len(sides)])
-    assert validate(rotated) == []
-    assert euler_characteristic(rotated) == euler_characteristic(p)
-    assert genus(rotated) == genus(p)
-    # each boundary circle keeps its labels; rotation only moves the start
-    # of the walk along them
-    assert sorted(map(sorted, boundary_components(rotated))) == sorted(
-        map(sorted, boundary_components(p))
+def symmetry_books():
+    """The 39 stars of at most three bands in {2, -2, 4}, and the first four
+    stabilizations of pretzel(-3,3,1)."""
+    books = [
+        associated_pob(StarPlumbing(tuple(TwistedAnnulus(t) for t in bands)))[2]
+        for k in range(1, 4)
+        for bands in itertools.product((2, -2, 4), repeat=k)
+    ]
+    pob = associated_pob(pretzel_decompose(PretzelSpec((-3, 3, 1))))[2]
+    for _ in range(4):
+        pob = positive_stabilization(pob)
+        books.append(pob)
+    return books
+
+
+def observed(pob):
+    """What the arc kernel reports on a book: its violations, whether each
+    arc is embedded, the matrix i(a_i, h_j), and the first divergence of
+    each image from its basis arc at both ends."""
+    p = pob.surface
+    basis = [reduce(p, a) for a in pob.basis]
+    images = [reduce(p, h) for h in pob.images]
+    return (
+        validate_pob(pob),
+        [is_embedded(p, x) for x in (*basis, *images)],
+        [[interior_intersections(p, a, h) for h in images] for a in basis],
+        [
+            (first_divergence(p, a, h), first_divergence(p, reverse(a), reverse(h)))
+            for a, h in zip(basis, images)
+        ],
     )
+
+
+def mirrored(a):
+    """a on the mirrored polygon: each position t becomes 1 - t."""
+    start, end = (BoundaryPoint(x.side, 1 - x.position) for x in (a.start, a.end))
+    return Arc(start, end, a.crossings)
+
+
+SWAP = {
+    Divergence.RIGHT_OF: Divergence.LEFT_OF,
+    Divergence.LEFT_OF: Divergence.RIGHT_OF,
+    Divergence.EQUAL: Divergence.EQUAL,
+}
+
+
+def test_rotation_changes_nothing_observable():
+    # every cyclic shift of the side list starts the arc kernel's one order
+    # (_key) at another zero point; the mirror runs it the other way round
+    books = symmetry_books()
+    assert len(books) == 43
+    for pob in books:
+        sides = pob.surface.sides
+        want = observed(pob)
+        for r in range(1, len(sides)):
+            rotated = PolygonPresentation(sides[r:] + sides[:r])
+            assert validate(rotated) == []
+            assert euler_characteristic(rotated) == euler_characteristic(pob.surface)
+            assert genus(rotated) == genus(pob.surface)
+            # each boundary circle keeps its labels; rotation only moves the
+            # start of the walk along them
+            assert sorted(map(sorted, boundary_components(rotated))) == sorted(
+                map(sorted, boundary_components(pob.surface))
+            )
+            assert observed(PartialOpenBook(rotated, pob.basis, pob.images)) == want, r
+        mirror = PartialOpenBook(
+            PolygonPresentation(sides[::-1]),
+            tuple(map(mirrored, pob.basis)),
+            tuple(map(mirrored, pob.images)),
+        )
+        violations, embedded, matrix, divergences = observed(mirror)
+        assert (violations, embedded, matrix) == want[:3]
+        assert divergences == [(SWAP[x], SWAP[y]) for x, y in want[3]]
 
 
 @settings(max_examples=25, deadline=None)
@@ -198,3 +266,4 @@ def test_stabilization_preserves_the_verdict(twists, count):
         assert veering_report(pob).is_right_veering
         after = contact_verdict(pob)
         assert after.status == before.status
+        assert_certificate_invariants(pob)

@@ -54,8 +54,8 @@ class Crossing:
     direction: int
 
     def __post_init__(self):
-        if self.direction not in (1, -1):
-            raise ValueError(f"crossing direction must be +1 or -1, got {self.direction}")
+        if type(self.direction) is not int or self.direction not in (1, -1):
+            raise ValueError(f"crossing direction must be +1 or -1, got {self.direction!r}")
 
     def inverse(self) -> "Crossing":
         return Crossing(self.pair, -self.direction)

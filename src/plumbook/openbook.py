@@ -14,18 +14,18 @@ endpoints or immediately beside them on the same boundary sides, with no
 other marked point in between.  Exact coincidence is reserved for identity
 images; every construction in this package emits the pushed-off form.
 
-A book is checked once per object: validate_pob keeps its violations,
-reduced arcs and ranked marked points on the book for every operation
-below, and veering_report and contact_verdict keep their results beside
-them.  Books, arcs and surfaces are frozen, so the results cannot go stale,
-and they are not fields, so equality, hashing, repr and documents ignore
-them.  Operations on an invalid book raise on every call.  Each of the
-three results is computed by one function on the whole book.  Two
-constructions carry them instead: a book whose images one boundary-fixing
-homeomorphism makes from the images of a checked book carries that book's
-check (certified_book), and a positive stabilization carries its old
-book's results with the one pair it adds, whose counts against the old
-arcs are zero by construction.
+A book is checked once per object: validate_pob keeps its violations and
+reduced arcs on the book for every operation below, each image of a valid
+book oriented to start beside its basis arc's start, and veering_report
+and contact_verdict keep their results beside them.  Books, arcs and
+surfaces are frozen, so the results cannot go stale, and they are not
+fields, so equality, hashing, repr and documents ignore them.  Operations
+on an invalid book raise on every call.  Each of the three results is
+computed by one function on the whole book.  Two constructions carry them
+instead: a book whose images one boundary-fixing homeomorphism makes from
+the images of a checked book carries that book's check (certified_book),
+and a positive stabilization carries its old book's results with the one
+pair it adds, whose counts against the old arcs are zero by construction.
 """
 
 from __future__ import annotations
@@ -103,30 +103,27 @@ class ContactVerdict:
 
 
 class _CheckedBook(NamedTuple):
-    """What validate_pob found out about a book, kept on the book.
-
-    sides is the book's one index of marked points: per boundary side, its
-    distinct endpoint positions in increasing order, so that a position's
-    rank is its index there, found by bisection.
+    """What validate_pob found out about a book, kept on the book: its
+    violations and its arcs reduced.  On a valid book each image is
+    oriented to start beside its basis arc's start, as veering reads it.
     """
 
     violations: tuple[Violation, ...]
     basis: tuple[Arc, ...]
     images: tuple[Arc, ...]
-    sides: dict[str, tuple[Fraction, ...]]
 
 
-def _add_ends(sides: dict[str, tuple[Fraction, ...]], arcs) -> None:
-    """Add the endpoint positions of arcs to the side index sides; they lie
-    above the positions already there."""
+def _side_index(arcs) -> dict[str, list[Fraction]]:
+    """Per boundary side, the distinct endpoint positions of arcs in
+    increasing order, so that a position's rank is its index there."""
     on: dict[str, list[Fraction]] = {}
     for a in arcs:
         for pt in (a.start, a.end):
             on.setdefault(pt.side, []).append(pt.position)
     for side, ts in on.items():
         ts.sort()
-        new = tuple(t for i, t in enumerate(ts) if i == 0 or t != ts[i - 1])
-        sides[side] = sides.get(side, ()) + new
+        on[side] = [t for i, t in enumerate(ts) if i == 0 or t != ts[i - 1]]
+    return on
 
 
 def _adjacent(x: BoundaryPoint, y: BoundaryPoint, sides) -> bool:
@@ -161,17 +158,17 @@ def validate_pob(pob: PartialOpenBook) -> list[Violation]:
 def _check(pob: PartialOpenBook) -> _CheckedBook:
     """The check of pob: its arcs reduced, each arc tested for embedding,
     each pair of basis arcs and of images for disjointness, each image for
-    ending beside its basis arc, and all endpoints for ties."""
+    ending beside its basis arc (and oriented to start beside its start),
+    and all endpoints for ties."""
     _geometry(pob.surface)
     if len(pob.basis) != len(pob.images):
         count = f"{len(pob.basis)} basis arcs but {len(pob.images)} images"
-        return _CheckedBook((Violation("EndpointMismatch", count),), (), (), {})
+        return _CheckedBook((Violation("EndpointMismatch", count),), (), ())
     out: list[Violation] = []
     p = pob.surface
     basis = tuple(reduce(p, a) for a in pob.basis)
     images = tuple(reduce(p, a) for a in pob.images)
-    sides: dict[str, tuple[Fraction, ...]] = {}
-    _add_ends(sides, (*basis, *images))
+    sides = _side_index((*basis, *images))
     for name, arcs in (("basis", basis), ("image", images)):
         for i, a in enumerate(arcs):
             if not is_embedded(p, a):
@@ -181,15 +178,16 @@ def _check(pob: PartialOpenBook) -> _CheckedBook:
             n = interior_intersections(p, arcs[i], arcs[j])
             if n:
                 out.append(Violation(code, f"arcs {i} and {j} cross {n} time(s)"))
-    for i in range(len(basis)):
-        if _oriented_image(basis[i], images[i], sides) is None:
+    oriented = [_oriented_image(a, h, sides) for a, h in zip(basis, images)]
+    for i, h in enumerate(oriented):
+        if h is None:
             out.append(
                 Violation("EndpointMismatch", f"image {i} does not end beside basis arc {i}")
             )
     # only endpoints sharing a point leave fewer positions than endpoints
     if 2 * (len(basis) + len(images)) > sum(map(len, sides.values())):
         out += _ties(basis, images)
-    return _CheckedBook(tuple(out), basis, images, sides)
+    return _CheckedBook(tuple(out), basis, tuple(o or h for o, h in zip(oriented, images)))
 
 
 _TIES = ("basis arc {} and image {}", "basis arcs {} and {}", "image arcs {} and {}")
@@ -231,14 +229,15 @@ def certified_book(chords: PartialOpenBook, images) -> PartialOpenBook:
     of the surface that fixes its boundary pointwise.  h keeps every arc
     embedded and every pair's intersection number, and leaves the endpoints
     where they are, so the book's check is the valid chord book's with the
-    images put in: its side index and ties read only endpoints.  The
-    endpoints are compared, not assumed: an invalid chord book, or images
-    that moved an endpoint, leave the book to the full check.
+    images put in: its endpoint tests and ties read only endpoints.  The
+    ends are compared with the checked, oriented chords', not assumed: an
+    invalid chord book, or images that moved or swapped their ends, leave
+    the book to the full check.
     """
     checked = _kept(chords, "_checked", _check)
     book = PartialOpenBook(chords.surface, chords.basis, images)
     ends = [(h.start, h.end) for h in book.images]
-    if not checked.violations and ends == [(c.start, c.end) for c in chords.images]:
+    if not checked.violations and ends == [(c.start, c.end) for c in checked.images]:
         reduced = tuple(reduce(book.surface, h) for h in book.images)
         object.__setattr__(book, "_checked", checked._replace(images=reduced))
     return book
@@ -276,11 +275,11 @@ def veering_report(pob: PartialOpenBook) -> VeeringReport:
 def _veering(pob: PartialOpenBook) -> VeeringReport:
     checked = _require_pob(pob)
     pairs = zip(checked.basis, checked.images)
-    return VeeringReport(tuple(_veer(pob.surface, a, h, checked.sides) for a, h in pairs))
+    return VeeringReport(tuple(_veer(pob.surface, a, h) for a, h in pairs))
 
 
-def _veer(p: PolygonPresentation, a: Arc, h: Arc, sides) -> ArcVeer:
-    h = _oriented_image(a, h, sides)
+def _veer(p: PolygonPresentation, a: Arc, h: Arc) -> ArcVeer:
+    """The verdict of basis arc a and its image h, which starts beside a's."""
     at_start = first_divergence(p, a, h)
     if at_start is Divergence.EQUAL:
         return ArcVeer.ISOTOPIC
@@ -351,17 +350,20 @@ def free_site(pob: PartialOpenBook) -> tuple[BoundaryPoint, BoundaryPoint]:
     last marked point and the side's far corner; always succeeds on a valid
     book and raises InvalidOpenBookError on an invalid one.
     """
+    return _free_gap(*_top_point(pob))
+
+
+def _top_point(pob: PartialOpenBook) -> tuple[str, Fraction]:
+    """The first boundary side of a valid book and its last marked point."""
     checked = _require_pob(pob)
-    label = next(
-        s.label for s in pob.surface.sides if isinstance(s, Boundary)
-    )
-    return _free_gap(label, checked.sides.get(label, ()))
+    label = next(s.label for s in pob.surface.sides if isinstance(s, Boundary))
+    ends = (pt for a in (*checked.basis, *checked.images) for pt in (a.start, a.end))
+    return label, max((pt.position for pt in ends if pt.side == label), default=Fraction(0))
 
 
-def _free_gap(label: str, positions) -> tuple[BoundaryPoint, BoundaryPoint]:
+def _free_gap(label: str, top: Fraction) -> tuple[BoundaryPoint, BoundaryPoint]:
     """Two points on side label splitting the gap between its last marked
-    point (positions in increasing order) and its far corner into thirds."""
-    top = positions[-1] if positions else Fraction(0)
+    point top and its far corner into thirds."""
     return BoundaryPoint(label, top + (1 - top) / 3), BoundaryPoint(label, top + 2 * (1 - top) / 3)
 
 
@@ -376,8 +378,8 @@ def _fresh(base: str, taken: set) -> str:
 
 # stabilize --count refuses more: each step tests only the new pair, but it
 # copies every old arc and positions grow; with count 200, pretzel(-3,3,1)
-# and a 10-band Hopf star each take about 0.9 s (stabilize wall time,
-# Python 3.11.7 on a shared 2-vCPU Xeon host)
+# and a 10-band Hopf star each take 0.7 to 1.1 s (stabilize wall time, as
+# load varied, Python 3.11.7 on a shared 2-vCPU Xeon host)
 MAX_STABILIZE_COUNT = 200
 
 
@@ -403,12 +405,13 @@ def positive_stabilization(pob: PartialOpenBook) -> PartialOpenBook:
     the old arcs moved and not reduced again; its veering verdicts and the
     new pair's; and a kept verdict, with its matrix bordered by zeros and
     the new diagonal entry (a witness has no matrix and stays the witness).
-    The new pair is tested only against itself, and if it fails, the new
-    book keeps nothing and is checked in full on first use.
+    The new pair is tested only against itself, on an index of its own four
+    points, which is exact: no old point lies in the free gap or on the new
+    side.  If it fails, the new book keeps nothing and is checked in full.
     """
     checked = _require_pob(pob)
-    q1, _ = free_site(pob)
-    label, lo = q1.side, q1.position
+    label, top = _top_point(pob)
+    lo = _free_gap(label, top)[0].position
     sides = pob.surface.sides
     labels = {s.label for s in sides if isinstance(s, Boundary)}
     pairs = {s.pair for s in sides if isinstance(s, Glued)}
@@ -441,24 +444,18 @@ def positive_stabilization(pob: PartialOpenBook) -> PartialOpenBook:
     # book was given unreduced
     basis = kept_basis if pob.basis == checked.basis else move_arcs(pob.basis)
     images = kept_images if pob.images == checked.images else move_arcs(pob.images)
-    below = tuple(t / lo for t in checked.sides.get(label, ()))
-    t1, t2 = _free_gap(label, below)
+    t1, t2 = _free_gap(label, top / lo)
     new_basis = reduce(surface, Arc(t1, BoundaryPoint(mid_label, Fraction(1, 3))))
     pushed = Arc(t2, BoundaryPoint(mid_label, Fraction(2, 3)))
     new_image = twist_about_band(surface, pushed, pair, +1)
     book = PartialOpenBook(surface, (*basis, new_basis), (*images, new_image))
-    # the old points keep their order, and the new ones lie above them on
-    # side label or on the new side mid_label
-    ends = {**checked.sides, label: below}
-    _add_ends(ends, (new_basis, new_image))
     # the new basis arc is a crossing-free chord, so only its image is tested
-    if not is_embedded(surface, new_image) or _oriented_image(new_basis, new_image, ends) is None:
+    oriented = _oriented_image(new_basis, new_image, _side_index((new_basis, new_image)))
+    if oriented is None or not is_embedded(surface, new_image):
         return book
-    kept = checked._replace(
-        basis=(*kept_basis, new_basis), images=(*kept_images, new_image), sides=ends
-    )
+    kept = checked._replace(basis=(*kept_basis, new_basis), images=(*kept_images, oriented))
     object.__setattr__(book, "_checked", kept)
-    veer = _veer(surface, new_basis, new_image, ends)
+    veer = _veer(surface, new_basis, oriented)
     object.__setattr__(book, "_veering", VeeringReport((*veering_report(pob).verdicts, veer)))
     verdict = pob.__dict__.get("_verdict")
     if verdict is not None and verdict.matrix is not None:

@@ -139,8 +139,10 @@ def test_reduce_rejects_unknown_side_and_bad_positions():
 
 
 def test_crossing_direction_validated():
-    with pytest.raises(ValueError):
-        Crossing("c", 2)
+    # a bool or a float would be written as a document that check refuses
+    for direction in (2, True, 1.0):
+        with pytest.raises(ValueError):
+            Crossing("c", direction)
 
 
 def test_arc_ops_validate_presentation():

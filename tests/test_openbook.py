@@ -279,15 +279,24 @@ def fresh(pob):
 def test_book_checked_once_across_operations(monkeypatch):
     # a stabilized book carries its check; a fresh copy measures one check
     pob = fresh(positive_stabilization(hopf_pob(+1)))
-    checked = []
+    checked, oriented = [], []
     original = plumbook.openbook.is_embedded
     monkeypatch.setattr(
         plumbook.openbook, "is_embedded", lambda p, a: checked.append(a) or original(p, a)
     )
+    orient = plumbook.openbook._oriented_image
+    monkeypatch.setattr(
+        plumbook.openbook, "_oriented_image", lambda *args: oriented.append(args) or orient(*args)
+    )
+    validate_pob(pob)
+    # the check orients each image once; the operations read the kept pairs
+    assert len(oriented) == len(pob.basis)
     veering_report(pob)
     contact_verdict(pob)
+    free_site(pob)
     dividing_set_counts(pob)
     validate_pob(pob)
+    assert len(oriented) == len(pob.basis)
     # one embeddedness test per basis arc and per image, all in one pass
     assert len(checked) == 2 * len(pob.basis)
 
@@ -359,8 +368,8 @@ def test_invalid_books_raise_on_every_call():
 
 
 def decided(pob):
-    """Everything a check reports on a book, its kept check with the side
-    index among it, or the error it raises."""
+    """Everything a check reports on a book, its kept check with the
+    oriented images among it, or the error it raises."""
     try:
         return (
             validate_pob(pob),
@@ -381,6 +390,8 @@ STARTS = {
     "star -2,2": (-2, 2),
     "star 4": (4,),
     "star 2,2,-2,2": (2, 2, -2, 2),
+    # every image written end to start: the book keeps them turned around
+    "star 2,2,2 reversed": (2, 2, 2),
 }
 
 
@@ -392,7 +403,10 @@ def start_book(name):
         a = Arc(pt("Bl00", 1, 3), pt("Br00", 1, 3))
         h = Arc(pt("Bl00", 2, 3), pt("Br00", 2, 3), (Crossing("c0", 1), Crossing("c0", 1)))
         return PartialOpenBook(TWO_STAR, (a,), (h,))
-    return associated_pob(StarPlumbing(tuple(TwistedAnnulus(t) for t in STARTS[name])))[2]
+    book = associated_pob(StarPlumbing(tuple(TwistedAnnulus(t) for t in STARTS[name])))[2]
+    if name.endswith("reversed"):
+        return PartialOpenBook(book.surface, book.basis, tuple(reverse(h) for h in book.images))
+    return book
 
 
 @pytest.mark.parametrize("name", [*STARTS, "disk", "unknown"])

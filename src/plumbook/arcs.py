@@ -22,7 +22,9 @@ question below becomes finite combinatorics on the polygon's cyclic order:
 
 All three read one counterclockwise order on the polygon circle, the tuple
 order of addresses rotated to start at a reference (_key), with exact
-integer and Fraction comparisons only.
+integer and Fraction comparisons only.  Twists and bands_cut read it on
+side indices alone: no address of the arcs they take lies on a side of the
+band's pair, and a door is alone on its side.
 
 Exact endpoint coincidences never count as crossings: strands emanating from
 a shared point can always be combed apart.
@@ -30,7 +32,10 @@ a shared point can always be combed apart.
 An arc is checked once per presentation object: reduce keeps, on the arc
 it returns, the indexed view that every query below reads.
 twist_about_band derives its result's view from its input's, slot by slot,
-without reducing or checking the result again.
+without reducing or checking the result again; a twist that meets nothing
+returns its reduced input as it is.  Each call builds a letter once:
+reverse inverts each distinct letter once, and a twist builds its two
+detour letters at the first slot that needs one.
 """
 
 from __future__ import annotations
@@ -158,12 +163,6 @@ def _linked(a: tuple[Address, Address], b: tuple[Address, Address]) -> bool:
     return (a1 < b1 < a2) != (a1 < b2 < a2)
 
 
-def _core_chord(geo: _Geometry, pair: str) -> tuple[Address, Address]:
-    """The chord a band core runs along in every chamber: between its doors."""
-    left, right = sorted(geo.pair_sides[pair])
-    return (left, 0), (right, 0)
-
-
 def reduce(p: PolygonPresentation, a: Arc) -> Arc:
     """Cancel adjacent opposite crossings of the same pair until none remain.
 
@@ -210,7 +209,16 @@ def reverse(a: Arc) -> Arc:
     view = a.__dict__.get("_view")
     if view is not None and view._reversed is not None:
         return view._reversed.arc
-    r = Arc(a.end, a.start, tuple(c.inverse() for c in reversed(a.crossings)))
+    # each distinct letter is inverted once
+    inverses: dict[tuple[str, int], Crossing] = {}
+    word = []
+    for c in reversed(a.crossings):
+        key = c.pair, c.direction
+        inverse = inverses.get(key)
+        if inverse is None:
+            inverse = inverses[key] = c.inverse()
+        word.append(inverse)
+    r = Arc(a.end, a.start, tuple(word))
     if view is not None:
         # the reversal passes the same slots backwards, entry and exit swapped
         view._reversed = _ArcData(view.geo, r, [(y, x) for x, y in reversed(view.slots)])
@@ -269,11 +277,12 @@ def _count(da: _ArcData, db: _ArcData) -> int:
     same lift, not a pair, and every other one is met from both strands."""
     same = db is da
     total = 0
-    for m0, k0, r in _forward_alignments(da.letters, db.letters):
-        if not (same and m0 == k0):
-            total += _corridor_linked(da, db, m0, k0, r)
-    # a crossing-free strand shares no corridor, so b's reversal is not built
+    # a crossing-free strand shares no corridor, so no alignment is sought
+    # and b's reversal is not built
     if da.letters and db.letters:
+        for m0, k0, r in _forward_alignments(da.letters, db.letters):
+            if not (same and m0 == k0):
+                total += _corridor_linked(da, db, m0, k0, r)
         db_rev = db.reversed
         for m0, k0, r in _forward_alignments(da.letters, db_rev.letters):
             if not (same and m0 + k0 == len(da.letters)):
@@ -379,6 +388,8 @@ def twist_about_band(p: PolygonPresentation, a: Arc, pair: str, sign: int) -> Ar
     inserted crossings have a letter of a between them, so every adjacent
     couple is either adjacent in a's reduced word or of two distinct pairs.
     With a's checked endpoints, the image gets its view from these slots.
+    An arc that meets the core nowhere is its own image: the reduced arc
+    comes back with its kept view, and no letter or view is built.
 
     Supported for arcs that do not already cross the band themselves, which
     covers every construction in this package (band-dual arcs and their
@@ -396,38 +407,58 @@ def twist_about_band(p: PolygonPresentation, a: Arc, pair: str, sign: int) -> Ar
         raise ValueError(
             f"twist about {pair!r} needs an arc not already crossing that band"
         )
-    core = _core_chord(geo, pair)
-    left_door = (left, 0)
+    # No slot address lies on a side of the pair: a door is alone on its
+    # side, and neither door is a door of a's letters.  So a slot's chord
+    # meets the core, the chord between the doors, exactly when one of its
+    # sides lies strictly between the doors' sides, and then its entry and
+    # exit sides differ from each other and from the doors'.
+    lo, hi = (left, right) if left < right else (right, left)
+    slots = da.slots
+    for first, (entry, exit_) in enumerate(slots):
+        if (lo < entry[0] < hi) != (lo < exit_[0] < hi):
+            break
+    else:
+        return ra
     # the inserted crossing with its out and in door, for a slot whose exit
     # comes before the left door counterclockwise from its entry, then for
-    # one whose exit comes after it
+    # one whose exit comes after it: _key(entry, left door) < _key(entry,
+    # exit) read on side indices
     detours = []
     for direction in (-sign, sign):
         c = Crossing(pair, direction)
         out, in_ = _doors(geo, c)
         detours.append((c, (out, 0), (in_, 0)))
-    word: list[Crossing] = []
-    slots: list[tuple[Address, Address]] = []
-    for m, (entry, exit_) in enumerate(da.slots):
-        # a chord linked with the core shares no address with it
-        if _linked(da.chords[m], core):
-            c, out, in_ = detours[_key(entry, left_door) < _key(entry, exit_)]
+    crossings = ra.crossings
+    word = list(crossings[:first])
+    new_slots = slots[:first]
+    for m, (entry, exit_) in enumerate(slots[first:], first):
+        s, t = entry[0], exit_[0]
+        if (lo < s < hi) != (lo < t < hi):
+            c, out, in_ = detours[(left < s, left) < (t < s, t)]
             word.append(c)
-            slots.append((entry, out))
+            new_slots.append((entry, out))
             entry = in_
-        slots.append((entry, exit_))
-        if m < len(ra.crossings):
-            word.append(ra.crossings[m])
+        new_slots.append((entry, exit_))
+        if m < len(crossings):
+            word.append(crossings[m])
     r = Arc(ra.start, ra.end, tuple(word))
-    _ArcData(geo, r, slots)
+    _ArcData(geo, r, new_slots)
     return r
 
 
 def bands_cut(p: PolygonPresentation, a: Arc) -> list[str]:
     """Glued pairs, sorted, whose two doors a crossing-free arc separates:
-    the band core's chord between the doors must cross the arc's chord."""
+    the band core's chord between the doors must cross the arc's chord.
+    The arc's ends lie on boundary sides, never on a door's side, so the
+    chords cross exactly when one end's side lies strictly between the
+    doors' sides."""
     da = _reduced_view(p, a)
     if da.arc.crossings:
         raise ValueError("bands_cut needs an arc without crossings")
-    geo, chord = da.geo, da.chords[0]
-    return [pair for pair in sorted(geo.pair_sides) if _linked(chord, _core_chord(geo, pair))]
+    geo, ((s, _), (t, _)) = da.geo, da.slots[0]
+    cut = []
+    for pair in sorted(geo.pair_sides):
+        lo, hi = sorted(geo.pair_sides[pair])
+        if (lo < s < hi) != (lo < t < hi):
+            cut.append(pair)
+    return cut

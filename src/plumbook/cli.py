@@ -57,10 +57,16 @@ from .surface import (
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
-    except ValueError:
-        raise DocumentError(f"expected a comma-separated integer list, got {text!r}")
+    """Integers written as an optional sign and ASCII digits, separated by
+    commas, with spaces anywhere.  int alone would also read "2_0" and
+    non-ASCII digits, and no entry may be empty."""
+    tokens = text.replace(" ", "").split(",")
+    if all(re.fullmatch(r"[+-]?[0-9]+", tok) for tok in tokens):
+        try:
+            return tuple(int(tok) for tok in tokens)
+        except ValueError:  # more digits than int converts
+            pass
+    raise DocumentError(f"expected a comma-separated integer list, got {text!r}")
 
 
 def _read_input(path: str) -> str:

@@ -6,6 +6,12 @@ non-ASCII characters escaped, so identical values print to identical bytes.
 A small writer for the types documents hold reproduces those bytes, and a
 test holds it to json.dumps.  Rational positions travel as "num/den"
 strings.  A stream may hold one document or an array of them.
+
+Long crossing words repeat few letters, so each is handled once per book:
+a book's payload shares one cell dict per distinct crossing, the writer
+copies a dict it has already written at the same indent from a table local
+to one print call, and a parsed book builds one Crossing per distinct
+letter after validating every letter.
 """
 
 from __future__ import annotations
@@ -115,21 +121,35 @@ def _point_from(payload) -> BoundaryPoint:
         raise DocumentError(f"bad boundary point: {e}") from e
 
 
-def arc_payload(a: Arc) -> dict:
-    return {
-        "start": _point_payload(a.start),
-        "end": _point_payload(a.end),
-        "crossings": [{"pair": c.pair, "direction": c.direction} for c in a.crossings],
-    }
+def arc_payload(a: Arc, cells: Optional[dict] = None) -> dict:
+    """The arc's payload; a crossing's cell is taken from cells, keyed by
+    pair and direction, and put there when missing."""
+    if cells is None:
+        cells = {}
+    word = []
+    for c in a.crossings:
+        key = c.pair, c.direction
+        cell = cells.get(key)
+        if cell is None:
+            cell = cells[key] = {"pair": c.pair, "direction": c.direction}
+        word.append(cell)
+    return {"start": _point_payload(a.start), "end": _point_payload(a.end), "crossings": word}
 
 
-def arc_from(payload) -> Arc:
+def arc_from(payload, letters: Optional[dict] = None) -> Arc:
+    """The arc of payload.  Every letter is validated; its Crossing is taken
+    from letters, keyed by pair and direction, and put there when missing."""
+    if letters is None:
+        letters = {}
     try:
-        word = tuple(
-            Crossing(_name(c["pair"], "crossing pair"), _integer(c["direction"], "direction"))
-            for c in payload["crossings"]
-        )
-        return Arc(_point_from(payload["start"]), _point_from(payload["end"]), word)
+        word = []
+        for c in payload["crossings"]:
+            key = _name(c["pair"], "crossing pair"), _integer(c["direction"], "direction")
+            letter = letters.get(key)
+            if letter is None:
+                letter = letters[key] = Crossing(*key)
+            word.append(letter)
+        return Arc(_point_from(payload["start"]), _point_from(payload["end"]), tuple(word))
     except (KeyError, TypeError, ValueError) as e:
         raise DocumentError(f"bad arc payload: {e}") from e
 
@@ -159,10 +179,11 @@ def pretzel_from(payload) -> PretzelSpec:
 
 
 def pob_payload(pob: PartialOpenBook, star: Optional[StarPlumbing] = None) -> dict:
+    cells: dict = {}
     out = {
         "surface": surface_payload(pob.surface),
-        "basis": [arc_payload(a) for a in pob.basis],
-        "images": [arc_payload(a) for a in pob.images],
+        "basis": [arc_payload(a, cells) for a in pob.basis],
+        "images": [arc_payload(a, cells) for a in pob.images],
     }
     if star is not None:
         out["star"] = star_payload(star)
@@ -183,11 +204,12 @@ def pob_from(payload) -> tuple[PartialOpenBook, Optional[StarPlumbing]]:
         raise DocumentError(
             f"book has {crossings} crossings; at most {MAX_BOOK_CROSSINGS} are supported"
         )
+    letters: dict = {}
     try:
         pob = PartialOpenBook(
             surface_from(payload["surface"]),
-            tuple(arc_from(a) for a in payload["basis"]),
-            tuple(arc_from(a) for a in payload["images"]),
+            tuple(arc_from(a, letters) for a in payload["basis"]),
+            tuple(arc_from(a, letters) for a in payload["images"]),
         )
     except (KeyError, TypeError) as e:
         raise DocumentError(f"bad pob payload: {e}") from e
@@ -226,11 +248,43 @@ def _doc_json(doc: Document) -> dict:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _write(value, indent: str, out: list) -> None:
+def _write(value, indent: str, out: list, seen: dict) -> None:
     """Append the pieces of json.dumps(value, indent=2, sort_keys=True),
     nested at indent, to out.  Anything but str-keyed dicts, lists, tuples,
-    str, int, bool and None raises TypeError (_quote refuses other keys)."""
-    if isinstance(value, str):
+    str, int, bool and None raises TypeError (_quote refuses other keys).
+
+    A dict already written at this indent is copied: seen maps its id and
+    the indent to the span of out it wrote, joined into one piece when it
+    is first copied.  The value being written keeps every dict in it
+    alive, so no id is reused while seen is in use."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        key = id(value), indent
+        written = seen.get(key)
+        if written is not None:
+            if type(written) is tuple:
+                start, end = written
+                written = seen[key] = "".join(out[start:end])
+            out.append(written)
+            return
+        start = len(out)
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for name in sorted(value):
+            out.append(sep)
+            out.append(_quote(name))
+            out.append(": ")
+            item = value[name]
+            if type(item) is str:
+                out.append(_quote(item))
+            else:
+                _write(item, inner, out, seen)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+        seen[key] = start, len(out)
+    elif isinstance(value, str):
         out.append(_quote(value))
     elif value is None:
         out.append("null")
@@ -240,19 +294,6 @@ def _write(value, indent: str, out: list) -> None:
         out.append("false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{\n" + inner
-        for key in sorted(value):
-            out.append(sep)
-            out.append(_quote(key))
-            out.append(": ")
-            _write(value[key], inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -261,7 +302,7 @@ def _write(value, indent: str, out: list) -> None:
         sep = "[\n" + inner
         for item in value:
             out.append(sep)
-            _write(item, inner, out)
+            _write(item, inner, out, seen)
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
     else:
@@ -270,7 +311,7 @@ def _write(value, indent: str, out: list) -> None:
 
 def _dumps(value) -> str:
     out = []
-    _write(value, "", out)
+    _write(value, "", out, {})
     out.append("\n")
     return "".join(out)
 

@@ -30,7 +30,6 @@ pair it adds, whose counts against the old arcs are zero by construction.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -113,26 +112,31 @@ class _CheckedBook(NamedTuple):
     images: tuple[Arc, ...]
 
 
-def _side_index(arcs) -> dict[str, list[Fraction]]:
-    """Per boundary side, the distinct endpoint positions of arcs in
-    increasing order, so that a position's rank is its index there."""
-    on: dict[str, list[Fraction]] = {}
-    for a in arcs:
-        for pt in (a.start, a.end):
-            on.setdefault(pt.side, []).append(pt.position)
-    for side, ts in on.items():
-        ts.sort()
-        on[side] = [t for i, t in enumerate(ts) if i == 0 or t != ts[i - 1]]
-    return on
-
-
-def _adjacent(x: BoundaryPoint, y: BoundaryPoint, sides) -> bool:
-    """Same side, equal or with no third marked point strictly between:
-    both are in the side's index, so their ranks differ by at most one."""
-    if x.side != y.side:
-        return False
-    ts = sides[x.side]
-    return abs(bisect_left(ts, x.position) - bisect_left(ts, y.position)) <= 1
+def _ranks(arcs) -> list[tuple[int, int]]:
+    """Per arc, the ranks of its start and end among the distinct endpoint
+    positions on their side, from one sort per side.  Ranks on different
+    sides are at least two apart, so two endpoints are on one side, equal
+    or with no third marked point strictly between, exactly when their
+    ranks differ by at most one."""
+    points = [pt for a in arcs for pt in (a.start, a.end)]
+    positions = [pt.position for pt in points]
+    on: dict[str, list[int]] = {}
+    for i, pt in enumerate(points):
+        on.setdefault(pt.side, []).append(i)
+    ranks = [0] * len(points)
+    rank = 0
+    for ids in on.values():
+        ids.sort(key=positions.__getitem__)
+        last = positions[ids[0]]
+        ranks[ids[0]] = rank
+        for i in ids[1:]:
+            t = positions[i]
+            if last < t:
+                rank += 1
+                last = t
+            ranks[i] = rank
+        rank += 2
+    return list(zip(ranks[::2], ranks[1::2]))
 
 
 def _kept(pob: PartialOpenBook, name: str, compute):
@@ -168,7 +172,7 @@ def _check(pob: PartialOpenBook) -> _CheckedBook:
     p = pob.surface
     basis = tuple(reduce(p, a) for a in pob.basis)
     images = tuple(reduce(p, a) for a in pob.images)
-    sides = _side_index((*basis, *images))
+    ranks = _ranks((*basis, *images))
     for name, arcs in (("basis", basis), ("image", images)):
         for i, a in enumerate(arcs):
             if not is_embedded(p, a):
@@ -178,14 +182,17 @@ def _check(pob: PartialOpenBook) -> _CheckedBook:
             n = interior_intersections(p, arcs[i], arcs[j])
             if n:
                 out.append(Violation(code, f"arcs {i} and {j} cross {n} time(s)"))
-    oriented = [_oriented_image(a, h, sides) for a, h in zip(basis, images)]
+    oriented = [
+        _oriented_image(a, h, ra, rh)
+        for a, h, ra, rh in zip(basis, images, ranks, ranks[len(basis):])
+    ]
     for i, h in enumerate(oriented):
         if h is None:
             out.append(
                 Violation("EndpointMismatch", f"image {i} does not end beside basis arc {i}")
             )
-    # only endpoints sharing a point leave fewer positions than endpoints
-    if 2 * (len(basis) + len(images)) > sum(map(len, sides.values())):
+    # only endpoints sharing a point leave fewer ranks than endpoints
+    if 2 * len(ranks) > len({r for ends in ranks for r in ends}):
         out += _ties(basis, images)
     return _CheckedBook(tuple(out), basis, tuple(o or h for o, h in zip(oriented, images)))
 
@@ -251,12 +258,14 @@ def _require_pob(pob: PartialOpenBook) -> _CheckedBook:
     return checked
 
 
-def _oriented_image(a: Arc, h: Arc, sides) -> Optional[Arc]:
+def _oriented_image(a: Arc, h: Arc, a_ranks, h_ranks) -> Optional[Arc]:
     """The image oriented so that its start sits beside the basis start;
-    None when its ends are not beside the basis arc's ends."""
-    if _adjacent(a.start, h.start, sides) and _adjacent(a.end, h.end, sides):
+    None when its ends are not beside the basis arc's ends.  a_ranks and
+    h_ranks are the _ranks of a's and h's start and end."""
+    (a0, a1), (h0, h1) = a_ranks, h_ranks
+    if abs(a0 - h0) <= 1 and abs(a1 - h1) <= 1:
         return h
-    if _adjacent(a.start, h.end, sides) and _adjacent(a.end, h.start, sides):
+    if abs(a0 - h1) <= 1 and abs(a1 - h0) <= 1:
         return reverse(h)
     return None
 
@@ -405,7 +414,7 @@ def positive_stabilization(pob: PartialOpenBook) -> PartialOpenBook:
     the old arcs moved and not reduced again; its veering verdicts and the
     new pair's; and a kept verdict, with its matrix bordered by zeros and
     the new diagonal entry (a witness has no matrix and stays the witness).
-    The new pair is tested only against itself, on an index of its own four
+    The new pair is tested only against itself, on the ranks of its own four
     points, which is exact: no old point lies in the free gap or on the new
     side.  If it fails, the new book keeps nothing and is checked in full.
     """
@@ -450,7 +459,7 @@ def positive_stabilization(pob: PartialOpenBook) -> PartialOpenBook:
     new_image = twist_about_band(surface, pushed, pair, +1)
     book = PartialOpenBook(surface, (*basis, new_basis), (*images, new_image))
     # the new basis arc is a crossing-free chord, so only its image is tested
-    oriented = _oriented_image(new_basis, new_image, _side_index((new_basis, new_image)))
+    oriented = _oriented_image(new_basis, new_image, *_ranks((new_basis, new_image)))
     if oriented is None or not is_embedded(surface, new_image):
         return book
     kept = checked._replace(basis=(*kept_basis, new_basis), images=(*kept_images, oriented))

@@ -325,6 +325,9 @@ def test_twist_fixes_arcs_missing_the_core():
     for a in (same_side, top_only):
         assert twist_about_band(HEXAGON, a, "c", +1) == a
         assert twist_about_band(HEXAGON, a, "c", -1) == a
+        # the reduced input itself comes back, with its kept view
+        r = reduce(HEXAGON, a)
+        assert twist_about_band(HEXAGON, r, "c", +1) is r
 
 
 # --- twists on star plumbings: frozen composite words and pairings ---
@@ -444,7 +447,14 @@ def assert_twists_substitute(p, arcs):
                     assert (v.letters, v.slots, v.chords) == (w.letters, w.slots, w.chords)
                 word = t.crossings
                 assert all(x != y.inverse() for x, y in zip(word, word[1:]))
-                inserted += len(word) > len(a.crossings)
+                if len(word) > len(a.crossings):
+                    inserted += 1
+                else:
+                    # a twist meeting nothing returns its reduced input
+                    r = reduce(p, a)
+                    assert twist_about_band(p, r, pair, sign) is r
+                # reverse builds each distinct inverse letter once
+                assert len({id(c) for c in back.crossings}) == len(set(back.crossings))
     return inserted
 
 

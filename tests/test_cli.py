@@ -123,6 +123,27 @@ def test_build_even_coefficient_is_an_error(capsys):
     assert "even coefficient: non-orientable pretzel surface rejected" in err
 
 
+@pytest.mark.parametrize(
+    "shape, numbers",
+    [
+        # int() reads underscores and non-ASCII digits, so these were 20,
+        # 2 and 33; an empty entry was dropped
+        ("star", "2_0"),
+        ("star", "\u0662"),
+        ("star", "2,,2"),
+        ("pretzel", "-3,3_3,1"),
+    ],
+)
+def test_build_reads_only_signed_ascii_integers(capsys, shape, numbers):
+    code, out, err = run(capsys, "build", shape, numbers)
+    assert (code, out) == (2, "")
+    assert err == f"error: expected a comma-separated integer list, got {numbers!r}\n"
+
+
+def test_build_lists_keep_their_spaces_and_signs(capsys):
+    assert run(capsys, "build", "star", " +2, -2 ")[1] == run(capsys, "build", "star", "2,-2")[1]
+
+
 def test_check_runs_all_checks_by_default(capsys, tmp_path):
     path = build_file(capsys, tmp_path, "build", "pretzel", "-3,3,1")
     code, out, _err = run(capsys, "check", str(path))
@@ -591,13 +612,18 @@ def test_positions_only_in_the_written_form():
 
 def test_integer_fields_only_as_json_integers():
     pob = pob_index(PRETZEL_DOCS)
-    for leaf, what in (
-        ((pob, "payload", "images", 0, "crossings", 0, "direction"), "direction"),
-        ((pob, "payload", "star", "halftwists", 0), "halftwists"),
-        ((pob, "version"), "version"),
+    star = pob_index(STAR_DOCS)
+    # the star's last letter (c0, +1) repeats one built before it: true and
+    # 1.0 equal 1 as keys, so only validating every letter refuses them
+    assert STAR_DOCS[star]["payload"]["images"][2]["crossings"][3] == {"pair": "c0", "direction": 1}
+    for docs, leaf, what in (
+        (PRETZEL_DOCS, (pob, "payload", "images", 0, "crossings", 0, "direction"), "direction"),
+        (STAR_DOCS, (star, "payload", "images", 2, "crossings", 3, "direction"), "direction"),
+        (PRETZEL_DOCS, (pob, "payload", "star", "halftwists", 0), "halftwists"),
+        (PRETZEL_DOCS, (pob, "version"), "version"),
     ):
         for value in (True, -1.2, 2.5, 1.0, "1"):
-            text = json.dumps(replaced(PRETZEL_DOCS, leaf, value))
+            text = json.dumps(replaced(docs, leaf, value))
             for sub in ("check", "stabilize", "emit-dot"):
                 code, out, err = run_on_text([sub, "-"], text)
                 assert (code, out) == (2, "")

@@ -29,7 +29,13 @@ from plumbook.documents import (
     surface_from,
 )
 from plumbook.errors import DocumentError
-from plumbook.plumbing import PretzelSpec, associated_pob, pretzel_decompose
+from plumbook.plumbing import (
+    PretzelSpec,
+    StarPlumbing,
+    TwistedAnnulus,
+    associated_pob,
+    pretzel_decompose,
+)
 from plumbook.surface import Boundary, BoundaryPoint, End, Glued, PolygonPresentation
 
 HEXAGON = PolygonPresentation(
@@ -130,7 +136,9 @@ def test_oversized_books_are_refused_before_any_arc_is_built(monkeypatch):
     too_long = {**image, "crossings": image["crossings"] * (MAX_BOOK_CROSSINGS + 1)}
     crossings = len(arc["crossings"]) + len(too_long["crossings"])
     built = []
-    monkeypatch.setattr(plumbook.documents, "arc_from", lambda a: built.append(a) or arc_from(a))
+    monkeypatch.setattr(
+        plumbook.documents, "arc_from", lambda a, *rest: built.append(a) or arc_from(a, *rest)
+    )
     for big, message in (
         (
             {**payload, "basis": [arc] * many, "images": [image] * many},
@@ -150,6 +158,18 @@ def test_oversized_books_are_refused_before_any_arc_is_built(monkeypatch):
         with pytest.raises(DocumentError, match="bad (arc|pob) payload"):
             pob_from(bad)
     assert built
+
+
+def test_books_handle_each_distinct_letter_once():
+    # a written book shares one cell per distinct crossing, and a parsed
+    # book one Crossing per distinct letter
+    star = StarPlumbing((TwistedAnnulus(2),) * 4)
+    payload = pob_document(associated_pob(star)[2], star).payload
+    cells = [c for a in (*payload["basis"], *payload["images"]) for c in a["crossings"]]
+    pob, _star = pob_from(payload)
+    letters = [c for a in (*pob.basis, *pob.images) for c in a.crossings]
+    assert len(cells) == len(letters) == 15
+    assert len({id(c) for c in cells}) == len({id(c) for c in letters}) == len(set(letters)) == 4
 
 
 def dumped(value) -> str:
@@ -185,6 +205,11 @@ def random_value(rng: random.Random, depth: int = 0):
 def test_writer_matches_json_dumps_on_random_values():
     rng = random.Random(20261018)
     fixed = [{}, [], (), {"": {}, "a": [[], {}]}, [True, 1, False, 0, None], 10**300, -(2**64)]
+    # one dict object at three indents, twice in one list and in two lists,
+    # as the writer copies a dict it wrote before at the same indent
+    inner = {"x": [1, "y"], "z": {}}
+    cell = {"pair": "c0", "direction": -1, "inner": inner}
+    fixed.append({"a": [cell, cell], "b": [[cell, inner], cell], "c": cell, "d": inner})
     for value in fixed + [random_value(rng) for _ in range(3000)]:
         doc = Document("report", 1, value)
         want = {"kind": "report", "version": 1, "payload": value}

@@ -50,7 +50,7 @@ from .errors import (
     NoSharedStartError,
     UnknownPairError,
 )
-from .surface import BoundaryPoint, PolygonPresentation, _Geometry, _geometry
+from .surface import BoundaryPoint, Geometry, PolygonPresentation, geometry
 
 
 @dataclass(frozen=True)
@@ -90,14 +90,14 @@ class Divergence(Enum):
 Address = tuple[int, Union[Fraction, int]]
 
 
-def _doors(geo: _Geometry, c: Crossing) -> tuple[int, int]:
+def _doors(geo: Geometry, c: Crossing) -> tuple[int, int]:
     """Sides through which a strand performing c leaves its chamber and
     re-enters the next one."""
     left, right = geo.pair_sides[c.pair]
     return (left, right) if c.direction > 0 else (right, left)
 
 
-def _check_endpoint(geo: _Geometry, pt: BoundaryPoint) -> None:
+def _check_endpoint(geo: Geometry, pt: BoundaryPoint) -> None:
     if pt.side not in geo.boundary_index:
         raise MixedSurfacesError(f"boundary side {pt.side!r} is not on this presentation")
     # positions are exact Fractions in lowest terms, positive denominator
@@ -118,7 +118,7 @@ class _ArcData:
 
     __slots__ = ("geo", "arc", "letters", "slots", "chords", "_reversed")
 
-    def __init__(self, geo: _Geometry, arc: Arc, slots: list[tuple[Address, Address]]):
+    def __init__(self, geo: Geometry, arc: Arc, slots: list[tuple[Address, Address]]):
         self.geo = geo
         self.arc = arc
         self._reversed: Optional[_ArcData] = None
@@ -135,7 +135,7 @@ class _ArcData:
         return reverse(self.arc).__dict__["_view"]
 
 
-def _word_slots(geo: _Geometry, a: Arc) -> list[tuple[Address, Address]]:
+def _word_slots(geo: Geometry, a: Arc) -> list[tuple[Address, Address]]:
     """The chamber slots of a's word: entry and exit address per prefix."""
     doors = [_doors(geo, c) for c in a.crossings]
     entries: list[Address] = [(geo.boundary_index[a.start.side], a.start.position)]
@@ -176,7 +176,7 @@ def reduce(p: PolygonPresentation, a: Arc) -> Arc:
     and reduced against, so reducing it again on the same presentation
     object returns it at once; any other presentation checks it again.
     """
-    geo = _geometry(p)
+    geo = geometry(p)
     view = a.__dict__.get("_view")
     if view is not None and view.geo is geo:
         return a

@@ -24,8 +24,7 @@ on an invalid book raise on every call.  Each of the three results is
 computed by one function on the whole book.  Two constructions carry them
 instead: a book whose images one boundary-fixing homeomorphism makes from
 the images of a checked book carries that book's check (certified_book),
-and a positive stabilization carries its old book's results with the one
-pair it adds, whose counts against the old arcs are zero by construction.
+and a positive stabilization carries all three with the pair it adds.
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ from .surface import (
     End,
     Glued,
     PolygonPresentation,
-    _geometry,
     boundary_components,
+    geometry,
 )
 
 
@@ -103,13 +102,14 @@ class ContactVerdict:
 
 class _CheckedBook(NamedTuple):
     """What validate_pob found out about a book, kept on the book: its
-    violations and its arcs reduced.  On a valid book each image is
-    oriented to start beside its basis arc's start, as veering reads it.
-    """
+    violations, its arcs reduced, each image of a valid book oriented to
+    start beside its basis arc's start, and its site: the first boundary
+    label and its last marked position (0 if it has none)."""
 
     violations: tuple[Violation, ...]
     basis: tuple[Arc, ...]
     images: tuple[Arc, ...]
+    site: Optional[tuple[str, Fraction]] = None
 
 
 def _ranks(arcs) -> list[tuple[int, int]]:
@@ -163,8 +163,8 @@ def _check(pob: PartialOpenBook) -> _CheckedBook:
     """The check of pob: its arcs reduced, each arc tested for embedding,
     each pair of basis arcs and of images for disjointness, each image for
     ending beside its basis arc (and oriented to start beside its start),
-    and all endpoints for ties."""
-    _geometry(pob.surface)
+    and all endpoints for ties and the site."""
+    geo = geometry(pob.surface)
     if len(pob.basis) != len(pob.images):
         count = f"{len(pob.basis)} basis arcs but {len(pob.images)} images"
         return _CheckedBook((Violation("EndpointMismatch", count),), (), ())
@@ -194,7 +194,10 @@ def _check(pob: PartialOpenBook) -> _CheckedBook:
     # only endpoints sharing a point leave fewer ranks than endpoints
     if 2 * len(ranks) > len({r for ends in ranks for r in ends}):
         out += _ties(basis, images)
-    return _CheckedBook(tuple(out), basis, tuple(o or h for o, h in zip(oriented, images)))
+    label = next(iter(geo.boundary_index))
+    tops = [pt.position for a in (*basis, *images) for pt in (a.start, a.end) if pt.side == label]
+    site = label, max(tops, default=Fraction(0))
+    return _CheckedBook(tuple(out), basis, tuple(o or h for o, h in zip(oriented, images)), site)
 
 
 _TIES = ("basis arc {} and image {}", "basis arcs {} and {}", "image arcs {} and {}")
@@ -236,7 +239,7 @@ def certified_book(chords: PartialOpenBook, images) -> PartialOpenBook:
     of the surface that fixes its boundary pointwise.  h keeps every arc
     embedded and every pair's intersection number, and leaves the endpoints
     where they are, so the book's check is the valid chord book's with the
-    images put in: its endpoint tests and ties read only endpoints.  The
+    images put in: its endpoint tests, ties and site read only endpoints.  The
     ends are compared with the checked, oriented chords', not assumed: an
     invalid chord book, or images that moved or swapped their ends, leave
     the book to the full check.
@@ -331,12 +334,10 @@ def _verdict(pob: PartialOpenBook, matrix=None) -> ContactVerdict:
                 witness_index=i,
             )
     if matrix is None:
-        checked = _require_pob(pob)
-        p = pob.surface
-        # a stabilized book keeps its old arcs without views on its surface
-        basis = [reduce(p, a) for a in checked.basis]
-        images = [reduce(p, h) for h in checked.images]
-        matrix = tuple(tuple(interior_intersections(p, a, h) for h in images) for a in basis)
+        checked, p = _require_pob(pob), pob.surface
+        matrix = tuple(
+            tuple(interior_intersections(p, a, h) for h in checked.images) for a in checked.basis
+        )
     if all(matrix[i][i] == 0 for i in range(len(matrix))):
         return ContactVerdict(
             VerdictStatus.NONZERO_TIGHT,
@@ -353,21 +354,10 @@ def _verdict(pob: PartialOpenBook, matrix=None) -> ContactVerdict:
 
 
 def free_site(pob: PartialOpenBook) -> tuple[BoundaryPoint, BoundaryPoint]:
-    """A stabilization site: a marked-point-free segment on a boundary side.
-
-    Takes the first boundary side of the polygon and the gap between its
-    last marked point and the side's far corner; always succeeds on a valid
-    book and raises InvalidOpenBookError on an invalid one.
-    """
-    return _free_gap(*_top_point(pob))
-
-
-def _top_point(pob: PartialOpenBook) -> tuple[str, Fraction]:
-    """The first boundary side of a valid book and its last marked point."""
-    checked = _require_pob(pob)
-    label = next(s.label for s in pob.surface.sides if isinstance(s, Boundary))
-    ends = (pt for a in (*checked.basis, *checked.images) for pt in (a.start, a.end))
-    return label, max((pt.position for pt in ends if pt.side == label), default=Fraction(0))
+    """A stabilization site, free of marked points: the gap between the
+    book's kept site, the last marked point of its first boundary side, and
+    that side's far corner.  Raises InvalidOpenBookError on an invalid book."""
+    return _free_gap(*_require_pob(pob).site)
 
 
 def _free_gap(label: str, top: Fraction) -> tuple[BoundaryPoint, BoundaryPoint]:
@@ -376,7 +366,7 @@ def _free_gap(label: str, top: Fraction) -> tuple[BoundaryPoint, BoundaryPoint]:
     return BoundaryPoint(label, top + (1 - top) / 3), BoundaryPoint(label, top + 2 * (1 - top) / 3)
 
 
-def _fresh(base: str, taken: set) -> str:
+def _fresh(base: str, taken) -> str:
     if base not in taken:
         return base
     k = 0
@@ -385,10 +375,9 @@ def _fresh(base: str, taken: set) -> str:
     return f"{base}{k}"
 
 
-# stabilize --count refuses more: each step tests only the new pair, but it
-# copies every old arc and positions grow; with count 200, pretzel(-3,3,1)
-# and a 10-band Hopf star each take 0.7 to 1.1 s (stabilize wall time, as
-# load varied, Python 3.11.7 on a shared 2-vCPU Xeon host)
+# stabilize --count refuses more: a step copies every old arc and positions
+# grow; count 200 takes 0.55 to 0.9 s on pretzel(-3,3,1) and on a 10-band
+# Hopf star (wall time, Python 3.11.7 on a shared 2-vCPU Xeon host)
 MAX_STABILIZE_COUNT = 200
 
 
@@ -410,26 +399,26 @@ def positive_stabilization(pob: PartialOpenBook) -> PartialOpenBook:
     chord of the new pair is linked with an old chord, they share no
     corridor, and every count between the new pair and an old arc is 0.
 
-    The new book therefore carries the old book's results: its check, with
-    the old arcs moved and not reduced again; its veering verdicts and the
-    new pair's; and a kept verdict, with its matrix bordered by zeros and
-    the new diagonal entry (a witness has no matrix and stays the witness).
-    The new pair is tested only against itself, on the ranks of its own four
-    points, which is exact: no old point lies in the free gap or on the new
-    side.  If it fails, the new book keeps nothing and is checked in full.
+    The new book therefore carries the old book's results, its verdict
+    decided first if it has none: its check, with the old arcs moved and not
+    reduced again and the new image's start, above the new basis arc's, as
+    its site; its veering verdicts and the new pair's; and its verdict, the
+    matrix bordered by zeros and the new diagonal entry (a witness has no
+    matrix and stays the witness).  The new pair is tested only against
+    itself, on the ranks of its own four points, which is exact: no old
+    point lies in the free gap or on the new side.  If it fails, the new
+    book keeps nothing and is checked in full.
     """
     checked = _require_pob(pob)
-    label, top = _top_point(pob)
+    label, top = checked.site
     lo = _free_gap(label, top)[0].position
-    sides = pob.surface.sides
-    labels = {s.label for s in sides if isinstance(s, Boundary)}
-    pairs = {s.pair for s in sides if isinstance(s, Glued)}
-    mid_label = _fresh(f"{label}h", labels)
-    post_label = _fresh(f"{label}t", labels | {mid_label})
-    pair = _fresh("st", pairs)
+    geo = geometry(pob.surface)
+    mid_label = _fresh(f"{label}h", geo.boundary_index)
+    post_label = _fresh(f"{label}t", {*geo.boundary_index, mid_label})
+    pair = _fresh("st", geo.pair_sides)
 
     new_sides = []
-    for s in sides:
+    for s in pob.surface.sides:
         if isinstance(s, Boundary) and s.label == label:
             new_sides += [
                 Boundary(label),
@@ -462,16 +451,17 @@ def positive_stabilization(pob: PartialOpenBook) -> PartialOpenBook:
     oriented = _oriented_image(new_basis, new_image, *_ranks((new_basis, new_image)))
     if oriented is None or not is_embedded(surface, new_image):
         return book
-    kept = checked._replace(basis=(*kept_basis, new_basis), images=(*kept_images, oriented))
+    kept = checked._replace(
+        basis=(*kept_basis, new_basis), images=(*kept_images, oriented), site=(label, t2.position)
+    )
     object.__setattr__(book, "_checked", kept)
     veer = _veer(surface, new_basis, oriented)
     object.__setattr__(book, "_veering", VeeringReport((*veering_report(pob).verdicts, veer)))
-    verdict = pob.__dict__.get("_verdict")
-    if verdict is not None and verdict.matrix is not None:
+    verdict = _kept(pob, "_verdict", _verdict)
+    if verdict.matrix is not None:
         row = (0,) * len(verdict.matrix) + (interior_intersections(surface, new_basis, new_image),)
         verdict = _verdict(book, (*((*r, 0) for r in verdict.matrix), row))
-    if verdict is not None:
-        object.__setattr__(book, "_verdict", verdict)
+    object.__setattr__(book, "_verdict", verdict)
     return book
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .arcs import Arc, bands_cut, reduce as reduce_arc, twist_about_band
 from .errors import (
@@ -242,3 +243,15 @@ def associated_pob(
         images.append(image)
     book = certified_book(pob_from_product_disks(surface, ProductDiskSystem(chords)), images)
     return surface, ProductDiskSystem(tuple(zip(book.basis, book.images))), book
+
+
+def star_book(star: StarPlumbing, pob: PartialOpenBook) -> Optional[PartialOpenBook]:
+    """The star's certified book (associated_pob) when it equals pob, else
+    None.  Nothing is built unless pob's polygon has six sides per band of
+    the star and the star has at most MAX_HOPF_SUMMANDS Hopf summands."""
+    if len(pob.surface.sides) != 6 * len(star.summands):
+        return None
+    if len(hopf_summands(star)) > MAX_HOPF_SUMMANDS:
+        return None
+    built = associated_pob(star)[2]
+    return built if built == pob else None

@@ -17,7 +17,7 @@ calculus relies on.
 A presentation is validated once per object: validation walks the sides
 once and builds the indexed view from that walk, corner orbits included,
 and the first validation that passes keeps it on the object for every
-later operation (the Euler characteristic reads the kept orbits).
+later operation (geometry(p); the Euler characteristic reads its orbits).
 Presentations are frozen, so that view cannot go stale, and it is not a
 field, so equality, hashing, repr and documents ignore it.  An invalid
 presentation keeps nothing and raises on every call.
@@ -88,11 +88,12 @@ class BoundaryPoint:
             object.__setattr__(self, "position", Fraction(self.position))
 
 
-class _Geometry:
-    """Indexed view of a presentation shared by the arc machinery: the side
-    count, the side of each boundary label, the (left, right) sides of each
-    pair in the side order of the left halves, and the root of each
-    corner's orbit under the pair identifications."""
+class Geometry:
+    """Indexed view of a valid presentation, kept on it: n, the side count;
+    boundary_index, the side of each boundary label, in side order;
+    pair_sides, the (left, right) sides of each pair, in the side order of
+    the left halves; roots, the root of each corner's orbit under the pair
+    identifications.  Arcs, book checks and the DOT writer read it."""
 
     __slots__ = ("n", "boundary_index", "pair_sides", "roots")
 
@@ -121,7 +122,7 @@ class _Geometry:
         self.roots = [find(c) for c in range(n)]
 
 
-def _geometry(p: PolygonPresentation) -> _Geometry:
+def geometry(p: PolygonPresentation) -> Geometry:
     """Geometry of p, validated on the first call and kept on p."""
     geo = p.__dict__.get("_geometry")
     if geo is None:
@@ -177,7 +178,7 @@ def validate(p: PolygonPresentation) -> list[Violation]:
         out.append(Violation("NoBoundary", "all sides glued: closed surfaces are rejected"))
 
     if pairs_ok and boundary_index:
-        geo = _Geometry(n, boundary_index, {pair: (i, right[pair]) for pair, i in left.items()})
+        geo = Geometry(n, boundary_index, {pair: (i, right[pair]) for pair, i in left.items()})
         roots = geo.roots
         # an orbit is on the boundary iff it holds a corner of a boundary
         # side, a duplicated label's sides included
@@ -201,7 +202,7 @@ def validate(p: PolygonPresentation) -> list[Violation]:
 def euler_characteristic(p: PolygonPresentation) -> int:
     """V - E + F of the glued-up complex: one face, one edge per boundary side
     or glued pair, and one vertex per corner orbit."""
-    geo = _geometry(p)
+    geo = geometry(p)
     vertices = len(set(geo.roots))
     edges = len(geo.boundary_index) + len(geo.pair_sides)
     return vertices - edges + 1
@@ -214,7 +215,7 @@ def boundary_components(p: PolygonPresentation) -> tuple[tuple[str, ...], ...]:
     while a glued side is jumped (the walk continues at the corner identified
     with the far end of its partner).  Each cycle is one boundary circle.
     """
-    geo = _geometry(p)
+    geo = geometry(p)
     n = geo.n
     components: list[tuple[str, ...]] = []
     emitted: set[int] = set()

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from plumbook import documents as doc
 from plumbook.cli import (
+    MAX_BUILD_BANDS,
     MAX_FAMILY_K,
     MAX_FAMILY_SPECS,
     MAX_STABILIZE_COUNT,
@@ -293,6 +294,28 @@ def test_over_limit_inputs_exit_2(capsys):
     assert f"at most {MAX_STABILIZE_COUNT} stabilizations are supported" in err
 
 
+@pytest.mark.parametrize(
+    "shape, fits, over",
+    [
+        ("star", ["4"] * MAX_BUILD_BANDS, ["4"] * (MAX_BUILD_BANDS + 1)),
+        # a pretzel's bands are its coefficients before the final 1; bare
+        # Hopf bands after the first would warn, if any band were built
+        ("pretzel", ["5"] * MAX_BUILD_BANDS + ["1"], ["-3"] * (MAX_BUILD_BANDS + 1) + ["1"]),
+    ],
+    ids=["star", "pretzel"],
+)
+def test_build_refuses_more_bands_than_its_limit(capsys, monkeypatch, shape, fits, over):
+    code, out, err = run(capsys, "build", shape, ",".join(fits))
+    assert (code, err) == (0, "")
+    assert len(doc.parse_documents(out)[0].payload["halftwists"]) == MAX_BUILD_BANDS
+    built = []
+    wrap_everywhere(monkeypatch, star_sum_surface, built.append)
+    code, out, err = run(capsys, "build", shape, ",".join(over))
+    assert (code, out, built) == (2, "", [])
+    limit = f"{MAX_BUILD_BANDS + 1} bands; at most {MAX_BUILD_BANDS} bands are supported"
+    assert err == f"error: {limit}\n"
+
+
 def pob_index(docs):
     return next(i for i, d in enumerate(docs) if d["kind"] == "pob")
 
@@ -426,6 +449,21 @@ def test_emit_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
     # with escapes removed, every line's quotes pair up
     for line in lines:
         assert re.sub(r"\\.", "", line).count('"') % 2 == 0
+
+
+def test_emit_dot_draws_each_pair_in_side_order(capsys, tmp_path):
+    from plumbook.surface import Boundary, End, Glued, PolygonPresentation
+
+    # the right half comes first: the edge still runs from the lower side
+    right, left = Glued("c", End.RIGHT), Glued("c", End.LEFT)
+    sides = (Boundary("B1"), right, Boundary("B2"), Boundary("B3"), left, Boundary("B4"))
+    path = tmp_path / "turned.json"
+    path.write_text(
+        doc.print_document(doc.surface_document(PolygonPresentation(sides))), encoding="utf-8"
+    )
+    code, out, _err = run(capsys, "emit-dot", str(path))
+    assert code == 0
+    assert '  s1 -- s4 [label="c", style=dashed, constraint=false];' in out.splitlines()
 
 
 def test_emit_dot_prefers_pob_overlays(capsys, tmp_path):

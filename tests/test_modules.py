@@ -5,12 +5,8 @@ from pathlib import Path
 
 import plumbook
 
-# (importing module, imported module, name); this list may only shrink
-PRIVATE_IMPORTS = {
-    ("arcs", "surface", "_Geometry"),
-    ("arcs", "surface", "_geometry"),
-    ("openbook", "surface", "_geometry"),
-}
+# (importing module, imported module, name); this set may only shrink
+PRIVATE_IMPORTS = set()
 
 
 def private_imports(stem, source):

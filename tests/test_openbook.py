@@ -30,6 +30,7 @@ from plumbook.openbook import (
     veering_report,
 )
 from plumbook.plumbing import (
+    MAX_HOPF_SUMMANDS,
     PretzelSpec,
     StarPlumbing,
     TwistedAnnulus,
@@ -73,6 +74,20 @@ def hopf_pob(sign):
 
 def codes(pob):
     return sorted(v.code for v in validate_pob(pob))
+
+
+def closed_form(twists):
+    """(status, witness index, matrix) of a star's verdict as the closed
+    forms give it, read off its Hopf summands alone: a witness at the first
+    -2 among them, else NonzeroTight with M[i][j] = 2^(j-i-1) above the
+    diagonal and 0 elsewhere.  A test oracle only."""
+    hopf = [t for t in twists if abs(t) == 2]
+    if -2 in hopf:
+        return VerdictStatus.OVERTWISTED_WITNESS, hopf.index(-2), None
+    m = range(len(hopf))
+    return VerdictStatus.NONZERO_TIGHT, None, tuple(
+        tuple(2 ** (j - i - 1) if j > i else 0 for j in m) for i in m
+    )
 
 
 def test_hopf_pobs_validate():
@@ -203,6 +218,17 @@ def test_five_hopf_star_answers_pinned():
     assert w.status is VerdictStatus.OVERTWISTED_WITNESS
     assert w.witness_index == 0
     assert w.matrix is None
+    # every plain and mirrored Hopf star up to the limit, 5 bands included,
+    # follows the closed forms
+    for k in range(1, MAX_HOPF_SUMMANDS + 1):
+        for t, veer in ((2, ArcVeer.RIGHT), (-2, ArcVeer.LEFT)):
+            pob = associated_pob(StarPlumbing((TwistedAnnulus(t),) * k))[2]
+            if t > 0:
+                assert [len(h.crossings) for h in pob.images] == [2**i for i in range(k)]
+            assert validate_pob(pob) == []
+            assert veering_report(pob).verdicts == (veer,) * k, (t, k)
+            v = contact_verdict(pob)
+            assert (v.status, v.witness_index, v.matrix) == closed_form((t,) * k), (t, k)
 
 
 def test_verdict_unknown_when_arc_meets_its_image():
@@ -302,12 +328,15 @@ def test_book_checked_once_across_operations(monkeypatch):
 
 
 def test_book_decided_from_kept_arc_views(monkeypatch):
-    stabilized = associated_pob(pretzel_decompose(PretzelSpec((-3, 3, 1))))[2]
+    start = associated_pob(pretzel_decompose(PretzelSpec((-3, 3, 1))))[2]
+    assert "_verdict" not in start.__dict__
+    stabilized = start
     for _ in range(6):
         stabilized = positive_stabilization(stabilized)
-    # it keeps its check and veering but no verdict, and its kept old arcs
-    # have no views on its surface
-    assert "_verdict" not in stabilized.__dict__
+    # the first step decides the undecided start, so every book of the
+    # chain keeps its check, veering and verdict, a fresh copy's verdict
+    assert {"_checked", "_veering", "_verdict"} <= stabilized.__dict__.keys()
+    assert contact_verdict(stabilized) == contact_verdict(fresh(stabilized))
     built, turned = [], []
     view_init = plumbook.arcs._ArcData.__init__
     monkeypatch.setattr(
@@ -325,9 +354,9 @@ def test_book_decided_from_kept_arc_views(monkeypatch):
         contact_verdict(pob)
         # a view and its reversal per basis arc and image, each built once:
         # veering turns a fresh book's arcs around through their kept
-        # reversals, and the stabilized book keeps its veering
+        # reversals, and the stabilized book keeps what it decides
         assert len(built) <= 2 * (len(pob.basis) + len(pob.images))
-        assert bool(turned) == (pob is not stabilized)
+        assert bool(built) == bool(turned) == (pob is not stabilized)
         for a in turned:
             assert reverse(reverse(a)) is a
         p = pob.surface
@@ -420,10 +449,10 @@ def test_stabilized_books_decide_as_fresh_books(name):
         if step % 4 == 0:
             contact_verdict(pob)
         elif step % 4 == 3:
-            # nothing kept: the next book carries no verdict
+            # nothing kept: the next step decides the old book first
             pob = fresh(pob)
         pob = positive_stabilization(pob)
-        assert "_checked" in pob.__dict__, step
+        assert {"_checked", "_veering", "_verdict"} <= pob.__dict__.keys(), step
         copy = fresh(pob)
         assert decided(pob) == decided(copy)
         assert validate_pob(pob) == []
@@ -456,8 +485,9 @@ def test_failed_new_arc_tests_keep_nothing(monkeypatch):
 
 def test_stabilization_counts_only_the_new_arc(monkeypatch):
     # a step counts only the new pair's diagonal entry, and it builds the
-    # same views whatever the length of the chain
-    calls, views = [], []
+    # same views and makes the same position comparisons whatever the
+    # length of the chain: it reads the kept site, it scans no endpoints
+    calls, views, compared = [], [], []
     original = plumbook.arcs.minimal_position
     monkeypatch.setattr(
         plumbook.arcs, "minimal_position", lambda p, a, b: calls.append(a) or original(p, a, b)
@@ -468,21 +498,29 @@ def test_stabilization_counts_only_the_new_arc(monkeypatch):
         "__init__",
         lambda self, geo, a, slots: views.append(a) or view_init(self, geo, a, slots),
     )
+    for name in ("__lt__", "__gt__", "__le__", "__ge__"):
+        order = getattr(Fraction, name)
+        monkeypatch.setattr(
+            Fraction, name, lambda x, y, order=order: compared.append(x) or order(x, y)
+        )
     ten = StarPlumbing((TwistedAnnulus(2),) * 10)
     for star in (pretzel_decompose(PretzelSpec((-3, 5, 7, 1))), ten):
         pob = associated_pob(star)[2]
         contact_verdict(pob)
-        built = set()
+        built, comparisons = set(), []
         for _ in range(20):
             calls.clear()
             views.clear()
+            compared.clear()
             pob = positive_stabilization(pob)
             validate_pob(pob)
             veering_report(pob)
             contact_verdict(pob)
             assert len(calls) <= 1
             built.add(len(views))
+            comparisons.append(len(compared))
         assert len(built) == 1, built
+        assert len(set(comparisons)) == 1, comparisons
 
 
 def stars(twists, most):
@@ -530,6 +568,7 @@ def test_every_distinct_star_book_decides_as_the_paper_says():
         verdicts = veering_report(pob).verdicts
         first_left = verdicts.index(ArcVeer.LEFT) if ArcVeer.LEFT in verdicts else None
         assert verdict.witness_index == first_left, star
+        assert (verdict.status, verdict.witness_index, verdict.matrix) == closed_form(twists), star
     assert fibered == 126
 
 

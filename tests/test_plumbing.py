@@ -15,7 +15,7 @@ from plumbook.errors import (
     OddTwistError,
     ZeroTwistError,
 )
-from plumbook.openbook import contact_verdict, validate_pob
+from plumbook.openbook import PartialOpenBook, contact_verdict, validate_pob
 from plumbook.plumbing import (
     MAX_HOPF_SUMMANDS,
     PretzelSpec,
@@ -27,6 +27,7 @@ from plumbook.plumbing import (
     pob_from_product_disks,
     pretzel_decompose,
     product_disk_basis,
+    star_book,
     star_sum_surface,
 )
 from plumbook.surface import (
@@ -204,6 +205,21 @@ def test_stars_beyond_the_hopf_limit_are_refused(monkeypatch):
     for build in (product_disk_basis, associated_pob):
         with pytest.raises(ValueError, match=f"at most {MAX_HOPF_SUMMANDS} are supported"):
             build(star)
+
+
+def test_star_book_is_the_certified_book_or_none(monkeypatch):
+    star = star_of(2, -4, 2)
+    built = associated_pob(star)[2]
+    written = PartialOpenBook(built.surface, built.basis, built.images)
+    found = star_book(star, written)
+    assert found == written and "_checked" in found.__dict__
+    # another star of as many bands has another book
+    assert star_book(star_of(2, -4, -2), written) is None
+    # no star is built for a polygon of another size or past the Hopf limit
+    monkeypatch.setattr(plumbook.plumbing, "associated_pob", None)
+    assert star_book(star_of(2, -4), written) is None
+    big = star_of(*[2] * (MAX_HOPF_SUMMANDS + 1))
+    assert star_book(big, PartialOpenBook(star_sum_surface(big), (), ())) is None
 
 
 def test_empty_system_gives_empty_basis():

@@ -21,6 +21,7 @@ from plumbook.surface import (
     boundary_components,
     euler_characteristic,
     genus,
+    geometry,
     validate,
 )
 
@@ -257,9 +258,9 @@ def test_presentation_validated_once_per_object(monkeypatch):
 
 def test_one_geometry_per_fresh_presentation(monkeypatch):
     built = []
-    original = plumbook.surface._Geometry.__init__
+    original = plumbook.surface.Geometry.__init__
     monkeypatch.setattr(
-        plumbook.surface._Geometry,
+        plumbook.surface.Geometry,
         "__init__",
         lambda self, *walk: built.append(self) or original(self, *walk),
     )
@@ -267,11 +268,26 @@ def test_one_geometry_per_fresh_presentation(monkeypatch):
     a = Arc(BoundaryPoint("Bl00", Fraction(1, 3)), BoundaryPoint("Br00", Fraction(1, 3)))
     euler_characteristic(p)
     ra = reduce(p, a)
-    assert len(built) == 1 and built[0] is p.__dict__["_geometry"]
+    assert len(built) == 1 and built[0] is geometry(p)
     # validating again builds another view but keeps the first one, which
     # the arcs reduced on p refer to
     assert validate(p) == []
     assert reduce(p, ra) is ra
+
+
+def test_geometry_publishes_the_side_index():
+    # the pair's right half comes first in side order, its left half first
+    # in pair_sides
+    p = poly(B("B1"), G("c", R), B("B2"), B("B3"), G("c", L), B("B4"))
+    geo = geometry(p)
+    assert geo is geometry(p)
+    assert geo.n == 6
+    assert list(geo.boundary_index.items()) == [("B1", 0), ("B2", 2), ("B3", 3), ("B4", 5)]
+    assert geo.pair_sides == {"c": (4, 1)}
+    assert len(geo.roots) == 6
+    assert euler_characteristic(p) == len(set(geo.roots)) - 5 + 1
+    with pytest.raises(InvalidPresentationError):
+        geometry(poly(B("B1"), G("c", L), B("B2")))
 
 
 def test_kept_geometry_is_invisible():

@@ -30,7 +30,15 @@ Exact endpoint coincidences never count as crossings: strands emanating from
 a shared point can always be combed apart.
 
 An arc is checked once per presentation object: reduce keeps, on the arc
-it returns, the indexed view that every query below reads.
+it returns, the indexed view that every query below reads.  The queries
+decide on views, which is exact on one geometry: two arcs are equal
+exactly when their slots are, and the slots carry the endpoints' sides
+and positions.  arc_view, view_count and view_divergence are that layer
+for callers that read a view once and ask it several questions.  A view
+holds no arc, and a reversal refers back to its arc only weakly, so no
+arc, view or reversal is part of a reference cycle: refcounting frees
+each of them when its last user lets go, and the cyclic collector finds
+nothing of theirs.
 twist_about_band derives its result's view from its input's, slot by slot,
 without reducing or checking the result again; a twist that meets nothing
 returns its reduced input as it is.  Each call builds a letter once:
@@ -40,6 +48,7 @@ detour letters at the first slot that needs one.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -107,32 +116,42 @@ def _check_endpoint(geo: Geometry, pt: BoundaryPoint) -> None:
 
 
 class _ArcData:
-    """Kept view of a reduced arc used by the counting machinery: the
-    geometry it was checked against, one chamber slot per word prefix, each
-    slot holding its entry and exit address, the same two addresses in
+    """Kept view of a reduced arc, the value the counting machinery reads:
+    the geometry it was checked against, one chamber slot per word prefix,
+    each slot holding its entry and exit address, the same two addresses in
     increasing order as the slot's chord, and the word as its sequence of
-    exit doors (a door side names one pair and direction).  Built from its
-    slots, which reduce reads off the word, twist_about_band derives from
-    the view of the arc it twists, and reverse runs backwards; the view
-    keeps itself on its arc."""
+    exit doors (a door side names one pair and direction).  On its geometry
+    the slots determine the arc.  Built from its slots, which reduce reads
+    off the word and twist_about_band derives from the view of the arc it
+    twists.  The arc keeps its view, but the view holds no arc, so the two
+    form no reference cycle; its reversal is a view only, kept on it and
+    holding nothing back."""
 
-    __slots__ = ("geo", "arc", "letters", "slots", "chords", "_reversed")
+    __slots__ = ("geo", "slots", "letters", "chords", "_reversed")
 
-    def __init__(self, geo: Geometry, arc: Arc, slots: list[tuple[Address, Address]]):
+    def __init__(self, geo: Geometry, slots: list[tuple[Address, Address]]):
         self.geo = geo
-        self.arc = arc
-        self._reversed: Optional[_ArcData] = None
         self.slots = slots
+        self._reversed: Optional[_ArcData] = None
         # every slot but the last exits through the door of its letter
         self.letters = [side for _, (side, _) in slots]
         self.letters.pop()
         self.chords = [(x, y) if x < y else (y, x) for x, y in slots]
-        object.__setattr__(arc, "_view", self)
 
     @property
     def reversed(self) -> "_ArcData":
-        """View of the kept reversal of the arc (reverse)."""
-        return reverse(self.arc).__dict__["_view"]
+        """The view of the arc run backwards, built once and kept: the same
+        slots backwards, entry and exit swapped."""
+        view = self._reversed
+        if view is None:
+            view = self._reversed = _ArcData(self.geo, [(y, x) for x, y in reversed(self.slots)])
+        return view
+
+
+def _keep(a: Arc, view: _ArcData) -> Arc:
+    """a, keeping view as its view (a non-field attribute)."""
+    object.__setattr__(a, "_view", view)
+    return a
 
 
 def _word_slots(geo: Geometry, a: Arc) -> list[tuple[Address, Address]]:
@@ -175,6 +194,8 @@ def reduce(p: PolygonPresentation, a: Arc) -> Arc:
     ==, hash, repr and documents), which holds the geometry it was checked
     and reduced against, so reducing it again on the same presentation
     object returns it at once; any other presentation checks it again.
+    The view holds no arc, so the arc and its view form no reference cycle
+    and refcounting frees both.
     """
     geo = geometry(p)
     view = a.__dict__.get("_view")
@@ -193,22 +214,30 @@ def reduce(p: PolygonPresentation, a: Arc) -> Arc:
     if a.start == a.end:
         raise ValueError("arc endpoints coincide exactly; use distinct positions")
     r = Arc(a.start, a.end, tuple(stack))
-    _ArcData(geo, r, _word_slots(geo, r))
-    return r
+    return _keep(r, _ArcData(geo, _word_slots(geo, r)))
 
 
-def _reduced_view(p: PolygonPresentation, a: Arc) -> _ArcData:
-    """The kept view of a's reduced representative on p."""
+def arc_view(p: PolygonPresentation, a: Arc) -> _ArcData:
+    """The kept view of a's reduced representative on p: a's own when a was
+    reduced on p, read without calling reduce."""
+    view = a.__dict__.get("_view")
+    if view is not None and view.geo is geometry(p):
+        return view
     return reduce(p, a).__dict__["_view"]
 
 
 def reverse(a: Arc) -> Arc:
-    """a run backwards.  A reduced arc keeps its reversal, built once with its
-    own view, so reverse(reverse(a)) is a; a reversed reduced word is
-    reduced, on the same endpoints and pairs."""
-    view = a.__dict__.get("_view")
-    if view is not None and view._reversed is not None:
-        return view._reversed.arc
+    """a run backwards; a reversed reduced word is reduced, on the same
+    endpoints and pairs.  a keeps its reversal, which refers back to a only
+    through a weak reference, so reverse(reverse(a)) is a while a lives and
+    the two form no reference cycle.  The reversal of an arc with a view
+    gets that view's kept reversal as its own."""
+    kept = a.__dict__
+    r = kept.get("_reversal")
+    if r is None and "_back" in kept:
+        r = kept["_back"]()
+    if r is not None:
+        return r
     # each distinct letter is inverted once
     inverses: dict[tuple[str, int], Crossing] = {}
     word = []
@@ -219,10 +248,11 @@ def reverse(a: Arc) -> Arc:
             inverse = inverses[key] = c.inverse()
         word.append(inverse)
     r = Arc(a.end, a.start, tuple(word))
+    object.__setattr__(a, "_reversal", r)
+    object.__setattr__(r, "_back", weakref.ref(a))
+    view = kept.get("_view")
     if view is not None:
-        # the reversal passes the same slots backwards, entry and exit swapped
-        view._reversed = _ArcData(view.geo, r, [(y, x) for x, y in reversed(view.slots)])
-        view._reversed._reversed = view
+        _keep(r, view.reversed)
     return r
 
 
@@ -270,12 +300,19 @@ def _corridor_linked(da: _ArcData, db: _ArcData, m0: int, k0: int, r: int) -> bo
     return order_in == order_out
 
 
-def _count(da: _ArcData, db: _ArcData) -> int:
-    """Forced crossings of a against b over all relative placements, b run
-    in both directions.  With db is da this is the self-count: the
-    placements laying the strand on itself or on its own reversal are the
-    same lift, not a pair, and every other one is met from both strands."""
-    same = db is da
+def view_count(da: _ArcData, db: _ArcData) -> int:
+    """Forced crossings of two views of one geometry over all relative
+    placements, b run in both directions.  Duplicates of one unoriented
+    class, either parametrization, are a self-intersection query, not a
+    pair of parallel copies: the placements laying the strand on itself or
+    on its own reversal are the same lift, not a pair, and every other one
+    is met from both strands.  Equal slots are equal arcs; b's reversal is
+    built only when it has a's endpoints."""
+    same = da is db or da.slots == db.slots
+    if not same and da.slots[0][0] == db.slots[-1][1] and da.slots[-1][1] == db.slots[0][0]:
+        same = da.slots == db.reversed.slots
+    if same:
+        db = da
     total = 0
     # a crossing-free strand shares no corridor, so no alignment is sought
     # and b's reversal is not built
@@ -308,31 +345,25 @@ def minimal_position(
     between two strands shows up as a relative placement whose end orders do
     not force a crossing, and such placements contribute nothing here.
     """
-    da, db = _reduced_view(p, a), _reduced_view(p, b)
-    ra, rb = da.arc, db.arc
-    # duplicates of one unoriented class, either parametrization, are a
-    # self-intersection query, not a pair of parallel copies; b's reversal
-    # is built only when it has a's endpoints
-    same = ra == rb or (ra.start == rb.end and ra.end == rb.start and ra == db.reversed.arc)
-    return ra, rb, _count(da, da if same else db)
+    ra, rb = reduce(p, a), reduce(p, b)
+    return ra, rb, view_count(ra.__dict__["_view"], rb.__dict__["_view"])
 
 
 def interior_intersections(p: PolygonPresentation, a: Arc, b: Arc) -> int:
-    return minimal_position(p, a, b)[2]
+    return view_count(arc_view(p, a), arc_view(p, b))
 
 
 def is_embedded(p: PolygonPresentation, a: Arc) -> bool:
     """Whether the reduced representative has no forced self-crossings."""
-    da = _reduced_view(p, a)
-    return _count(da, da) == 0
+    da = arc_view(p, a)
+    return view_count(da, da) == 0
 
 
 def is_isotopic(p: PolygonPresentation, a: Arc, b: Arc) -> bool:
     """Isotopy of arcs with endpoints fixed, orientation-blind: equality of
     reduced words and endpoints, up to reversing one arc."""
-    ra = reduce(p, a)
-    rb = reduce(p, b)
-    return ra == rb or ra == reverse(rb)
+    da, db = arc_view(p, a), arc_view(p, b)
+    return da.slots == db.slots or da.slots == db.reversed.slots
 
 
 def first_divergence(p: PolygonPresentation, a: Arc, b: Arc) -> Divergence:
@@ -345,30 +376,33 @@ def first_divergence(p: PolygonPresentation, a: Arc, b: Arc) -> Divergence:
     counterclockwise starting from the entry point (or entry door); the arc
     whose exit comes first departs to the right of the other.
     """
-    da, db = _reduced_view(p, a), _reduced_view(p, b)
-    ra, rb = da.arc, db.arc
-    if ra.start.side != rb.start.side:
+    da, db = arc_view(p, a), arc_view(p, b)
+    # reducing keeps the endpoints
+    if a.start.side != b.start.side:
         raise NoSharedStartError(
-            f"arcs start on different boundary sides {ra.start.side!r} and {rb.start.side!r}"
+            f"arcs start on different boundary sides {a.start.side!r} and {b.start.side!r}"
         )
-    if ra == rb:
+    return view_divergence(da, db)
+
+
+def view_divergence(da: _ArcData, db: _ArcData, backwards: bool = False) -> Divergence:
+    """first_divergence of two views of one geometry whose arcs start on
+    one side; with backwards, of their reversals, which pass the same slots
+    backwards with entry and exit swapped, read without building them."""
+    if da.slots == db.slots:
         return Divergence.EQUAL
-    la, lb = len(ra.crossings), len(rb.crossings)
-    m = 0
-    while m <= min(la, lb):
-        ea = da.slots[m][1]
-        eb = db.slots[m][1]
+    entry, exit_ = (1, 0) if backwards else (0, 1)
+    pairs = zip(reversed(da.slots), reversed(db.slots)) if backwards else zip(da.slots, db.slots)
+    for sa, sb in pairs:
+        ea, eb = sa[exit_], sb[exit_]
         if ea != eb:
-            ref = da.slots[m][0]
+            ref = sa[entry]
             return Divergence.RIGHT_OF if _key(ref, eb) < _key(ref, ea) else Divergence.LEFT_OF
-        m += 1
     # identical words and end, distinct start positions on the shared side:
     # the counterclockwise copy stays on the right all along
-    return (
-        Divergence.RIGHT_OF
-        if rb.start.position > ra.start.position
-        else Divergence.LEFT_OF
-    )
+    first = -1 if backwards else 0
+    ta, tb = da.slots[first][entry][1], db.slots[first][entry][1]
+    return Divergence.RIGHT_OF if tb > ta else Divergence.LEFT_OF
 
 
 def twist_about_band(p: PolygonPresentation, a: Arc, pair: str, sign: int) -> Arc:
@@ -395,8 +429,9 @@ def twist_about_band(p: PolygonPresentation, a: Arc, pair: str, sign: int) -> Ar
     covers every construction in this package (band-dual arcs and their
     composites over other bands).
     """
-    da = _reduced_view(p, a)
-    ra, geo = da.arc, da.geo
+    ra = reduce(p, a)
+    da = ra.__dict__["_view"]
+    geo = da.geo
     if pair not in geo.pair_sides:
         raise UnknownPairError(pair)
     if sign not in (1, -1):
@@ -441,9 +476,7 @@ def twist_about_band(p: PolygonPresentation, a: Arc, pair: str, sign: int) -> Ar
         new_slots.append((entry, exit_))
         if m < len(crossings):
             word.append(crossings[m])
-    r = Arc(ra.start, ra.end, tuple(word))
-    _ArcData(geo, r, new_slots)
-    return r
+    return _keep(Arc(ra.start, ra.end, tuple(word)), _ArcData(geo, new_slots))
 
 
 def bands_cut(p: PolygonPresentation, a: Arc) -> list[str]:
@@ -452,8 +485,8 @@ def bands_cut(p: PolygonPresentation, a: Arc) -> list[str]:
     The arc's ends lie on boundary sides, never on a door's side, so the
     chords cross exactly when one end's side lies strictly between the
     doors' sides."""
-    da = _reduced_view(p, a)
-    if da.arc.crossings:
+    da = arc_view(p, a)
+    if da.letters:
         raise ValueError("bands_cut needs an arc without crossings")
     geo, ((s, _), (t, _)) = da.geo, da.slots[0]
     cut = []

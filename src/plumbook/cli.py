@@ -24,6 +24,7 @@ import re
 import sys
 import warnings
 from itertools import product
+from typing import Optional
 
 from . import documents as doc
 from .arcs import interior_intersections, reduce as reduce_arc
@@ -55,17 +56,25 @@ from .surface import (
 )
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    """Integers written as an optional sign and ASCII digits, separated by
-    commas, with spaces anywhere.  int alone would also read "2_0" and
-    non-ASCII digits, and no entry may be empty."""
-    tokens = text.replace(" ", "").split(",")
-    if all(re.fullmatch(r"[+-]?[0-9]+", tok) for tok in tokens):
+def _integer(text: str) -> Optional[int]:
+    """text read as an integer written with an optional sign and ASCII
+    digits, or None.  int alone would also read "2_0" and non-ASCII
+    digits."""
+    if re.fullmatch(r"[+-]?[0-9]+", text):
         try:
-            return tuple(int(tok) for tok in tokens)
+            return int(text)
         except ValueError:  # more digits than int converts
             pass
-    raise DocumentError(f"expected a comma-separated integer list, got {text!r}")
+    return None
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """Integers separated by commas, with spaces anywhere, each read by
+    _integer; no entry may be empty."""
+    numbers = tuple(_integer(tok) for tok in text.replace(" ", "").split(","))
+    if None in numbers:
+        raise DocumentError(f"expected a comma-separated integer list, got {text!r}")
+    return numbers
 
 
 def _read_input(path: str) -> str:
@@ -179,11 +188,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_stabilize(args) -> int:
-    if args.count < 0:
+    count = _integer(args.count)
+    if count is None:
+        raise DocumentError(f"count must be an integer, got {args.count!r}")
+    if count < 0:
         raise DocumentError("count must be nonnegative")
-    if args.count > MAX_STABILIZE_COUNT:
+    if count > MAX_STABILIZE_COUNT:
         raise DocumentError(
-            f"count {args.count}; at most {MAX_STABILIZE_COUNT} stabilizations are supported"
+            f"count {count}; at most {MAX_STABILIZE_COUNT} stabilizations are supported"
         )
     pob, _star = _find_pob(_read_input(args.input))
     steps = []
@@ -198,7 +210,7 @@ def cmd_stabilize(args) -> int:
         )
 
     record(pob)
-    for _ in range(args.count):
+    for _ in range(count):
         pob = positive_stabilization(pob)
         record(pob)
     report = doc.report_document(
@@ -343,10 +355,11 @@ def cmd_paper_examples(args) -> int:
     if args.family:
         parsed = {}
         for item in args.family:
-            m = re.fullmatch(r"(k|range)=(\d+)", item)
-            if not m:
+            name, _, value = item.partition("=")
+            number = _integer(value)
+            if name not in ("k", "range") or number is None or number < 0:
                 raise DocumentError(f"bad family setting {item!r}; use k=N range=N")
-            parsed[m.group(1)] = int(m.group(2))
+            parsed[name] = number
         family = (parsed.get("k", family[0]), parsed.get("range", family[1]))
     try:
         rows = _paper_suite(args.mirror, family)
@@ -441,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("stabilize", help="apply positive stabilizations")
     s.add_argument("input", nargs="?", default="-")
-    s.add_argument("--count", type=int, default=1)
+    s.add_argument("--count", default="1")
     s.add_argument("--format", choices=("text", "structured"), default="structured")
     s.set_defaults(func=cmd_stabilize)
 

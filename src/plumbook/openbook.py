@@ -21,7 +21,9 @@ and contact_verdict keep their results beside them.  Books, arcs and
 surfaces are frozen, so the results cannot go stale, and they are not
 fields, so equality, hashing, repr and documents ignore them.  Operations
 on an invalid book raise on every call.  Each of the three results is
-computed by one function on the whole book.  Two constructions carry them
+computed by one function on the whole book, which reads each kept arc's
+view once (arcs.arc_view) and asks it the view-level count and divergence,
+so no arc is reduced again or turned around.  Two constructions carry them
 instead: a book whose images one boundary-fixing homeomorphism makes from
 the images of a checked book carries that book's check (certified_book),
 and a positive stabilization carries all three with the pair it adds.
@@ -38,12 +40,14 @@ from typing import NamedTuple, Optional
 from .arcs import (
     Arc,
     Divergence,
-    first_divergence,
+    arc_view,
     interior_intersections,
     is_embedded,
     reduce,
     reverse,
     twist_about_band,
+    view_count,
+    view_divergence,
 )
 from .errors import InvalidOpenBookError, Violation
 from .surface import (
@@ -112,20 +116,22 @@ class _CheckedBook(NamedTuple):
     site: Optional[tuple[str, Fraction]] = None
 
 
-def _ranks(arcs) -> list[tuple[int, int]]:
+def _ranks(arcs, top_of: Optional[str] = None):
     """Per arc, the ranks of its start and end among the distinct endpoint
     positions on their side, from one sort per side.  Ranks on different
     sides are at least two apart, so two endpoints are on one side, equal
     or with no third marked point strictly between, exactly when their
-    ranks differ by at most one."""
+    ranks differ by at most one.  Given a side label top_of, the ranks come
+    with the top endpoint position on that side (0 if it has none)."""
     points = [pt for a in arcs for pt in (a.start, a.end)]
     positions = [pt.position for pt in points]
     on: dict[str, list[int]] = {}
     for i, pt in enumerate(points):
         on.setdefault(pt.side, []).append(i)
     ranks = [0] * len(points)
+    top = Fraction(0)
     rank = 0
-    for ids in on.values():
+    for side, ids in on.items():
         ids.sort(key=positions.__getitem__)
         last = positions[ids[0]]
         ranks[ids[0]] = rank
@@ -135,8 +141,11 @@ def _ranks(arcs) -> list[tuple[int, int]]:
                 rank += 1
                 last = t
             ranks[i] = rank
+        if side == top_of:
+            top = last
         rank += 2
-    return list(zip(ranks[::2], ranks[1::2]))
+    pairs = list(zip(ranks[::2], ranks[1::2]))
+    return pairs if top_of is None else (pairs, top)
 
 
 def _kept(pob: PartialOpenBook, name: str, compute):
@@ -172,14 +181,16 @@ def _check(pob: PartialOpenBook) -> _CheckedBook:
     p = pob.surface
     basis = tuple(reduce(p, a) for a in pob.basis)
     images = tuple(reduce(p, a) for a in pob.images)
-    ranks = _ranks((*basis, *images))
-    for name, arcs in (("basis", basis), ("image", images)):
-        for i, a in enumerate(arcs):
-            if not is_embedded(p, a):
+    by_kind = [arc_view(p, a) for a in basis], [arc_view(p, h) for h in images]
+    label = next(iter(geo.boundary_index))
+    ranks, top = _ranks((*basis, *images), label)
+    for name, kind in zip(("basis", "image"), by_kind):
+        for i, v in enumerate(kind):
+            if view_count(v, v):
                 out.append(Violation("ArcNotEmbedded", f"{name} arc {i} crosses itself"))
-    for code, arcs in (("BasisNotDisjoint", basis), ("ImagesNotDisjoint", images)):
-        for i, j in combinations(range(len(arcs)), 2):
-            n = interior_intersections(p, arcs[i], arcs[j])
+    for code, kind in zip(("BasisNotDisjoint", "ImagesNotDisjoint"), by_kind):
+        for i, j in combinations(range(len(kind)), 2):
+            n = view_count(kind[i], kind[j])
             if n:
                 out.append(Violation(code, f"arcs {i} and {j} cross {n} time(s)"))
     oriented = [
@@ -194,10 +205,8 @@ def _check(pob: PartialOpenBook) -> _CheckedBook:
     # only endpoints sharing a point leave fewer ranks than endpoints
     if 2 * len(ranks) > len({r for ends in ranks for r in ends}):
         out += _ties(basis, images)
-    label = next(iter(geo.boundary_index))
-    tops = [pt.position for a in (*basis, *images) for pt in (a.start, a.end) if pt.side == label]
-    site = label, max(tops, default=Fraction(0))
-    return _CheckedBook(tuple(out), basis, tuple(o or h for o, h in zip(oriented, images)), site)
+    oriented = tuple(o or h for o, h in zip(oriented, images))
+    return _CheckedBook(tuple(out), basis, oriented, (label, top))
 
 
 _TIES = ("basis arc {} and image {}", "basis arcs {} and {}", "image arcs {} and {}")
@@ -285,17 +294,19 @@ def veering_report(pob: PartialOpenBook) -> VeeringReport:
 
 
 def _veering(pob: PartialOpenBook) -> VeeringReport:
-    checked = _require_pob(pob)
+    checked, p = _require_pob(pob), pob.surface
     pairs = zip(checked.basis, checked.images)
-    return VeeringReport(tuple(_veer(pob.surface, a, h) for a, h in pairs))
+    return VeeringReport(tuple(_veer(arc_view(p, a), arc_view(p, h)) for a, h in pairs))
 
 
-def _veer(p: PolygonPresentation, a: Arc, h: Arc) -> ArcVeer:
-    """The verdict of basis arc a and its image h, which starts beside a's."""
-    at_start = first_divergence(p, a, h)
+def _veer(a, h) -> ArcVeer:
+    """The verdict of the views of basis arc a and its image h, which
+    starts beside a's start and ends beside its end: the end divergence is
+    read on the slots run backwards, which builds no reversed view."""
+    at_start = view_divergence(a, h)
     if at_start is Divergence.EQUAL:
         return ArcVeer.ISOTOPIC
-    at_end = first_divergence(p, reverse(a), reverse(h))
+    at_end = view_divergence(a, h, backwards=True)
     if at_start is Divergence.RIGHT_OF and at_end is Divergence.RIGHT_OF:
         return ArcVeer.RIGHT
     return ArcVeer.LEFT
@@ -335,9 +346,9 @@ def _verdict(pob: PartialOpenBook, matrix=None) -> ContactVerdict:
             )
     if matrix is None:
         checked, p = _require_pob(pob), pob.surface
-        matrix = tuple(
-            tuple(interior_intersections(p, a, h) for h in checked.images) for a in checked.basis
-        )
+        basis = [arc_view(p, a) for a in checked.basis]
+        images = [arc_view(p, h) for h in checked.images]
+        matrix = tuple(tuple(view_count(a, h) for h in images) for a in basis)
     if all(matrix[i][i] == 0 for i in range(len(matrix))):
         return ContactVerdict(
             VerdictStatus.NONZERO_TIGHT,
@@ -455,7 +466,7 @@ def positive_stabilization(pob: PartialOpenBook) -> PartialOpenBook:
         basis=(*kept_basis, new_basis), images=(*kept_images, oriented), site=(label, t2.position)
     )
     object.__setattr__(book, "_checked", kept)
-    veer = _veer(surface, new_basis, oriented)
+    veer = _veer(arc_view(surface, new_basis), arc_view(surface, oriented))
     object.__setattr__(book, "_veering", VeeringReport((*veering_report(pob).verdicts, veer)))
     verdict = _kept(pob, "_verdict", _verdict)
     if verdict.matrix is not None:

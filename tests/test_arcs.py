@@ -25,6 +25,7 @@ from plumbook.arcs import (
     Crossing,
     Divergence,
     _key,
+    arc_view,
     first_divergence,
     interior_intersections,
     is_embedded,
@@ -33,6 +34,7 @@ from plumbook.arcs import (
     reduce,
     reverse,
     twist_about_band,
+    view_divergence,
 )
 from plumbook.documents import arc_payload
 from plumbook.openbook import positive_stabilization
@@ -437,13 +439,16 @@ def assert_twists_substitute(p, arcs):
                 t = twist_about_band(p, a, pair, sign)
                 fresh = reduce(p, Arc(t.start, t.end, t.crossings))
                 assert t == fresh == inserted_then_reduced(p, a, pair, sign)
-                view, built = t.__dict__["_view"], fresh.__dict__["_view"]
-                assert view.arc is t and view.geo is built.geo
+                # t carries its view, built once: reducing t again returns
+                # t, and every later read returns that same view
+                view, built = arc_view(p, t), arc_view(p, fresh)
+                assert reduce(p, t) is t and arc_view(p, t) is view and view.geo is built.geo
                 # the kept reversal runs the slots backwards: the same view
-                # as a reduction of the reversed word
+                # as a reduction of the reversed word, kept on the view
                 back = reverse(t)
-                turned = reduce(p, Arc(back.start, back.end, back.crossings))
-                for v, w in ((view, built), (back.__dict__["_view"], turned.__dict__["_view"])):
+                assert reverse(back) is t and arc_view(p, back) is view.reversed
+                turned = arc_view(p, Arc(back.start, back.end, back.crossings))
+                for v, w in ((view, built), (view.reversed, turned)):
                     assert (v.letters, v.slots, v.chords) == (w.letters, w.slots, w.chords)
                 word = t.crossings
                 assert all(x != y.inverse() for x, y in zip(word, word[1:]))
@@ -480,6 +485,26 @@ def test_twist_substitutes_slots_on_stabilized_books():
     for _ in range(3):
         pob = positive_stabilization(pob)
     assert assert_twists_substitute(pob.surface, (*pob.basis, *pob.images))
+
+
+def test_backwards_divergence_is_the_reversals_divergence():
+    # veering reads the end divergence on the slots run backwards; it must
+    # be the divergence of the two reversals, whose views are built apart.
+    # Every word of at most 2 letters ends on one side at one of two points
+    p = star(2)
+    labels = [s.label for s in p.sides if isinstance(s, Boundary)]
+    arcs = [
+        reduce(p, Arc(BoundaryPoint(s, Fraction(1, 2)), BoundaryPoint(labels[0], t), w))
+        for w in reduced_words(["c0", "c1"], 2)
+        for s in labels[1:4]
+        for t in (Fraction(1, 3), Fraction(2, 3))
+    ]
+    seen = set()
+    for a, b in itertools.product(arcs, repeat=2):
+        forward = first_divergence(p, reverse(a), reverse(b))
+        assert view_divergence(arc_view(p, a), arc_view(p, b), backwards=True) is forward
+        seen.add(forward)
+    assert seen == set(Divergence)
 
 
 def test_twist_refusals_keep_their_messages():

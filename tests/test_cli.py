@@ -1,6 +1,7 @@
 """End-to-end command tests, run in process."""
 
 import contextlib
+import gc
 import hashlib
 import inspect
 import io
@@ -28,11 +29,14 @@ from plumbook.cli import (
 )
 from plumbook.documents import MAX_BOOK_ARCS, MAX_BOOK_CROSSINGS
 from plumbook.errors import MAX_LISTED_VIOLATIONS, DocumentError, InvalidPresentationError
+from plumbook.openbook import VerdictStatus, contact_verdict, positive_stabilization
 from plumbook.plumbing import (
     MAX_HOPF_SUMMANDS,
+    PretzelSpec,
     StarPlumbing,
     TwistedAnnulus,
     associated_pob,
+    pretzel_decompose,
     star_sum_surface,
 )
 from plumbook.surface import euler_characteristic
@@ -139,6 +143,32 @@ def test_build_reads_only_signed_ascii_integers(capsys, shape, numbers):
     code, out, err = run(capsys, "build", shape, numbers)
     assert (code, out) == (2, "")
     assert err == f"error: expected a comma-separated integer list, got {numbers!r}\n"
+
+
+@pytest.mark.parametrize("count", ["2_0", "\u0663", "-\u0663", "2.0", ""])
+def test_stabilize_count_reads_only_signed_ascii_integers(capsys, count):
+    # int() reads underscores and non-ASCII digits: 2_0 ran 20 steps
+    code, out, err = run(capsys, "stabilize", "-", "--count", count)
+    assert (code, out) == (2, "")
+    assert err == f"error: count must be an integer, got {count!r}\n"
+
+
+@pytest.mark.parametrize("setting", ["k=\u0663", "range=\u0663", "k=2_0", "k=-2", "k=", "k"])
+def test_family_settings_read_only_ascii_integers(capsys, setting):
+    # \d reads non-ASCII digits: k=3 in Arabic-Indic digits swept k=3
+    code, out, err = run(capsys, "paper-examples", "--family", setting, "range=5")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad family setting {setting!r}; use k=N range=N\n"
+
+
+def test_counts_and_settings_keep_their_signs(capsys, tmp_path):
+    path = build_file(capsys, tmp_path, "build", "pretzel", "-3,3,1")
+    assert run(capsys, "stabilize", str(path), "--count", "+2") == run(
+        capsys, "stabilize", str(path), "--count", "2"
+    )
+    family = run(capsys, "paper-examples", "--family", "k=+2", "range=5")
+    assert family == run(capsys, "paper-examples", "--family", "k=2", "range=5")
+    assert family[0] == 0
 
 
 def test_build_lists_keep_their_spaces_and_signs(capsys):
@@ -930,3 +960,29 @@ def test_structured_checks_hold_only_those_asked():
     code, out, _err = run_on_text(["check", "-", "--checks", "sqp,rv"], json.dumps(STAR_DOCS))
     assert code == 0
     assert sorted(doc.parse_document(out).payload["checks"]) == ["rv", "sqp"]
+
+
+def test_decisions_leave_no_cyclic_garbage():
+    # an arc keeps its view and its reversal, and neither refers back to it
+    # but weakly, so refcounting frees everything a decision builds; with
+    # automatic collection off, a cycle would wait for gc.collect() to find it
+    build_parser()  # argparse's formatters form cycles; the parser is built once
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        pob = associated_pob(pretzel_decompose(PretzelSpec((-3, 5, -7, 1))))[2]
+        assert contact_verdict(pob).status is VerdictStatus.NONZERO_TIGHT
+        assert gc.collect() == 0
+        for mirror in ((), ("--mirror",)):
+            code, built, _err = run_on_text(["build", "star", "2,2,2,2", *mirror], "")
+            assert code == 0
+            assert run_on_text(["check", "-"], built)[0] == 0
+            assert gc.collect() == 0
+        for _ in range(5):
+            pob = positive_stabilization(pob)
+        assert contact_verdict(pob).status is VerdictStatus.NONZERO_TIGHT
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

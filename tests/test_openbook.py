@@ -9,7 +9,14 @@ from certificates import assert_certificate_invariants
 
 import plumbook.arcs
 import plumbook.openbook
-from plumbook.arcs import Arc, Crossing, interior_intersections, minimal_position, reverse
+from plumbook.arcs import (
+    Arc,
+    Crossing,
+    arc_view,
+    interior_intersections,
+    minimal_position,
+    reverse,
+)
 from plumbook.cli import main
 from plumbook.documents import pob_document, pob_payload, print_documents
 from plumbook.errors import (
@@ -306,9 +313,12 @@ def test_book_checked_once_across_operations(monkeypatch):
     # a stabilized book carries its check; a fresh copy measures one check
     pob = fresh(positive_stabilization(hopf_pob(+1)))
     checked, oriented = [], []
-    original = plumbook.openbook.is_embedded
+    # an embeddedness test counts a view against itself
+    count = plumbook.openbook.view_count
     monkeypatch.setattr(
-        plumbook.openbook, "is_embedded", lambda p, a: checked.append(a) or original(p, a)
+        plumbook.openbook,
+        "view_count",
+        lambda v, w: (v is w and checked.append(v)) or count(v, w),
     )
     orient = plumbook.openbook._oriented_image
     monkeypatch.setattr(
@@ -325,6 +335,9 @@ def test_book_checked_once_across_operations(monkeypatch):
     assert len(oriented) == len(pob.basis)
     # one embeddedness test per basis arc and per image, all in one pass
     assert len(checked) == 2 * len(pob.basis)
+    p = pob.surface
+    kept = pob.__dict__["_checked"]
+    assert {id(v) for v in checked} == {id(arc_view(p, a)) for a in (*kept.basis, *kept.images)}
 
 
 def test_book_decided_from_kept_arc_views(monkeypatch):
@@ -342,9 +355,8 @@ def test_book_decided_from_kept_arc_views(monkeypatch):
     monkeypatch.setattr(
         plumbook.arcs._ArcData,
         "__init__",
-        lambda self, geo, a, slots: built.append(a) or view_init(self, geo, a, slots),
+        lambda self, geo, slots: built.append(slots) or view_init(self, geo, slots),
     )
-    reverse = plumbook.openbook.reverse
     monkeypatch.setattr(plumbook.openbook, "reverse", lambda a: turned.append(a) or reverse(a))
     for pob in (fresh(stabilized), stabilized):
         built.clear()
@@ -352,14 +364,18 @@ def test_book_decided_from_kept_arc_views(monkeypatch):
         validate_pob(pob)
         veering_report(pob)
         contact_verdict(pob)
-        # a view and its reversal per basis arc and image, each built once:
-        # veering turns a fresh book's arcs around through their kept
-        # reversals, and the stabilized book keeps what it decides
+        # at most a view and its reversal per basis arc and image, each
+        # built once, and only for the fresh book: the stabilized book
+        # keeps what it decides.  The images already start beside their
+        # basis arcs, and veering reads the end divergence on the slots run
+        # backwards, so no arc is turned around
         assert len(built) <= 2 * (len(pob.basis) + len(pob.images))
-        assert bool(built) == bool(turned) == (pob is not stabilized)
-        for a in turned:
-            assert reverse(reverse(a)) is a
+        assert bool(built) == (pob is not stabilized)
+        assert turned == []
         p = pob.surface
+        checked = pob.__dict__["_checked"]
+        for a in (*checked.basis, *checked.images):
+            assert reverse(reverse(a)) is a
         kept = [minimal_position(p, a, h)[:2] for a, h in zip(pob.basis, pob.images)]
         built.clear()
         for a, h in kept:
@@ -488,15 +504,17 @@ def test_stabilization_counts_only_the_new_arc(monkeypatch):
     # same views and makes the same position comparisons whatever the
     # length of the chain: it reads the kept site, it scans no endpoints
     calls, views, compared = [], [], []
-    original = plumbook.arcs.minimal_position
-    monkeypatch.setattr(
-        plumbook.arcs, "minimal_position", lambda p, a, b: calls.append(a) or original(p, a, b)
-    )
+    # the count of two distinct views; a self-count tests embeddedness
+    count = plumbook.arcs.view_count
+    for module in (plumbook.arcs, plumbook.openbook):
+        monkeypatch.setattr(
+            module, "view_count", lambda v, w: (v is not w and calls.append(v)) or count(v, w)
+        )
     view_init = plumbook.arcs._ArcData.__init__
     monkeypatch.setattr(
         plumbook.arcs._ArcData,
         "__init__",
-        lambda self, geo, a, slots: views.append(a) or view_init(self, geo, a, slots),
+        lambda self, geo, slots: views.append(slots) or view_init(self, geo, slots),
     )
     for name in ("__lt__", "__gt__", "__le__", "__ge__"):
         order = getattr(Fraction, name)
@@ -516,7 +534,7 @@ def test_stabilization_counts_only_the_new_arc(monkeypatch):
             validate_pob(pob)
             veering_report(pob)
             contact_verdict(pob)
-            assert len(calls) <= 1
+            assert len(calls) == 1
             built.add(len(views))
             comparisons.append(len(compared))
         assert len(built) == 1, built

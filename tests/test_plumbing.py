@@ -184,7 +184,7 @@ def test_star_books_go_through_one_checked_path(monkeypatch):
     monkeypatch.setattr(
         plumbook.arcs._ArcData,
         "__init__",
-        lambda self, geo, a, slots: built.append(a) or view_init(self, geo, a, slots),
+        lambda self, geo, slots: built.append(slots) or view_init(self, geo, slots),
     )
     associated_pob(pretzel_decompose(PretzelSpec((-3, 5, -7, 1))))
     assert len(calls) == 1

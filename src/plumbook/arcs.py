@@ -35,20 +35,18 @@ decide on views, which is exact on one geometry: two arcs are equal
 exactly when their slots are, and the slots carry the endpoints' sides
 and positions.  arc_view, view_count and view_divergence are that layer
 for callers that read a view once and ask it several questions.  A view
-holds no arc, and a reversal refers back to its arc only weakly, so no
-arc, view or reversal is part of a reference cycle: refcounting frees
-each of them when its last user lets go, and the cyclic collector finds
-nothing of theirs.
+holds no arc, an arc keeps nothing but its view, and a view's reversal is
+kept on it, the one kept reversal, so no arc, view or reversal is part
+of a reference cycle: refcounting frees each of them when its last user
+lets go, and the cyclic collector finds nothing of theirs.
 twist_about_band derives its result's view from its input's, slot by slot,
 without reducing or checking the result again; a twist that meets nothing
-returns its reduced input as it is.  Each call builds a letter once:
-reverse inverts each distinct letter once, and a twist builds its two
-detour letters at the first slot that needs one.
+returns its reduced input as it is, and one that meets the core builds
+its two detour letters once, at the first slot that needs one.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -124,8 +122,8 @@ class _ArcData:
     the slots determine the arc.  Built from its slots, which reduce reads
     off the word and twist_about_band derives from the view of the arc it
     twists.  The arc keeps its view, but the view holds no arc, so the two
-    form no reference cycle; its reversal is a view only, kept on it and
-    holding nothing back."""
+    form no reference cycle; its reversal, the kernel's one kept reversal,
+    is a view only, kept on it and holding nothing back."""
 
     __slots__ = ("geo", "slots", "letters", "chords", "_reversed")
 
@@ -228,32 +226,11 @@ def arc_view(p: PolygonPresentation, a: Arc) -> _ArcData:
 
 def reverse(a: Arc) -> Arc:
     """a run backwards; a reversed reduced word is reduced, on the same
-    endpoints and pairs.  a keeps its reversal, which refers back to a only
-    through a weak reference, so reverse(reverse(a)) is a while a lives and
-    the two form no reference cycle.  The reversal of an arc with a view
-    gets that view's kept reversal as its own."""
-    kept = a.__dict__
-    r = kept.get("_reversal")
-    if r is None and "_back" in kept:
-        r = kept["_back"]()
-    if r is not None:
-        return r
-    # each distinct letter is inverted once
-    inverses: dict[tuple[str, int], Crossing] = {}
-    word = []
-    for c in reversed(a.crossings):
-        key = c.pair, c.direction
-        inverse = inverses.get(key)
-        if inverse is None:
-            inverse = inverses[key] = c.inverse()
-        word.append(inverse)
-    r = Arc(a.end, a.start, tuple(word))
-    object.__setattr__(a, "_reversal", r)
-    object.__setattr__(r, "_back", weakref.ref(a))
-    view = kept.get("_view")
-    if view is not None:
-        _keep(r, view.reversed)
-    return r
+    endpoints and pairs.  Nothing is kept on a: the reversal of an arc with
+    a view gets that view's kept reversal as its own view."""
+    r = Arc(a.end, a.start, tuple(c.inverse() for c in reversed(a.crossings)))
+    view = a.__dict__.get("_view")
+    return r if view is None else _keep(r, view.reversed)
 
 
 def _forward_alignments(u: list[int], w: list[int]) -> Iterator[tuple[int, int, int]]:
@@ -300,17 +277,25 @@ def _corridor_linked(da: _ArcData, db: _ArcData, m0: int, k0: int, r: int) -> bo
     return order_in == order_out
 
 
+def _same_class(da: _ArcData, db: _ArcData) -> bool:
+    """Whether two views of one geometry are of one unoriented class: equal
+    slots are equal arcs, and db's reversal is read only when db starts
+    where da ends and ends where da starts."""
+    if da.slots == db.slots:
+        return True
+    if da.slots[0][0] != db.slots[-1][1] or da.slots[-1][1] != db.slots[0][0]:
+        return False
+    return da.slots == db.reversed.slots
+
+
 def view_count(da: _ArcData, db: _ArcData) -> int:
     """Forced crossings of two views of one geometry over all relative
     placements, b run in both directions.  Duplicates of one unoriented
     class, either parametrization, are a self-intersection query, not a
     pair of parallel copies: the placements laying the strand on itself or
     on its own reversal are the same lift, not a pair, and every other one
-    is met from both strands.  Equal slots are equal arcs; b's reversal is
-    built only when it has a's endpoints."""
-    same = da is db or da.slots == db.slots
-    if not same and da.slots[0][0] == db.slots[-1][1] and da.slots[-1][1] == db.slots[0][0]:
-        same = da.slots == db.reversed.slots
+    is met from both strands."""
+    same = da is db or _same_class(da, db)
     if same:
         db = da
     total = 0
@@ -362,8 +347,7 @@ def is_embedded(p: PolygonPresentation, a: Arc) -> bool:
 def is_isotopic(p: PolygonPresentation, a: Arc, b: Arc) -> bool:
     """Isotopy of arcs with endpoints fixed, orientation-blind: equality of
     reduced words and endpoints, up to reversing one arc."""
-    da, db = arc_view(p, a), arc_view(p, b)
-    return da.slots == db.slots or da.slots == db.reversed.slots
+    return _same_class(arc_view(p, a), arc_view(p, b))
 
 
 def first_divergence(p: PolygonPresentation, a: Arc, b: Arc) -> Divergence:

@@ -23,7 +23,7 @@ import functools
 import re
 import sys
 import warnings
-from itertools import product
+from itertools import product, zip_longest
 from typing import Optional
 
 from . import documents as doc
@@ -418,9 +418,13 @@ def cmd_emit_dot(args) -> int:
     for d in docs:
         if d.kind == "pob":
             pob, _star = doc.pob_from(d.payload)
+            # every basis arc and every image is drawn, paired or not
             arcs = []
-            for i, (a, h) in enumerate(zip(pob.basis, pob.images)):
-                arcs += [(f"a{i}", a, "bold"), (f"h(a{i})", h, "dotted")]
+            for i, (a, h) in enumerate(zip_longest(pob.basis, pob.images)):
+                if a is not None:
+                    arcs.append((f"a{i}", a, "bold"))
+                if h is not None:
+                    arcs.append((f"h(a{i})", h, "dotted"))
             sys.stdout.write(_dot_for_surface(pob.surface, arcs))
             return 0
     for d in docs:

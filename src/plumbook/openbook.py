@@ -116,13 +116,13 @@ class _CheckedBook(NamedTuple):
     site: Optional[tuple[str, Fraction]] = None
 
 
-def _ranks(arcs, top_of: Optional[str] = None):
+def _ranks(arcs, top_of: str) -> tuple[list[tuple[int, int]], Fraction]:
     """Per arc, the ranks of its start and end among the distinct endpoint
-    positions on their side, from one sort per side.  Ranks on different
-    sides are at least two apart, so two endpoints are on one side, equal
-    or with no third marked point strictly between, exactly when their
-    ranks differ by at most one.  Given a side label top_of, the ranks come
-    with the top endpoint position on that side (0 if it has none)."""
+    positions on their side, from one sort per side, and the top endpoint
+    position on side top_of (0 if it has none).  Ranks on different sides
+    are at least two apart, so two endpoints are on one side, equal or with
+    no third marked point strictly between, exactly when their ranks differ
+    by at most one."""
     points = [pt for a in arcs for pt in (a.start, a.end)]
     positions = [pt.position for pt in points]
     on: dict[str, list[int]] = {}
@@ -144,8 +144,7 @@ def _ranks(arcs, top_of: Optional[str] = None):
         if side == top_of:
             top = last
         rank += 2
-    pairs = list(zip(ranks[::2], ranks[1::2]))
-    return pairs if top_of is None else (pairs, top)
+    return list(zip(ranks[::2], ranks[1::2])), top
 
 
 def _kept(pob: PartialOpenBook, name: str, compute):
@@ -459,16 +458,17 @@ def positive_stabilization(pob: PartialOpenBook) -> PartialOpenBook:
     new_image = twist_about_band(surface, pushed, pair, +1)
     book = PartialOpenBook(surface, (*basis, new_basis), (*images, new_image))
     # the new basis arc is a crossing-free chord, so only its image is tested
-    oriented = _oriented_image(new_basis, new_image, *_ranks((new_basis, new_image)))
+    ranks, top = _ranks((new_basis, new_image), label)
+    oriented = _oriented_image(new_basis, new_image, *ranks)
     if oriented is None or not is_embedded(surface, new_image):
         return book
     kept = checked._replace(
-        basis=(*kept_basis, new_basis), images=(*kept_images, oriented), site=(label, t2.position)
+        basis=(*kept_basis, new_basis), images=(*kept_images, oriented), site=(label, top)
     )
     object.__setattr__(book, "_checked", kept)
     veer = _veer(arc_view(surface, new_basis), arc_view(surface, oriented))
     object.__setattr__(book, "_veering", VeeringReport((*veering_report(pob).verdicts, veer)))
-    verdict = _kept(pob, "_verdict", _verdict)
+    verdict = contact_verdict(pob)
     if verdict.matrix is not None:
         row = (0,) * len(verdict.matrix) + (interior_intersections(surface, new_basis, new_image),)
         verdict = _verdict(book, (*((*r, 0) for r in verdict.matrix), row))

@@ -446,7 +446,7 @@ def assert_twists_substitute(p, arcs):
                 # the kept reversal runs the slots backwards: the same view
                 # as a reduction of the reversed word, kept on the view
                 back = reverse(t)
-                assert reverse(back) is t and arc_view(p, back) is view.reversed
+                assert reverse(back) == t and arc_view(p, back) is view.reversed
                 turned = arc_view(p, Arc(back.start, back.end, back.crossings))
                 for v, w in ((view, built), (view.reversed, turned)):
                     assert (v.letters, v.slots, v.chords) == (w.letters, w.slots, w.chords)
@@ -458,8 +458,6 @@ def assert_twists_substitute(p, arcs):
                     # a twist meeting nothing returns its reduced input
                     r = reduce(p, a)
                     assert twist_about_band(p, r, pair, sign) is r
-                # reverse builds each distinct inverse letter once
-                assert len({id(c) for c in back.crossings}) == len(set(back.crossings))
     return inserted
 
 

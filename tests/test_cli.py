@@ -942,6 +942,30 @@ def test_emit_dot_of_an_invalid_surface_exits_2():
     assert err == "error: UnmatchedPair: pair 'p' occurs 1 time(s), expected 2\n"
 
 
+def dot_arc_edges(docs):
+    """Exit code, the labels of the drawn arcs in order, and stderr of
+    emit-dot on docs."""
+    code, out, err = run_on_text(["emit-dot", "-"], json.dumps(docs))
+    labels = re.findall(r'\[label="([^"]*)", style=(?:bold|dotted)', out)
+    return code, labels, err
+
+
+def test_emit_dot_draws_unpaired_arcs_and_checks_them():
+    # a book with its one image removed draws its basis arc alone
+    docs = json.loads(json.dumps(PRETZEL_DOCS))
+    payload = docs[pob_index(docs)]["payload"]
+    image = payload["images"].pop()
+    assert dot_arc_edges(docs) == (0, ["a0"], "")
+    # a second image is drawn after the pair, as the image of a missing a1
+    payload["images"] = [image, image]
+    assert dot_arc_edges(docs) == (0, ["a0", "h(a0)", "h(a1)"], "")
+    # and it is checked against the surface like every drawn arc
+    payload["images"][1] = {**image, "start": {**image["start"], "side": "nowhere"}}
+    code, labels, err = dot_arc_edges(docs)
+    assert (code, labels) == (2, [])
+    assert err == "error: boundary side 'nowhere' is not on this presentation\n"
+
+
 def test_text_checks_print_in_one_order_once_each():
     built = json.dumps(STAR_DOCS)
     code, every, _err = run_on_text(["check", "-", "--format", "text"], built)

@@ -375,7 +375,7 @@ def test_book_decided_from_kept_arc_views(monkeypatch):
         p = pob.surface
         checked = pob.__dict__["_checked"]
         for a in (*checked.basis, *checked.images):
-            assert reverse(reverse(a)) is a
+            assert reverse(reverse(a)) == a
         kept = [minimal_position(p, a, h)[:2] for a, h in zip(pob.basis, pob.images)]
         built.clear()
         for a, h in kept:
@@ -613,6 +613,19 @@ def test_images_written_end_to_start_decide_as_the_forward_book(twists, tmp_path
         assert main(["check", str(path)]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_decided_arcs_keep_nothing_but_their_view():
+    # reverse keeps nothing on either arc, so deciding a book, turning its
+    # images around included, leaves each arc with its view alone
+    chain = start_book("pretzel(-3,3,1)")
+    for _ in range(5):
+        chain = positive_stabilization(chain)
+    for pob in (start_book("star 2,2,2"), start_book("star 2,2,2 reversed"), chain):
+        contact_verdict(pob)
+        checked = pob.__dict__["_checked"]
+        for a in (*pob.basis, *pob.images, *checked.basis, *checked.images):
+            assert a.__dict__.keys() - {"start", "end", "crossings"} <= {"_view"}
 
 
 def test_certified_book_keeps_nothing_when_its_premise_fails():

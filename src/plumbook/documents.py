@@ -74,6 +74,14 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _array(value, what: str) -> list:
+    """A list of arcs or crossings: a JSON array, not an object or string,
+    which iterate too.  A TypeError, so the payload's reader names it."""
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be an array")
+    return value
+
+
 def _parse_fraction(s) -> Fraction:
     # only the written form: Fraction's parse time for "1e-5000" and the
     # like grows with the exponent
@@ -143,7 +151,7 @@ def arc_from(payload, letters: Optional[dict] = None) -> Arc:
         letters = {}
     try:
         word = []
-        for c in payload["crossings"]:
+        for c in _array(payload["crossings"], "crossings"):
             key = _name(c["pair"], "crossing pair"), _integer(c["direction"], "direction")
             letter = letters.get(key)
             if letter is None:
@@ -208,8 +216,8 @@ def pob_from(payload) -> tuple[PartialOpenBook, Optional[StarPlumbing]]:
     try:
         pob = PartialOpenBook(
             surface_from(payload["surface"]),
-            tuple(arc_from(a, letters) for a in payload["basis"]),
-            tuple(arc_from(a, letters) for a in payload["images"]),
+            tuple(arc_from(a, letters) for a in _array(payload["basis"], "basis")),
+            tuple(arc_from(a, letters) for a in _array(payload["images"], "images")),
         )
     except (KeyError, TypeError) as e:
         raise DocumentError(f"bad pob payload: {e}") from e

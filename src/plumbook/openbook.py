@@ -427,19 +427,11 @@ def positive_stabilization(pob: PartialOpenBook) -> PartialOpenBook:
     post_label = _fresh(f"{label}t", {*geo.boundary_index, mid_label})
     pair = _fresh("st", geo.pair_sides)
 
-    new_sides = []
-    for s in pob.surface.sides:
-        if isinstance(s, Boundary) and s.label == label:
-            new_sides += [
-                Boundary(label),
-                Glued(pair, End.LEFT),
-                Boundary(mid_label),
-                Glued(pair, End.RIGHT),
-                Boundary(post_label),
-            ]
-        else:
-            new_sides.append(s)
-    surface = PolygonPresentation(tuple(new_sides))
+    # the handle and the far part of the split side follow its near part
+    at = geo.boundary_index[label] + 1
+    sides = pob.surface.sides
+    handle = (Glued(pair, End.LEFT), Boundary(mid_label), Glued(pair, End.RIGHT))
+    surface = PolygonPresentation((*sides[:at], *handle, Boundary(post_label), *sides[at:]))
 
     def move(pt: BoundaryPoint) -> BoundaryPoint:
         return BoundaryPoint(label, pt.position / lo) if pt.side == label else pt

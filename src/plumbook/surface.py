@@ -15,9 +15,12 @@ the chamber decomposition of the universal cover a tree, which the arc
 calculus relies on.
 
 A presentation is validated once per object: validation walks the sides
-once and builds the indexed view from that walk, corner orbits included,
-and the first validation that passes keeps it on the object for every
-later operation (geometry(p); the Euler characteristic reads its orbits).
+once and builds the indexed view from that walk, and the first validation
+that passes keeps it on the object for every later operation (geometry(p)).
+Corners are read by one walk, which crosses one side at a time and closes
+into cycles: the cycles through a boundary side are the boundary circles,
+in order of their first boundary side, and the rest are the interior
+vertices validation refuses, in order of their smallest corner.
 Presentations are frozen, so that view cannot go stale, and it is not a
 field, so equality, hashing, repr and documents ignore it.  An invalid
 presentation keeps nothing and raises on every call.
@@ -92,10 +95,10 @@ class Geometry:
     """Indexed view of a valid presentation, kept on it: n, the side count;
     boundary_index, the side of each boundary label, in side order;
     pair_sides, the (left, right) sides of each pair, in the side order of
-    the left halves; roots, the root of each corner's orbit under the pair
-    identifications.  Arcs, book checks and the DOT writer read it."""
+    the left halves.  It holds no corner data: the corner walk reads the
+    sides and pair_sides.  Arcs, book checks and the DOT writer read it."""
 
-    __slots__ = ("n", "boundary_index", "pair_sides", "roots")
+    __slots__ = ("n", "boundary_index", "pair_sides")
 
     def __init__(
         self, n: int, boundary_index: dict[str, int], pair_sides: dict[str, tuple[int, int]]
@@ -103,23 +106,41 @@ class Geometry:
         self.n = n
         self.boundary_index = boundary_index
         self.pair_sides = pair_sides
-        # union-find over corners: gluing left occurrence i to right
-        # occurrence j reversed identifies corner i with corner j+1 and
-        # corner i+1 with corner j; the union order picks each root
-        parent = list(range(n))
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
 
-        for i, j in pair_sides.values():
-            for x, y in ((i, (j + 1) % n), ((i + 1) % n, j)):
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[rx] = ry
-        self.roots = [find(c) for c in range(n)]
+def _corner_cycles(
+    sides: tuple[Side, ...], pair_sides: dict[str, tuple[int, int]]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """The corner walk: (boundary cycles, interior cycles).
+
+    From corner c, cross side c: a boundary side leads to corner c + 1, and
+    a glued side, left half i and right half j, leads to the corner glued to
+    its far end, j + 1 if c = i and i + 1 otherwise.  Each corner has one
+    successor and one predecessor, so every walk closes into a cycle.  The
+    walks from the boundary sides, in side order, are the boundary circles,
+    each listing its corners from its first boundary side in walk order.
+    Every corner left over lies on a cycle through glued sides only, one
+    vertex in the surface interior; those cycles come in order of their
+    smallest corner, each listing its corners in increasing order.
+    """
+    n = len(sides)
+    unseen = [True] * n
+
+    def cycle(c: int) -> list[int]:
+        corners = []
+        while unseen[c]:
+            unseen[c] = False
+            corners.append(c)
+            side = sides[c]
+            if isinstance(side, Boundary):
+                c = (c + 1) % n
+            else:
+                i, j = pair_sides[side.pair]
+                c = (j + 1 if c == i else i + 1) % n
+        return corners
+
+    boundary = [cycle(c) for c in range(n) if isinstance(sides[c], Boundary) and unseen[c]]
+    return boundary, [sorted(cycle(c)) for c in range(n) if unseen[c]]
 
 
 def geometry(p: PolygonPresentation) -> Geometry:
@@ -143,7 +164,6 @@ def validate(p: PolygonPresentation) -> list[Violation]:
 
     n = len(p.sides)
     boundary_index: dict[str, int] = {}
-    boundary_sides: list[int] = []
     occurrences: dict[str, list[End]] = {}
     left: dict[str, int] = {}
     right: dict[str, int] = {}
@@ -152,7 +172,6 @@ def validate(p: PolygonPresentation) -> list[Violation]:
             if s.label in boundary_index:
                 out.append(Violation("DuplicateLabel", f"boundary label {s.label!r} used twice"))
             boundary_index[s.label] = i
-            boundary_sides.append(i)
         else:
             occurrences.setdefault(s.pair, []).append(s.end)
             (left if s.end is End.LEFT else right)[s.pair] = i
@@ -179,18 +198,11 @@ def validate(p: PolygonPresentation) -> list[Violation]:
 
     if pairs_ok and boundary_index:
         geo = Geometry(n, boundary_index, {pair: (i, right[pair]) for pair, i in left.items()})
-        roots = geo.roots
-        # an orbit is on the boundary iff it holds a corner of a boundary
-        # side, a duplicated label's sides included
-        on_boundary = {roots[c] for i in boundary_sides for c in (i, (i + 1) % n)}
-        orbits: dict[int, list[int]] = {}
-        for c, root in enumerate(roots):
-            orbits.setdefault(root, []).append(c)
-        for root in sorted(orbits.keys() - on_boundary):
+        for corners in _corner_cycles(p.sides, geo.pair_sides)[1]:
             out.append(
                 Violation(
                     "InteriorVertex",
-                    f"corner orbit {orbits[root]} lies in the surface interior; "
+                    f"corner orbit {corners} lies in the surface interior; "
                     "arc normal forms need every polygon vertex on the boundary",
                 )
             )
@@ -200,45 +212,26 @@ def validate(p: PolygonPresentation) -> list[Violation]:
 
 
 def euler_characteristic(p: PolygonPresentation) -> int:
-    """V - E + F of the glued-up complex: one face, one edge per boundary side
-    or glued pair, and one vertex per corner orbit."""
-    geo = geometry(p)
-    vertices = len(set(geo.roots))
-    edges = len(geo.boundary_index) + len(geo.pair_sides)
-    return vertices - edges + 1
+    """V - E + F of the glued-up complex, which is 1 - P for P glued pairs.
+
+    There is one face, and one edge per boundary side or glued pair, so
+    E = B + P for B boundary sides.  A valid presentation has no interior
+    vertex, so every vertex lies on a boundary circle, and each boundary
+    vertex is the start of exactly one boundary side: V = B.  So
+    chi = B - (B + P) + 1 = 1 - P."""
+    return 1 - len(geometry(p).pair_sides)
 
 
 def boundary_components(p: PolygonPresentation) -> tuple[tuple[str, ...], ...]:
-    """Boundary circles as cyclic words of boundary-side labels.
-
-    Walk corners counterclockwise: a boundary side is emitted and crossed,
-    while a glued side is jumped (the walk continues at the corner identified
-    with the far end of its partner).  Each cycle is one boundary circle.
-    """
-    geo = geometry(p)
-    n = geo.n
-    components: list[tuple[str, ...]] = []
-    emitted: set[int] = set()
-    for start in range(n):
-        if not isinstance(p.sides[start], Boundary) or start in emitted:
-            continue
-        word: list[str] = []
-        c = start
-        while True:
-            side = p.sides[c]
-            if isinstance(side, Boundary):
-                if c in emitted:
-                    break
-                emitted.add(c)
-                word.append(side.label)
-                c = (c + 1) % n
-            else:
-                i, j = geo.pair_sides[side.pair]
-                c = (j + 1) % n if c == i else (i + 1) % n
-            if c == start:
-                break
-        components.append(tuple(word))
-    return tuple(components)
+    """Boundary circles as cyclic words of boundary-side labels: the
+    boundary sides each boundary cycle of the corner walk crosses, from its
+    first boundary side in side order."""
+    sides = p.sides
+    boundary = _corner_cycles(sides, geometry(p).pair_sides)[0]
+    return tuple(
+        tuple(sides[c].label for c in corners if isinstance(sides[c], Boundary))
+        for corners in boundary
+    )
 
 
 def genus(p: PolygonPresentation) -> int:

@@ -667,6 +667,29 @@ def test_non_string_names_exit_2():
             assert "must be a string, got ['x']" in err
 
 
+def test_arc_lists_only_as_json_arrays():
+    # an object or a string iterates too: read as an empty list, each of
+    # these books was certified (an empty basis NonzeroTight, the empty
+    # image word an overtwisted witness), stabilized and drawn
+    pob = pob_index(PRETZEL_DOCS)
+    payload = PRETZEL_DOCS[pob]["payload"]
+    image = payload["images"][0]
+    for value in ({}, ""):
+        for bad, message in (
+            ({"basis": value, "images": []}, "bad pob payload: basis must be an array"),
+            ({"basis": [], "images": value}, "bad pob payload: images must be an array"),
+            (
+                {"images": [{**image, "crossings": value}]},
+                "bad arc payload: crossings must be an array",
+            ),
+        ):
+            text = json.dumps(replaced(PRETZEL_DOCS, (pob, "payload"), {**payload, **bad}))
+            for sub in ("check", "stabilize", "emit-dot"):
+                code, out, err = run_on_text([sub, "-"], text)
+                assert (code, out) == (2, "")
+                assert err == f"error: {message}\n"
+
+
 def test_positions_only_in_the_written_form():
     pob = pob_index(PRETZEL_DOCS)
     leaf = (pob, "payload", "basis", 0, "start", "position")

@@ -23,7 +23,7 @@ import functools
 import re
 import sys
 import warnings
-from itertools import product, zip_longest
+from itertools import chain, product, zip_longest
 from typing import Optional
 
 from . import documents as doc
@@ -132,9 +132,18 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _veering_text(values) -> str:
+    """A veering report's verdicts as text: comma-joined, - when there are none."""
+    return ",".join(values) or "-"
+
+
+def _yes_no(value: bool) -> str:
+    return "yes" if value else "no"
+
+
 def _rv(pob: PartialOpenBook, star):
     value = [v.value for v in veering_report(pob).verdicts]
-    return value, "rv: " + (",".join(value) if value else "-")
+    return value, "rv: " + _veering_text(value)
 
 
 def _contact(pob: PartialOpenBook, star):
@@ -153,7 +162,7 @@ def _sqp(pob: PartialOpenBook, star):
         note = "no star decomposition attached to this pob document"
         return {"value": None, "note": note}, "sqp: unknown"
     value = is_strongly_quasipositive(star)
-    return {"value": value}, "sqp: " + ("yes" if value else "no")
+    return {"value": value}, "sqp: " + _yes_no(value)
 
 
 def _dividing(pob: PartialOpenBook, star):
@@ -223,7 +232,7 @@ def cmd_stabilize(args) -> int:
     if args.format == "text":
         lines = [f"chi: {', '.join(str(s['chi']) for s in steps)}"]
         for i, s in enumerate(steps):
-            veering = ",".join(s["veering"]) if s["veering"] else "-"
+            veering = _veering_text(s["veering"])
             lines.append(f"step {i}: chi {s['chi']}, veering {veering}, {s['contact']}")
         sys.stdout.write("\n".join(lines) + "\n")
     else:
@@ -267,86 +276,59 @@ class _AssertionFailed(Exception):
 
 
 def _paper_suite(mirror: bool, family):
-    """Golden rows and assertions; raises _AssertionFailed on the first miss."""
+    """Golden rows and assertions; raises _AssertionFailed on the first miss.
+
+    The table states the paper's two claims: the SQP hopf(+2) is tight, and
+    the stevedore pretzel(-3,3,1) and the family are tight but not SQP;
+    hopf(-2) is overtwisted.  Each row is (name, star, veering, verdict,
+    sqp), and every row asserts one product disk, its veering, its verdict
+    and its SQP value, on a book built once."""
     family_rows = _family_rows(*family)
-    rows = []
 
     def need(cond, what):
         if not cond:
             raise _AssertionFailed(what)
 
-    def pipeline(star):
-        surface, system, pob = associated_pob(star)
-        rep = veering_report(pob)
-        verdict = contact_verdict(pob)
-        return surface, system, pob, rep, verdict
+    def pretzel(coeffs):
+        name = f"pretzel({','.join(str(c) for c in coeffs)})"
+        return name, pretzel_decompose(PretzelSpec(coeffs), mirror=mirror)
 
-    def row(name, system, rep, verdict, star):
-        veering = ",".join(v.value for v in rep.verdicts) if rep.verdicts else "-"
-        sqp = "yes" if is_strongly_quasipositive(star) else "no"
-        rows.append(
-            f"{name} | {len(system.pairs)} | {veering} | {verdict.status.value} | {sqp}"
-        )
-
-    # the pretzel(-3,3,1) pipeline
-    star = pretzel_decompose(PretzelSpec((-3, 3, 1)), mirror=mirror)
-    twists = [s.halftwists for s in star.summands]
+    stevedore_name, stevedore = pretzel((-3, 3, 1))
+    twists = [s.halftwists for s in stevedore.summands]
     need(
         twists == [2, -4],
         f"pretzel(-3,3,1) must decompose as bands [2, -4], got {twists} "
         "(twist-sign convention: a mirrored run negates every band)",
     )
-    p, system, pob, rep, verdict = pipeline(star)
-    need(euler_characteristic(p) == -1, "pretzel(-3,3,1) surface must have chi -1")
-    need(genus(p) == 1, "pretzel(-3,3,1) surface must have genus 1")
-    need(len(boundary_components(p)) == 1, "pretzel(-3,3,1) must bound a knot")
-    need(len(pob.basis) == 1, "pretzel(-3,3,1) must carry exactly one product disk")
-    need([v.value for v in rep.verdicts] == ["Right"], "pretzel(-3,3,1) must veer right")
-    a, h = pob.basis[0], pob.images[0]
-    need(
-        interior_intersections(p, a, h) == 0,
-        "pretzel(-3,3,1): the arc and its image must not cross",
+    table = chain(
+        (
+            (stevedore_name, stevedore, "Right", "NonzeroTight", False),
+            ("hopf(+2)", StarPlumbing((TwistedAnnulus(2),)), "Right", "NonzeroTight", True),
+            ("hopf(-2)", StarPlumbing((TwistedAnnulus(-2),)), "Left", "OvertwistedWitness", False),
+        ),
+        # each family star is built when its row is reached
+        ((*pretzel(coeffs), "Right", "NonzeroTight", False) for coeffs in family_rows),
     )
-    need(
-        verdict.status.value == "NonzeroTight",
-        "pretzel(-3,3,1) verdict must be NonzeroTight",
-    )
-    need(not is_strongly_quasipositive(star), "pretzel(-3,3,1) must not be SQP")
-    row("pretzel(-3,3,1)", system, rep, verdict, star)
-
-    # Hopf bands, both signs
-    for sign, want_veer, want_status in (
-        (+1, "Right", "NonzeroTight"),
-        (-1, "Left", "OvertwistedWitness"),
-    ):
-        star = StarPlumbing((TwistedAnnulus(2 * sign),))
-        _p, system, _pob, rep, verdict = pipeline(star)
-        name = f"hopf({2 * sign:+d})"
-        need(
-            [v.value for v in rep.verdicts] == [want_veer],
-            f"{name} must veer {want_veer}",
+    rows = []
+    for name, star, veering, verdict, sqp in table:
+        p, system, pob = associated_pob(star)
+        need(len(system.pairs) == 1, f"{name} must carry exactly one product disk")
+        veers = [v.value for v in veering_report(pob).verdicts]
+        need(veers == [veering], f"{name} must veer {veering}")
+        status = contact_verdict(pob).status.value
+        need(status == verdict, f"{name} verdict must be {verdict}")
+        need(is_strongly_quasipositive(star) == sqp, f"{name} must {'' if sqp else 'not '}be SQP")
+        if star is stevedore:
+            need(euler_characteristic(p) == -1, f"{name} surface must have chi -1")
+            need(genus(p) == 1, f"{name} surface must have genus 1")
+            need(len(boundary_components(p)) == 1, f"{name} must bound a knot")
+            need(
+                interior_intersections(p, pob.basis[0], pob.images[0]) == 0,
+                f"{name}: the arc and its image must not cross",
+            )
+        rows.append(
+            f"{name} | {len(system.pairs)} | {_veering_text(veers)} | {status} | {_yes_no(sqp)}"
         )
-        need(verdict.status.value == want_status, f"{name} verdict must be {want_status}")
-        row(name, system, rep, verdict, star)
-
-    # bounded family sweep
-    for coeffs in family_rows:
-        star = pretzel_decompose(PretzelSpec(coeffs), mirror=mirror)
-        _p, system, _pob, rep, verdict = pipeline(star)
-        name = f"pretzel({','.join(str(c) for c in coeffs)})"
-        need(
-            len(system.pairs) == 1,
-            f"{name} must carry exactly one product disk",
-        )
-        need(
-            verdict.status.value == "NonzeroTight",
-            f"{name} verdict must be NonzeroTight",
-        )
-        need(
-            not is_strongly_quasipositive(star),
-            f"{name} must not be SQP",
-        )
-        row(name, system, rep, verdict, star)
     return rows
 
 
@@ -357,7 +339,7 @@ def cmd_paper_examples(args) -> int:
         for item in args.family:
             name, _, value = item.partition("=")
             number = _integer(value)
-            if name not in ("k", "range") or number is None or number < 0:
+            if name not in ("k", "range") or name in parsed or number is None or number < 0:
                 raise DocumentError(f"bad family setting {item!r}; use k=N range=N")
             parsed[name] = number
         family = (parsed.get("k", family[0]), parsed.get("range", family[1]))

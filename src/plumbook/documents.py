@@ -75,8 +75,9 @@ def _integer(value, what: str) -> int:
 
 
 def _array(value, what: str) -> list:
-    """A list of arcs or crossings: a JSON array, not an object or string,
-    which iterate too.  A TypeError, so the payload's reader names it."""
+    """A list of sides, arcs, crossings, halftwists or coefficients: a JSON
+    array, not an object or string, which iterate too.  A TypeError, so the
+    payload's reader names it."""
     if not isinstance(value, list):
         raise TypeError(f"{what} must be an array")
     return value
@@ -106,7 +107,7 @@ def surface_payload(p: PolygonPresentation) -> dict:
 def surface_from(payload) -> PolygonPresentation:
     try:
         sides = []
-        for s in payload["sides"]:
+        for s in _array(payload["sides"], "sides"):
             if "boundary" in s:
                 sides.append(Boundary(_name(s["boundary"], "boundary label")))
             else:
@@ -168,9 +169,8 @@ def star_payload(star: StarPlumbing) -> dict:
 
 def star_from(payload) -> StarPlumbing:
     try:
-        return StarPlumbing(
-            tuple(TwistedAnnulus(t) for t in payload["halftwists"])
-        )
+        halftwists = _array(payload["halftwists"], "halftwists")
+        return StarPlumbing(tuple(TwistedAnnulus(t) for t in halftwists))
     except (KeyError, TypeError, ValueError) as e:
         raise DocumentError(f"bad star payload: {e}") from e
 
@@ -181,7 +181,7 @@ def pretzel_payload(spec: PretzelSpec) -> dict:
 
 def pretzel_from(payload) -> PretzelSpec:
     try:
-        return PretzelSpec(tuple(payload["coefficients"]))
+        return PretzelSpec(tuple(_array(payload["coefficients"], "coefficients")))
     except (KeyError, TypeError, ValueError) as e:
         raise DocumentError(f"bad pretzel payload: {e}") from e
 

@@ -86,8 +86,10 @@ class BoundaryPoint:
 
     def __post_init__(self):
         # an exact Fraction is kept as it is; anything else, subclasses
-        # included, becomes one
+        # included, becomes one, but a float or bool is no exact position
         if type(self.position) is not Fraction:
+            if isinstance(self.position, (bool, float)):
+                raise ValueError(f"position must be exact, got {self.position!r}")
             object.__setattr__(self, "position", Fraction(self.position))
 
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plumbook import cli
 from plumbook import documents as doc
 from plumbook.cli import (
     MAX_BUILD_BANDS,
@@ -29,10 +30,17 @@ from plumbook.cli import (
 )
 from plumbook.documents import MAX_BOOK_ARCS, MAX_BOOK_CROSSINGS
 from plumbook.errors import MAX_LISTED_VIOLATIONS, DocumentError, InvalidPresentationError
-from plumbook.openbook import VerdictStatus, contact_verdict, positive_stabilization
+from plumbook.openbook import (
+    ContactVerdict,
+    VeeringReport,
+    VerdictStatus,
+    contact_verdict,
+    positive_stabilization,
+)
 from plumbook.plumbing import (
     MAX_HOPF_SUMMANDS,
     PretzelSpec,
+    ProductDiskSystem,
     StarPlumbing,
     TwistedAnnulus,
     associated_pob,
@@ -307,6 +315,79 @@ def test_paper_examples_mirror_fails_assertions(capsys):
     assert out == ""
     assert "assertion failed" in err
     assert "a mirrored run negates every band" in err
+
+
+FIRST_FAMILY_ROW = f"pretzel({','.join(str(c) for c in _family_rows(3, 5)[0])})"
+
+
+# the four facts of every row, then the stevedore's surface on its own book:
+# the call-th call of target (from 0; None for every call) returns fake of
+# its result, and the run fails with message
+GOLDEN_FAULTS = [
+    (
+        "associated_pob",
+        0,
+        lambda r: (r[0], ProductDiskSystem(()), r[2]),
+        "pretzel(-3,3,1) must carry exactly one product disk",
+    ),
+    (
+        "associated_pob",
+        1,
+        lambda r: (r[0], ProductDiskSystem(r[1].pairs * 2), r[2]),
+        "hopf(+2) must carry exactly one product disk",
+    ),
+    ("veering_report", 0, lambda r: VeeringReport(()), "pretzel(-3,3,1) must veer Right"),
+    ("veering_report", 3, lambda r: VeeringReport(()), f"{FIRST_FAMILY_ROW} must veer Right"),
+    (
+        "contact_verdict",
+        2,
+        lambda r: ContactVerdict(VerdictStatus.NONZERO_TIGHT, "fake"),
+        "hopf(-2) verdict must be OvertwistedWitness",
+    ),
+    (
+        "contact_verdict",
+        3,
+        lambda r: ContactVerdict(VerdictStatus.UNKNOWN, "fake"),
+        f"{FIRST_FAMILY_ROW} verdict must be NonzeroTight",
+    ),
+    ("is_strongly_quasipositive", None, lambda r: False, "hopf(+2) must be SQP"),
+    ("is_strongly_quasipositive", 0, lambda r: True, "pretzel(-3,3,1) must not be SQP"),
+    (
+        "associated_pob",
+        0,
+        lambda r: associated_pob(StarPlumbing((TwistedAnnulus(2),))),
+        "pretzel(-3,3,1) surface must have chi -1",
+    ),
+    ("genus", 0, lambda r: 2, "pretzel(-3,3,1) surface must have genus 1"),
+    ("boundary_components", 0, lambda r: r * 2, "pretzel(-3,3,1) must bound a knot"),
+    (
+        "interior_intersections",
+        0,
+        lambda r: 1,
+        "pretzel(-3,3,1): the arc and its image must not cross",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "target, call, fake, message", GOLDEN_FAULTS, ids=[f[3] for f in GOLDEN_FAULTS]
+)
+def test_each_golden_assertion_fails_the_run(capsys, monkeypatch, target, call, fake, message):
+    original, calls = getattr(cli, target), itertools.count()
+
+    def patched(*args):
+        result = original(*args)
+        return fake(result) if call in (None, next(calls)) else result
+
+    monkeypatch.setattr(cli, target, patched)
+    assert run(capsys, "paper-examples") == (1, "", f"assertion failed: {message}\n")
+
+
+@pytest.mark.parametrize("setting", ["k", "range"])
+def test_family_settings_given_twice_exit_2(capsys, setting):
+    code, out, err = run(capsys, "paper-examples", "--family", f"{setting}=2", f"{setting}=3")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad family setting '{setting}=3'; use k=N range=N\n"
 
 
 def test_over_limit_inputs_exit_2(capsys):
@@ -688,6 +769,24 @@ def test_arc_lists_only_as_json_arrays():
                 code, out, err = run_on_text([sub, "-"], text)
                 assert (code, out) == (2, "")
                 assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("sub", ["check", "stabilize", "emit-dot"])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (("surface", "sides"), {}, "bad surface payload: sides must be an array"),
+        (("surface", "sides"), "", "bad surface payload: sides must be an array"),
+        (("star", "halftwists"), {}, "bad star payload: halftwists must be an array"),
+        (("star", "halftwists"), "", "bad star payload: halftwists must be an array"),
+        (("star", "halftwists"), "22", "bad star payload: halftwists must be an array"),
+    ],
+)
+def test_sides_and_halftwists_only_as_json_arrays(sub, field, value, message):
+    # iterated, {} and "" read as no sides or no bands and "22" as bands
+    # '2' and '2', so each refusal named the wrong fault
+    text = json.dumps(replaced(PRETZEL_DOCS, (pob_index(PRETZEL_DOCS), "payload", *field), value))
+    assert run_on_text([sub, "-"], text) == (2, "", f"error: {message}\n")
 
 
 def test_positions_only_in_the_written_form():

@@ -127,6 +127,10 @@ def test_malformed_documents_rejected():
     for value in (True, 3.0, -1.2, "3"):
         with pytest.raises(DocumentError, match="coefficient must be an integer"):
             pretzel_from({"coefficients": [-3, value, 1]})
+    # a string or object iterates too: "31" would read as '3' and '1'
+    for value in ({}, "", "31"):
+        with pytest.raises(DocumentError, match="coefficients must be an array"):
+            pretzel_from({"coefficients": value})
 
 
 def test_oversized_books_are_refused_before_any_arc_is_built(monkeypatch):

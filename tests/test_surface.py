@@ -245,6 +245,13 @@ def test_boundary_point_positions_are_exact_fractions(given, exact):
         assert position is given
 
 
+@pytest.mark.parametrize("given", [0.5, 0.1, True, False])
+def test_boundary_point_refuses_inexact_positions(given):
+    # Fraction(0.1) is 3602879701896397/36028797018963968 and True is 1
+    with pytest.raises(ValueError, match=f"position must be exact, got {given!r}"):
+        BoundaryPoint("B1", given)
+
+
 def test_presentation_validated_once_per_object(monkeypatch):
     seen = []
     original = plumbook.surface.validate

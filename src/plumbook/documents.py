@@ -83,6 +83,15 @@ def _array(value, what: str) -> list:
     return value
 
 
+def _object(value, what: str) -> dict:
+    """A payload, side, arc, boundary point or crossing cell: a JSON object,
+    whose fields are read by name.  A TypeError, so the payload's reader
+    names it."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be an object")
+    return value
+
+
 def _parse_fraction(s) -> Fraction:
     # only the written form: Fraction's parse time for "1e-5000" and the
     # like grows with the exponent
@@ -107,8 +116,8 @@ def surface_payload(p: PolygonPresentation) -> dict:
 def surface_from(payload) -> PolygonPresentation:
     try:
         sides = []
-        for s in _array(payload["sides"], "sides"):
-            if "boundary" in s:
+        for s in _array(_object(payload, "surface")["sides"], "sides"):
+            if "boundary" in _object(s, "side"):
                 sides.append(Boundary(_name(s["boundary"], "boundary label")))
             else:
                 end = End(_name(s["end"], "end"))
@@ -126,7 +135,7 @@ def _point_from(payload) -> BoundaryPoint:
     try:
         side = _name(payload["side"], "point side")
         return BoundaryPoint(side, _parse_fraction(payload["position"]))
-    except (KeyError, TypeError) as e:
+    except KeyError as e:
         raise DocumentError(f"bad boundary point: {e}") from e
 
 
@@ -152,13 +161,15 @@ def arc_from(payload, letters: Optional[dict] = None) -> Arc:
         letters = {}
     try:
         word = []
-        for c in _array(payload["crossings"], "crossings"):
+        for c in _array(_object(payload, "arc")["crossings"], "crossings"):
+            c = _object(c, "crossing")
             key = _name(c["pair"], "crossing pair"), _integer(c["direction"], "direction")
             letter = letters.get(key)
             if letter is None:
                 letter = letters[key] = Crossing(*key)
             word.append(letter)
-        return Arc(_point_from(payload["start"]), _point_from(payload["end"]), tuple(word))
+        start = _point_from(_object(payload["start"], "start"))
+        return Arc(start, _point_from(_object(payload["end"], "end")), tuple(word))
     except (KeyError, TypeError, ValueError) as e:
         raise DocumentError(f"bad arc payload: {e}") from e
 
@@ -169,7 +180,7 @@ def star_payload(star: StarPlumbing) -> dict:
 
 def star_from(payload) -> StarPlumbing:
     try:
-        halftwists = _array(payload["halftwists"], "halftwists")
+        halftwists = _array(_object(payload, "star")["halftwists"], "halftwists")
         return StarPlumbing(tuple(TwistedAnnulus(t) for t in halftwists))
     except (KeyError, TypeError, ValueError) as e:
         raise DocumentError(f"bad star payload: {e}") from e
@@ -181,7 +192,8 @@ def pretzel_payload(spec: PretzelSpec) -> dict:
 
 def pretzel_from(payload) -> PretzelSpec:
     try:
-        return PretzelSpec(tuple(_array(payload["coefficients"], "coefficients")))
+        coefficients = _object(payload, "payload")["coefficients"]
+        return PretzelSpec(tuple(_array(coefficients, "coefficients")))
     except (KeyError, TypeError, ValueError) as e:
         raise DocumentError(f"bad pretzel payload: {e}") from e
 
@@ -215,7 +227,7 @@ def pob_from(payload) -> tuple[PartialOpenBook, Optional[StarPlumbing]]:
     letters: dict = {}
     try:
         pob = PartialOpenBook(
-            surface_from(payload["surface"]),
+            surface_from(_object(payload, "payload")["surface"]),
             tuple(arc_from(a, letters) for a in _array(payload["basis"], "basis")),
             tuple(arc_from(a, letters) for a in _array(payload["images"], "images")),
         )

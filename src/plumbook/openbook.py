@@ -23,7 +23,9 @@ fields, so equality, hashing, repr and documents ignore them.  Operations
 on an invalid book raise on every call.  Each of the three results is
 computed by one function on the whole book, which reads each kept arc's
 view once (arcs.arc_view) and asks it the view-level count and divergence,
-so no arc is reduced again or turned around.  Two constructions carry them
+so no arc is reduced again or turned around; EndpointMismatch, TiedEndpoints
+and the site come from one sort of the views' end addresses in the arc
+kernel's counterclockwise order.  Two constructions carry them
 instead: a book whose images one boundary-fixing homeomorphism makes from
 the images of a checked book carries that book's check (certified_book),
 and a positive stabilization carries all three with the pair it adds.
@@ -41,8 +43,6 @@ from .arcs import (
     Arc,
     Divergence,
     arc_view,
-    interior_intersections,
-    is_embedded,
     reduce,
     reverse,
     twist_about_band,
@@ -108,7 +108,9 @@ class _CheckedBook(NamedTuple):
     """What validate_pob found out about a book, kept on the book: its
     violations, its arcs reduced, each image of a valid book oriented to
     start beside its basis arc's start, and its site: the first boundary
-    label and its last marked position (0 if it has none)."""
+    label and its last marked position (0 if it has none).  EndpointMismatch,
+    TiedEndpoints, the orientations and the site come from one sort of the
+    views' end addresses in the kernel's order."""
 
     violations: tuple[Violation, ...]
     basis: tuple[Arc, ...]
@@ -116,34 +118,23 @@ class _CheckedBook(NamedTuple):
     site: Optional[tuple[str, Fraction]] = None
 
 
-def _ranks(arcs, top_of: str) -> tuple[list[tuple[int, int]], Fraction]:
-    """Per arc, the ranks of its start and end among the distinct endpoint
-    positions on their side, from one sort per side, and the top endpoint
-    position on side top_of (0 if it has none).  Ranks on different sides
-    are at least two apart, so two endpoints are on one side, equal or with
-    no third marked point strictly between, exactly when their ranks differ
-    by at most one."""
-    points = [pt for a in arcs for pt in (a.start, a.end)]
-    positions = [pt.position for pt in points]
-    on: dict[str, list[int]] = {}
-    for i, pt in enumerate(points):
-        on.setdefault(pt.side, []).append(i)
-    ranks = [0] * len(points)
-    top = Fraction(0)
-    rank = 0
-    for side, ids in on.items():
-        ids.sort(key=positions.__getitem__)
-        last = positions[ids[0]]
-        ranks[ids[0]] = rank
-        for i in ids[1:]:
-            t = positions[i]
-            if last < t:
-                rank += 1
-                last = t
-            ranks[i] = rank
-        if side == top_of:
-            top = last
-        rank += 2
+def _ranks(views, top_side: int) -> tuple[list[tuple[int, int]], Fraction]:
+    """Per view, the ranks of its start and end among the distinct end
+    addresses of views, from one sort in the kernel's order, and the last
+    position on side top_side (0 if none).  Ranks step by one along a side
+    and by two across sides: two ends are one point when their ranks are
+    equal, and beside (one side, no end between) when at most one apart."""
+    ends = [addr for v in views for addr in (v.slots[0][0], v.slots[-1][1])]
+    ranks = [0] * len(ends)
+    rank, last, top = 0, (-1, 0), Fraction(0)
+    for i in sorted(range(len(ends)), key=ends.__getitem__):
+        side, t = addr = ends[i]
+        if addr != last:
+            rank += 1 if side == last[0] else 2
+            last = addr
+        ranks[i] = rank
+        if side == top_side:
+            top = t
     return list(zip(ranks[::2], ranks[1::2])), top
 
 
@@ -181,8 +172,8 @@ def _check(pob: PartialOpenBook) -> _CheckedBook:
     basis = tuple(reduce(p, a) for a in pob.basis)
     images = tuple(reduce(p, a) for a in pob.images)
     by_kind = [arc_view(p, a) for a in basis], [arc_view(p, h) for h in images]
-    label = next(iter(geo.boundary_index))
-    ranks, top = _ranks((*basis, *images), label)
+    label, side = next(iter(geo.boundary_index.items()))
+    ranks, top = _ranks((*by_kind[0], *by_kind[1]), side)
     for name, kind in zip(("basis", "image"), by_kind):
         for i, v in enumerate(kind):
             if view_count(v, v):
@@ -192,18 +183,13 @@ def _check(pob: PartialOpenBook) -> _CheckedBook:
             n = view_count(kind[i], kind[j])
             if n:
                 out.append(Violation(code, f"arcs {i} and {j} cross {n} time(s)"))
-    oriented = [
-        _oriented_image(a, h, ra, rh)
-        for a, h, ra, rh in zip(basis, images, ranks, ranks[len(basis):])
+    oriented = [_oriented_image(h, ra, rh) for h, ra, rh in zip(images, ranks, ranks[len(basis):])]
+    out += [
+        Violation("EndpointMismatch", f"image {i} does not end beside basis arc {i}")
+        for i, h in enumerate(oriented)
+        if h is None
     ]
-    for i, h in enumerate(oriented):
-        if h is None:
-            out.append(
-                Violation("EndpointMismatch", f"image {i} does not end beside basis arc {i}")
-            )
-    # only endpoints sharing a point leave fewer ranks than endpoints
-    if 2 * len(ranks) > len({r for ends in ranks for r in ends}):
-        out += _ties(basis, images)
+    out += _ties((*basis, *images), ranks, len(basis))
     oriented = tuple(o or h for o, h in zip(oriented, images))
     return _CheckedBook(tuple(out), basis, oriented, (label, top))
 
@@ -211,28 +197,28 @@ def _check(pob: PartialOpenBook) -> _CheckedBook:
 _TIES = ("basis arc {} and image {}", "basis arcs {} and {}", "image arcs {} and {}")
 
 
-def _ties(basis, images) -> list[Violation]:
-    """TiedEndpoints for unrelated arcs sharing an exact boundary point:
-    basis-image pairs, then basis pairs, then image pairs, each in index
-    order.  Coincidences are allowed only between basis arc i and image i.
-    Arcs are grouped by point, so only tied pairs are visited."""
-    at: dict[BoundaryPoint, list[tuple[int, int]]] = {}
-    for kind, arcs in enumerate((basis, images)):
-        for i, a in enumerate(arcs):
-            for pt in (a.start, a.end):
-                at.setdefault(pt, []).append((kind, i))
+def _ties(arcs, ranks, n: int) -> list[Violation]:
+    """TiedEndpoints for unrelated arcs, n basis arcs then n images with
+    their _ranks, sharing a point: basis-image pairs, then basis pairs,
+    then image pairs, each in index order.  Coincidences are allowed only
+    between basis arc i and image i.  Grouped by rank, one per point."""
+    at: dict[int, list[int]] = {}
+    for k, ends in enumerate(ranks):
+        for r in ends:
+            at.setdefault(r, []).append(k)
     tied = set()
-    # each point lists basis arcs before images, each in index order
-    for ends in at.values():
-        for (k, i), (m, j) in combinations(ends, 2):
-            if k == m:
-                tied.add((1 + k, i, j))
-            elif i != j:
-                tied.add((0, i, j))
+    # each rank lists basis arcs before images, each in index order
+    for group in at.values():
+        for k, m in combinations(group, 2):
+            if m < n:
+                tied.add((1, k, m))
+            elif n <= k:
+                tied.add((2, k - n, m - n))
+            elif k != m - n:
+                tied.add((0, k, m - n))
     out = []
     for what, i, j in sorted(tied):
-        a = images[i] if what == 2 else basis[i]
-        b = basis[j] if what == 1 else images[j]
+        a, b = arcs[i + n * (what == 2)], arcs[j + n * (what != 1)]
         point = min({a.start, a.end} & {b.start, b.end}, key=str)
         pair = _TIES[what].format(i, j)
         out.append(Violation("TiedEndpoints", f"{pair} share the point {point}"))
@@ -269,10 +255,10 @@ def _require_pob(pob: PartialOpenBook) -> _CheckedBook:
     return checked
 
 
-def _oriented_image(a: Arc, h: Arc, a_ranks, h_ranks) -> Optional[Arc]:
-    """The image oriented so that its start sits beside the basis start;
-    None when its ends are not beside the basis arc's ends.  a_ranks and
-    h_ranks are the _ranks of a's and h's start and end."""
+def _oriented_image(h: Arc, a_ranks, h_ranks) -> Optional[Arc]:
+    """The image h oriented so that its start sits beside its basis arc's
+    start; None when its ends are not beside the basis arc's ends.  a_ranks
+    and h_ranks are the _ranks of the basis arc's and h's start and end."""
     (a0, a1), (h0, h1) = a_ranks, h_ranks
     if abs(a0 - h0) <= 1 and abs(a1 - h1) <= 1:
         return h
@@ -415,9 +401,10 @@ def positive_stabilization(pob: PartialOpenBook) -> PartialOpenBook:
     its site; its veering verdicts and the new pair's; and its verdict, the
     matrix bordered by zeros and the new diagonal entry (a witness has no
     matrix and stays the witness).  The new pair is tested only against
-    itself, on the ranks of its own four points, which is exact: no old
-    point lies in the free gap or on the new side.  If it fails, the new
-    book keeps nothing and is checked in full.
+    itself, on its two views: one sort of their four end addresses gives
+    the image's orientation and the new site, exact as no old point lies in
+    the free gap or on the new side, and a self-count its embedding.  If it
+    fails, the new book keeps nothing and is checked in full.
     """
     checked = _require_pob(pob)
     label, top = checked.site
@@ -450,19 +437,20 @@ def positive_stabilization(pob: PartialOpenBook) -> PartialOpenBook:
     new_image = twist_about_band(surface, pushed, pair, +1)
     book = PartialOpenBook(surface, (*basis, new_basis), (*images, new_image))
     # the new basis arc is a crossing-free chord, so only its image is tested
-    ranks, top = _ranks((new_basis, new_image), label)
-    oriented = _oriented_image(new_basis, new_image, *ranks)
-    if oriented is None or not is_embedded(surface, new_image):
+    a, h = arc_view(surface, new_basis), arc_view(surface, new_image)
+    ranks, top = _ranks((a, h), at - 1)
+    oriented = _oriented_image(new_image, *ranks)
+    if oriented is None or view_count(h, h):
         return book
     kept = checked._replace(
         basis=(*kept_basis, new_basis), images=(*kept_images, oriented), site=(label, top)
     )
     object.__setattr__(book, "_checked", kept)
-    veer = _veer(arc_view(surface, new_basis), arc_view(surface, oriented))
+    veer = _veer(a, arc_view(surface, oriented))
     object.__setattr__(book, "_veering", VeeringReport((*veering_report(pob).verdicts, veer)))
     verdict = contact_verdict(pob)
     if verdict.matrix is not None:
-        row = (0,) * len(verdict.matrix) + (interior_intersections(surface, new_basis, new_image),)
+        row = (0,) * len(verdict.matrix) + (view_count(a, h),)
         verdict = _verdict(book, (*((*r, 0) for r in verdict.matrix), row))
     object.__setattr__(book, "_verdict", verdict)
     return book

@@ -789,6 +789,29 @@ def test_sides_and_halftwists_only_as_json_arrays(sub, field, value, message):
     assert run_on_text([sub, "-"], text) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("sub", ["check", "stabilize", "emit-dot"])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (("surface", "sides", 0), "boundary", "bad surface payload: side must be an object"),
+        (("surface", "sides", 0), 1, "bad surface payload: side must be an object"),
+        (("surface", "sides", 0), ["boundary"], "bad surface payload: side must be an object"),
+        (("basis", 0), "x", "bad arc payload: arc must be an object"),
+        (("basis", 0, "start"), "x", "bad arc payload: start must be an object"),
+        (("images", 0, "end"), [1], "bad arc payload: end must be an object"),
+        (("images", 0, "crossings", 0), "q", "bad arc payload: crossing must be an object"),
+        ((), [], "bad pob payload: payload must be an object"),
+        (("surface",), [], "bad surface payload: surface must be an object"),
+        (("star",), [], "bad star payload: star must be an object"),
+    ],
+)
+def test_payload_containers_only_as_json_objects(sub, field, value, message):
+    # read by field name, a string, number or array leaked a Python message
+    # naming no field, such as "string indices must be integers, not 'str'"
+    text = json.dumps(replaced(PRETZEL_DOCS, (pob_index(PRETZEL_DOCS), "payload", *field), value))
+    assert run_on_text([sub, "-"], text) == (2, "", f"error: {message}\n")
+
+
 def test_positions_only_in_the_written_form():
     pob = pob_index(PRETZEL_DOCS)
     leaf = (pob, "payload", "basis", 0, "start", "position")

@@ -131,6 +131,9 @@ def test_malformed_documents_rejected():
     for value in ({}, "", "31"):
         with pytest.raises(DocumentError, match="coefficients must be an array"):
             pretzel_from({"coefficients": value})
+    # a list of coefficients is no pretzel payload, whose fields have names
+    with pytest.raises(DocumentError, match="^bad pretzel payload: payload must be an object$"):
+        pretzel_from([-3, 3, 1])
 
 
 def test_oversized_books_are_refused_before_any_arc_is_built(monkeypatch):

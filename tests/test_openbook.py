@@ -167,6 +167,35 @@ def test_tied_endpoints_listed_in_order():
     ]
 
 
+def test_arcs_sharing_both_endpoints_name_one_point():
+    # two basis arcs of one class run both ways between the same two points;
+    # the tie names the point whose text comes first, here the one further
+    # along the side: "Fraction(10, 11)" sorts before "Fraction(2, 3)"
+    a = Arc(pt("B2", 2, 3), pt("B2", 10, 11))
+    b = Arc(pt("B2", 10, 11), pt("B2", 2, 3))
+    images = (Arc(pt("B2", 7, 10), pt("B2", 9, 10)), Arc(pt("B2", 19, 20), pt("B2", 1, 2)))
+    point = "BoundaryPoint(side='B2', position=Fraction(10, 11))"
+    assert validate_pob(PartialOpenBook(HEXAGON, (a, b), images)) == [
+        Violation("TiedEndpoints", f"basis arcs 0 and 1 share the point {point}"),
+    ]
+
+
+def test_tie_at_the_top_of_the_first_side_is_the_site():
+    # basis arc 1 and both images end at the last marked point of B1, the
+    # first boundary side, so the kept site is that point
+    basis = (Arc(pt("B1", 1, 3), pt("B4", 1, 3)), Arc(pt("B1", 2, 3), pt("B3", 1, 3)))
+    images = (Arc(pt("B1", 2, 3), pt("B4", 2, 3)), Arc(pt("B1", 2, 3), pt("B3", 2, 3)))
+    pob = PartialOpenBook(HEXAGON, basis, images)
+    point = "BoundaryPoint(side='B1', position=Fraction(2, 3))"
+    assert validate_pob(pob) == [
+        Violation("TiedEndpoints", f"basis arc 1 and image 0 share the point {point}"),
+        Violation("TiedEndpoints", f"image arcs 0 and 1 share the point {point}"),
+    ]
+    assert pob.__dict__["_checked"].site == ("B1", Fraction(2, 3))
+    with pytest.raises(InvalidOpenBookError):
+        free_site(pob)
+
+
 def test_veering_right_left_isotopic():
     assert [v.value for v in veering_report(hopf_pob(+1)).verdicts] == ["Right"]
     assert [v.value for v in veering_report(hopf_pob(-1)).verdicts] == ["Left"]
@@ -310,8 +339,9 @@ def fresh(pob):
 
 
 def test_book_checked_once_across_operations(monkeypatch):
-    # a stabilized book carries its check; a fresh copy measures one check
-    pob = fresh(positive_stabilization(hopf_pob(+1)))
+    # decided first, so a step on it tests only its new pair
+    start = hopf_pob(+1)
+    contact_verdict(start)
     checked, oriented = [], []
     # an embeddedness test counts a view against itself
     count = plumbook.openbook.view_count
@@ -324,6 +354,15 @@ def test_book_checked_once_across_operations(monkeypatch):
     monkeypatch.setattr(
         plumbook.openbook, "_oriented_image", lambda *args: oriented.append(args) or orient(*args)
     )
+    # a stabilization tests its new pair through the pair's views: one
+    # self-count of the new image's view and one orientation
+    stabilized = positive_stabilization(start)
+    assert checked == [arc_view(stabilized.surface, stabilized.images[-1])]
+    assert len(oriented) == 1
+    # a stabilized book carries its check; a fresh copy measures one check
+    pob = fresh(stabilized)
+    checked.clear()
+    oriented.clear()
     validate_pob(pob)
     # the check orients each image once; the operations read the kept pairs
     assert len(oriented) == len(pob.basis)
@@ -488,10 +527,25 @@ def test_stabilized_books_decide_as_fresh_books(name):
 def test_failed_new_arc_tests_keep_nothing(monkeypatch):
     pob = positive_stabilization(hopf_pob(+1))
     contact_verdict(pob)
-    # the new image crosses itself, or it does not end beside its basis arc
-    for name, fail in (("is_embedded", lambda p, a: False), ("_oriented_image", lambda *_: None)):
+    # the new image crosses itself (its view counts one crossing against
+    # itself), or it does not end beside its basis arc
+    count, failed = plumbook.openbook.view_count, []
+
+    def crossing_itself(v, w):
+        if v is w:
+            failed.append(v)
+            return 1
+        return count(v, w)
+
+    def not_beside(*args):
+        failed.append(args)
+        return None
+
+    for name, fail in (("view_count", crossing_itself), ("_oriented_image", not_beside)):
         monkeypatch.setattr(plumbook.openbook, name, fail)
+        failed.clear()
         book = positive_stabilization(pob)
+        assert len(failed) == 1
         assert not {"_checked", "_veering", "_verdict"} & book.__dict__.keys()
         monkeypatch.undo()
         # checked in full on first use instead

@@ -217,10 +217,7 @@ def reduce(p: PolygonPresentation, a: Arc) -> Arc:
 
 def arc_view(p: PolygonPresentation, a: Arc) -> _ArcData:
     """The kept view of a's reduced representative on p: a's own when a was
-    reduced on p, read without calling reduce."""
-    view = a.__dict__.get("_view")
-    if view is not None and view.geo is geometry(p):
-        return view
+    reduced on p, as reduce returns such an arc at once."""
     return reduce(p, a).__dict__["_view"]
 
 

@@ -145,6 +145,8 @@ def test_build_even_coefficient_is_an_error(capsys):
         ("star", "\u0662"),
         ("star", "2,,2"),
         ("pretzel", "-3,3_3,1"),
+        # more digits than int() converts
+        pytest.param("star", "2," + "9" * 5000, id="star-5000-digits"),
     ],
 )
 def test_build_reads_only_signed_ascii_integers(capsys, shape, numbers):
@@ -153,9 +155,12 @@ def test_build_reads_only_signed_ascii_integers(capsys, shape, numbers):
     assert err == f"error: expected a comma-separated integer list, got {numbers!r}\n"
 
 
-@pytest.mark.parametrize("count", ["2_0", "\u0663", "-\u0663", "2.0", ""])
+@pytest.mark.parametrize(
+    "count", ["2_0", "\u0663", "-\u0663", "2.0", "", pytest.param("9" * 5000, id="5000-digits")]
+)
 def test_stabilize_count_reads_only_signed_ascii_integers(capsys, count):
-    # int() reads underscores and non-ASCII digits: 2_0 ran 20 steps
+    # int() reads underscores and non-ASCII digits: 2_0 ran 20 steps; and
+    # it refuses more than 4300 digits
     code, out, err = run(capsys, "stabilize", "-", "--count", count)
     assert (code, out) == (2, "")
     assert err == f"error: count must be an integer, got {count!r}\n"
@@ -597,13 +602,19 @@ def test_emit_dot_needs_a_drawable_document(capsys, tmp_path):
 
 def test_malformed_input_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    # the second is nested too deeply for the JSON decoder
-    for text in ("{ not json", "[" * 200_000):
+    # the second is nested too deeply for the JSON decoder; the rest are
+    # JSON, but neither a document object nor an array
+    scalars = ("3", '"x"', "null", "true")
+    for text, message in (
+        ("{ not json", "error: not valid JSON"),
+        ("[" * 200_000, "error: not valid JSON"),
+        *((scalar, "error: expected a document object or array of them") for scalar in scalars),
+    ):
         bad.write_text(text, encoding="utf-8")
         for sub in ("check", "stabilize", "emit-dot"):
             code, _out, err = run(capsys, sub, str(bad))
             assert code == 2
-            assert err.startswith("error: not valid JSON")
+            assert err.startswith(message)
 
 
 def test_a_long_violation_list_is_summarized():
@@ -751,11 +762,12 @@ def test_non_string_names_exit_2():
 def test_arc_lists_only_as_json_arrays():
     # an object or a string iterates too: read as an empty list, each of
     # these books was certified (an empty basis NonzeroTight, the empty
-    # image word an overtwisted witness), stabilized and drawn
+    # image word an overtwisted witness), stabilized and drawn; and one
+    # longer than the crossing limit was counted as too many crossings
     pob = pob_index(PRETZEL_DOCS)
     payload = PRETZEL_DOCS[pob]["payload"]
     image = payload["images"][0]
-    for value in ({}, ""):
+    for value in ({}, "", "x" * 3000, {str(j): j for j in range(3000)}):
         for bad, message in (
             ({"basis": value, "images": []}, "bad pob payload: basis must be an array"),
             ({"basis": [], "images": value}, "bad pob payload: images must be an array"),
@@ -815,12 +827,17 @@ def test_payload_containers_only_as_json_objects(sub, field, value, message):
 def test_positions_only_in_the_written_form():
     pob = pob_index(PRETZEL_DOCS)
     leaf = (pob, "payload", "basis", 0, "start", "position")
-    for value in ("1e-5000", "1E-5", "5e-1", "0.5", "1/3 ", "+1/3", "1/-3", "⅓", 0.5, 7):
+    # the last three have the written form, but Fraction refuses a zero
+    # denominator and int() more than 4300 digits
+    for value in (
+        *("1e-5000", "1E-5", "5e-1", "0.5", "1/3 ", "+1/3", "1/-3", "⅓", 0.5, 7),
+        *("1/0", "0/0", "1" * 5000),
+    ):
         text = json.dumps(replaced(PRETZEL_DOCS, leaf, value))
         for sub in ("check", "stabilize", "emit-dot"):
             code, out, err = run_on_text([sub, "-"], text)
             assert (code, out) == (2, "")
-            assert f"bad rational {value!r}" in err
+            assert err == f"error: bad arc payload: bad rational {value!r}\n"
 
 
 def test_integer_fields_only_as_json_integers():
@@ -1068,6 +1085,19 @@ def test_emit_dot_stdout_is_pinned(argv, digest):
     code, out, err = run_on_text(["emit-dot", "-"], built)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_emit_dot_of_a_stabilized_book_is_pinned():
+    # every basis arc and image of a 20-step chain is drawn: 42 arc edges
+    code, built, _err = run_on_text(["build", "pretzel", "-3,3,1"], "")
+    assert code == 0
+    code, stabilized, err = run_on_text(["stabilize", "-", "--count", "20"], built)
+    assert (code, err) == (0, "")
+    code, out, err = run_on_text(["emit-dot", "-"], stabilized)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "907d41b359f2a486a5db5b873982d6cfe2e1689199ae738a338de5630674921b"
+    )
 
 
 def test_emit_dot_of_a_surface_document_is_pinned():

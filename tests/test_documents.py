@@ -160,11 +160,11 @@ def test_oversized_books_are_refused_before_any_arc_is_built(monkeypatch):
             pob_from(big)
         assert str(refused.value) == message
     assert built == []
-    # a malformed payload is built as before, and building it says how
+    # a malformed payload is refused by the same reading, before any arc too
     for bad in ({**payload, "images": [{**image, "crossings": 5}]}, {**payload, "basis": 5}):
         with pytest.raises(DocumentError, match="bad (arc|pob) payload"):
             pob_from(bad)
-    assert built
+    assert built == []
 
 
 def test_books_handle_each_distinct_letter_once():
@@ -213,7 +213,7 @@ def test_writer_matches_json_dumps_on_random_values():
     rng = random.Random(20261018)
     fixed = [{}, [], (), {"": {}, "a": [[], {}]}, [True, 1, False, 0, None], 10**300, -(2**64)]
     # one dict object at three indents, twice in one list and in two lists,
-    # as the writer copies a dict it wrote before at the same indent
+    # as a book's payload shares one cell per distinct crossing
     inner = {"x": [1, "y"], "z": {}}
     cell = {"pair": "c0", "direction": -1, "inner": inner}
     fixed.append({"a": [cell, cell], "b": [[cell, inner], cell], "c": cell, "d": inner})

@@ -13,7 +13,7 @@ Subcommands:
 * emit-dot [FILE]: deterministic graph text for a surface or pob document.
 
 Exit codes: 0 success, 1 failed golden assertion, 2 malformed or invalid
-input.
+input, refused in one stderr line under 4 KB.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Optional
 
 from . import documents as doc
 from .arcs import interior_intersections, reduce as reduce_arc
-from .errors import DocumentError, UnknownPairError
+from .errors import DocumentError
 from .openbook import (
     MAX_STABILIZE_COUNT,
     PartialOpenBook,
@@ -379,7 +379,7 @@ def _dot_for_surface(p: PolygonPresentation, arcs=()) -> str:
         else:
             label = _dot_quoted(f"{s.pair}.{s.end.value[0]}")
             lines.append(f"  s{i} [label={label}, shape=box];")
-    n = geo.n
+    n = len(p.sides)
     for i in range(n):
         lines.append(f"  s{i} -- s{(i + 1) % n};")
     for pair in sorted(geo.pair_sides):
@@ -462,6 +462,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a refusal is one stderr line; a longer line than this keeps its first
+# ERROR_HEAD bytes, which name the refused field, and says how long it was.
+# The longest line pinned whole, 20 of 20,000 interior vertices, has about
+# 2,500 bytes.
+MAX_ERROR_LINE = 3000
+ERROR_HEAD = 200
+
+
+def _error_line(e: ValueError) -> str:
+    line = f"error: {e}"
+    # stderr writes what it cannot encode as backslash escapes
+    data = line.encode("utf-8", "backslashreplace")
+    if len(data) > MAX_ERROR_LINE:
+        head = data[:ERROR_HEAD].decode("utf-8", "ignore")
+        line = f"{head}... ({len(data)} bytes in all)"
+    return line + "\n"
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -473,8 +491,8 @@ def main(argv=None) -> int:
         warnings.simplefilter("always")
         try:
             code, error = args.func(args), ""
-        except (UnknownPairError, ValueError) as e:
-            code, error = 2, f"error: {e}\n"
+        except ValueError as e:
+            code, error = 2, _error_line(e)
     for w in caught:
         sys.stderr.write(f"warning: {w.message}\n")
     sys.stderr.write(error)

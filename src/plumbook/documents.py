@@ -83,19 +83,19 @@ def _integer(value, what: str) -> int:
 
 def _array(value, what: str) -> list:
     """A list of sides, arcs, crossings, halftwists or coefficients: a JSON
-    array, not an object or string, which iterate too.  A TypeError, so the
-    payload's reader names it."""
+    array, not an object or string, which iterate too.  A ValueError, which
+    the payload's reader names."""
     if not isinstance(value, list):
-        raise TypeError(f"{what} must be an array")
+        raise ValueError(f"{what} must be an array")
     return value
 
 
 def _object(value, what: str) -> dict:
     """A payload, side, arc, boundary point or crossing cell: a JSON object,
-    whose fields are read by name.  A TypeError, so the payload's reader
-    names it."""
+    whose fields are read by name.  A ValueError, which the payload's reader
+    names."""
     if not isinstance(value, dict):
-        raise TypeError(f"{what} must be an object")
+        raise ValueError(f"{what} must be an object")
     return value
 
 
@@ -130,7 +130,7 @@ def surface_from(payload) -> PolygonPresentation:
                 end = End(_name(s["end"], "end"))
                 sides.append(Glued(_name(s["pair"], "pair name"), end))
         return PolygonPresentation(tuple(sides))
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, ValueError) as e:
         raise DocumentError(f"bad surface payload: {e}") from e
 
 
@@ -161,11 +161,9 @@ def arc_payload(a: Arc, cells: Optional[dict] = None) -> dict:
     return {"start": _point_payload(a.start), "end": _point_payload(a.end), "crossings": word}
 
 
-def arc_from(payload, letters: Optional[dict] = None) -> Arc:
+def arc_from(payload, letters: dict) -> Arc:
     """The arc of payload.  Every letter is validated; its Crossing is taken
     from letters, keyed by pair and direction, and put there when missing."""
-    if letters is None:
-        letters = {}
     try:
         word = []
         for c in _array(_object(payload, "arc")["crossings"], "crossings"):
@@ -177,7 +175,7 @@ def arc_from(payload, letters: Optional[dict] = None) -> Arc:
             word.append(letter)
         start = _point_from(_object(payload["start"], "start"))
         return Arc(start, _point_from(_object(payload["end"], "end")), tuple(word))
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, ValueError) as e:
         raise DocumentError(f"bad arc payload: {e}") from e
 
 
@@ -189,7 +187,7 @@ def star_from(payload) -> StarPlumbing:
     try:
         halftwists = _array(_object(payload, "star")["halftwists"], "halftwists")
         return StarPlumbing(tuple(TwistedAnnulus(t) for t in halftwists))
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, ValueError) as e:
         raise DocumentError(f"bad star payload: {e}") from e
 
 
@@ -201,7 +199,7 @@ def pretzel_from(payload) -> PretzelSpec:
     try:
         coefficients = _object(payload, "payload")["coefficients"]
         return PretzelSpec(tuple(_array(coefficients, "coefficients")))
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, ValueError) as e:
         raise DocumentError(f"bad pretzel payload: {e}") from e
 
 
@@ -224,7 +222,7 @@ def pob_from(payload) -> tuple[PartialOpenBook, Optional[StarPlumbing]]:
     try:
         surface = _object(payload, "payload")["surface"]
         basis, images = _array(payload["basis"], "basis"), _array(payload["images"], "images")
-    except (KeyError, TypeError) as e:
+    except (KeyError, ValueError) as e:
         raise DocumentError(f"bad pob payload: {e}") from e
     arcs = len(basis) + len(images)
     if arcs > MAX_BOOK_ARCS:
@@ -233,7 +231,7 @@ def pob_from(payload) -> tuple[PartialOpenBook, Optional[StarPlumbing]]:
         crossings = sum(
             len(_array(_object(a, "arc")["crossings"], "crossings")) for a in chain(basis, images)
         )
-    except (KeyError, TypeError) as e:
+    except (KeyError, ValueError) as e:
         raise DocumentError(f"bad arc payload: {e}") from e
     if crossings > MAX_BOOK_CROSSINGS:
         raise DocumentError(
@@ -295,11 +293,7 @@ def _write(value, indent: str, out: list) -> None:
             out.append(sep)
             out.append(_quote(name))
             out.append(": ")
-            item = value[name]
-            if type(item) is str:
-                out.append(_quote(item))
-            else:
-                _write(item, inner, out)
+            _write(value[name], inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
     elif isinstance(value, str):

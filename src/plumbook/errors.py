@@ -36,8 +36,9 @@ class InvalidPresentationError(_ViolationsError):
     """Raised when an operation needs a valid polygon presentation but got violations."""
 
 
-class UnknownPairError(KeyError):
-    """An arc word references a glued pair absent from its surface."""
+class UnknownPairError(KeyError, ValueError):
+    """An arc word references a glued pair absent from its surface.  A
+    KeyError for lookups by pair, and a ValueError like every refusal."""
 
     def __str__(self) -> str:
         return f"unknown pair {self.args[0]!r}: no glued side of this surface carries it"

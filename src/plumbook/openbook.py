@@ -6,8 +6,10 @@ subsurface.  Veering is decided per arc by comparing departure directions at
 both endpoints, and the contact verdict is a deliberately conservative
 three-way answer: a left-veering arc witnesses overtwistedness, a
 right-veering book whose arcs are disjoint from their images certifies a
-nonzero (tight) class through the bigon count, and anything else is
-reported as unknown rather than guessed.
+nonzero (tight) class when the arcs meeting other arcs' images form no
+cycle, since the contact class is then the only generator, and anything
+else is reported as unknown rather than guessed.  A positive stabilization
+carries the rule: its new arc meets no other arc's image.
 
 Endpoint convention: each image arc ends either exactly at its basis arc's
 endpoints or immediately beside them on the same boundary sides, with no
@@ -303,10 +305,17 @@ def contact_verdict(pob: PartialOpenBook) -> ContactVerdict:
     Empty basis: the trivial book supports the unique tight structure, so
     the class is nonzero.  Any Left arc: this book itself is a
     non-right-veering supporter, witnessing overtwistedness.  All arcs
-    Right or Isotopic and each arc disjoint from its own image: the only
-    differentials pairing an arc with its image would be bigons, none
-    exist, so the class is nonzero.  Otherwise: unknown, the criterion
-    does not apply.  Later calls on the same book reuse the verdict.
+    Right or Isotopic, each arc disjoint from its own image, and acyclic
+    support: in the sutured Heegaard diagram of the book (Honda, Kazez and
+    Matic 2009), alpha_i meets beta_j at x_i when i = j and in
+    M[i][j] = i(a_i, h(a_j)) points elsewhere; with a zero diagonal and no
+    cycle among the edges i -> j, i != j, M[i][j] > 0, the identity is the
+    only permutation left, so the contact class (x_1, ..., x_n) is the
+    only generator and is nonzero.  Otherwise: unknown, the criterion does
+    not apply.  A positive stabilization adds an arc with no edge, so it
+    keeps the rule's answer when the new arc is disjoint from its image
+    and does not veer left.  Later calls on the same book reuse the
+    verdict.
     """
     return _kept(pob, "_verdict", _verdict)
 
@@ -334,19 +343,45 @@ def _verdict(pob: PartialOpenBook, matrix=None) -> ContactVerdict:
         basis = [arc_view(p, a) for a in checked.basis]
         images = [arc_view(p, h) for h in checked.images]
         matrix = tuple(tuple(view_count(a, h) for h in images) for a in basis)
-    if all(matrix[i][i] == 0 for i in range(len(matrix))):
+    if any(matrix[i][i] for i in range(len(matrix))):
         return ContactVerdict(
-            VerdictStatus.NONZERO_TIGHT,
-            "right-veering and every arc is disjoint from its own image: "
-            "no bigon differentials, class nonzero",
+            VerdictStatus.UNKNOWN,
+            "right-veering but some arc meets its own image; "
+            "the bigon criterion does not decide this book",
+            matrix=matrix,
+        )
+    # a one-arc book has no edge
+    if len(matrix) > 1 and _cyclic(matrix):
+        return ContactVerdict(
+            VerdictStatus.UNKNOWN,
+            "right-veering and every arc is disjoint from its own image, but arcs "
+            "meeting other arcs' images form a cycle: the contact class is not the "
+            "only generator, and this book is not decided",
             matrix=matrix,
         )
     return ContactVerdict(
-        VerdictStatus.UNKNOWN,
-        "right-veering but some arc meets its own image; "
-        "the bigon criterion does not decide this book",
+        VerdictStatus.NONZERO_TIGHT,
+        "right-veering and every arc is disjoint from its own image: "
+        "no bigon differentials, class nonzero",
         matrix=matrix,
     )
+
+
+def _cyclic(matrix) -> bool:
+    """Whether the edges i -> j, i != j, matrix[i][j] > 0 form a cycle.
+    Each arc counts the edges entering it; an arc whose count drops to 0
+    is done, and its edges no longer count.  Arcs left over lie on or
+    behind a cycle."""
+    n = len(matrix)
+    entering = [sum(matrix[i][j] > 0 for i in range(n) if i != j) for j in range(n)]
+    done = [j for j in range(n) if not entering[j]]
+    for i in done:  # grows while it is read
+        for j in range(n):
+            if j != i and matrix[i][j] > 0:
+                entering[j] -= 1
+                if not entering[j]:
+                    done.append(j)
+    return len(done) < n
 
 
 def free_site(pob: PartialOpenBook) -> tuple[BoundaryPoint, BoundaryPoint]:
@@ -400,7 +435,11 @@ def positive_stabilization(pob: PartialOpenBook) -> PartialOpenBook:
     reduced again and the new image's start, above the new basis arc's, as
     its site; its veering verdicts and the new pair's; and its verdict, the
     matrix bordered by zeros and the new diagonal entry (a witness has no
-    matrix and stays the witness).  The new pair is tested only against
+    matrix and stays the witness).  The new arc adds no edge to the
+    support, so a zero diagonal entry and a new arc that does not veer left
+    keep the old verdict's status and reason, acyclic support included;
+    any other step, and the first step from the disk, is decided by the
+    full rule on the bordered matrix.  The new pair is tested only against
     itself, on its two views: one sort of their four end addresses gives
     the image's orientation and the new site, exact as no old point lies in
     the free gap or on the new side, and a self-count its embedding.  If it
@@ -450,8 +489,13 @@ def positive_stabilization(pob: PartialOpenBook) -> PartialOpenBook:
     object.__setattr__(book, "_veering", VeeringReport((*veering_report(pob).verdicts, veer)))
     verdict = contact_verdict(pob)
     if verdict.matrix is not None:
-        row = (0,) * len(verdict.matrix) + (view_count(a, h),)
-        verdict = _verdict(book, (*((*r, 0) for r in verdict.matrix), row))
+        diagonal = view_count(a, h)
+        row = (0,) * len(verdict.matrix) + (diagonal,)
+        matrix = (*((*r, 0) for r in verdict.matrix), row)
+        if verdict.matrix and not diagonal and veer is not ArcVeer.LEFT:
+            verdict = ContactVerdict(verdict.status, verdict.reason, matrix=matrix)
+        else:
+            verdict = _verdict(book, matrix)
     object.__setattr__(book, "_verdict", verdict)
     return book
 

@@ -94,18 +94,15 @@ class BoundaryPoint:
 
 
 class Geometry:
-    """Indexed view of a valid presentation, kept on it: n, the side count;
-    boundary_index, the side of each boundary label, in side order;
-    pair_sides, the (left, right) sides of each pair, in the side order of
-    the left halves.  It holds no corner data: the corner walk reads the
-    sides and pair_sides.  Arcs, book checks and the DOT writer read it."""
+    """Indexed view of a valid presentation, kept on it: boundary_index,
+    the side of each boundary label, in side order; pair_sides, the (left,
+    right) sides of each pair, in the side order of the left halves.  It
+    holds no corner data: the corner walk reads the sides and pair_sides.
+    Arcs, book checks and the DOT writer read it."""
 
-    __slots__ = ("n", "boundary_index", "pair_sides")
+    __slots__ = ("boundary_index", "pair_sides")
 
-    def __init__(
-        self, n: int, boundary_index: dict[str, int], pair_sides: dict[str, tuple[int, int]]
-    ):
-        self.n = n
+    def __init__(self, boundary_index: dict[str, int], pair_sides: dict[str, tuple[int, int]]):
         self.boundary_index = boundary_index
         self.pair_sides = pair_sides
 
@@ -164,7 +161,6 @@ def validate(p: PolygonPresentation) -> list[Violation]:
     if not p.sides:
         return [Violation("EmptyPolygon", "presentation has no sides")]
 
-    n = len(p.sides)
     boundary_index: dict[str, int] = {}
     occurrences: dict[str, list[End]] = {}
     left: dict[str, int] = {}
@@ -199,7 +195,7 @@ def validate(p: PolygonPresentation) -> list[Violation]:
         out.append(Violation("NoBoundary", "all sides glued: closed surfaces are rejected"))
 
     if pairs_ok and boundary_index:
-        geo = Geometry(n, boundary_index, {pair: (i, right[pair]) for pair, i in left.items()})
+        geo = Geometry(boundary_index, {pair: (i, right[pair]) for pair, i in left.items()})
         for corners in _corner_cycles(p.sides, geo.pair_sides)[1]:
             out.append(
                 Violation(

@@ -71,6 +71,16 @@ def run(capsys, *argv):
     return code, cap.out, cap.err
 
 
+def refusal(message):
+    """The stderr of a run refused with message: its error line whole, or,
+    past cli.MAX_ERROR_LINE bytes, its first cli.ERROR_HEAD bytes and its
+    length."""
+    line = f"error: {message}".encode()
+    if len(line) <= cli.MAX_ERROR_LINE:
+        return line.decode() + "\n"
+    return f"{line[: cli.ERROR_HEAD].decode()}... ({len(line)} bytes in all)\n"
+
+
 def build_file(capsys, tmp_path, *argv):
     code, out, _err = run(capsys, *argv)
     assert code == 0
@@ -152,7 +162,7 @@ def test_build_even_coefficient_is_an_error(capsys):
 def test_build_reads_only_signed_ascii_integers(capsys, shape, numbers):
     code, out, err = run(capsys, "build", shape, numbers)
     assert (code, out) == (2, "")
-    assert err == f"error: expected a comma-separated integer list, got {numbers!r}\n"
+    assert err == refusal(f"expected a comma-separated integer list, got {numbers!r}")
 
 
 @pytest.mark.parametrize(
@@ -163,7 +173,7 @@ def test_stabilize_count_reads_only_signed_ascii_integers(capsys, count):
     # it refuses more than 4300 digits
     code, out, err = run(capsys, "stabilize", "-", "--count", count)
     assert (code, out) == (2, "")
-    assert err == f"error: count must be an integer, got {count!r}\n"
+    assert err == refusal(f"count must be an integer, got {count!r}")
 
 
 @pytest.mark.parametrize("setting", ["k=\u0663", "range=\u0663", "k=2_0", "k=-2", "k=", "k"])
@@ -837,7 +847,7 @@ def test_positions_only_in_the_written_form():
         for sub in ("check", "stabilize", "emit-dot"):
             code, out, err = run_on_text([sub, "-"], text)
             assert (code, out) == (2, "")
-            assert err == f"error: bad arc payload: bad rational {value!r}\n"
+            assert err == refusal(f"bad arc payload: bad rational {value!r}")
 
 
 def test_integer_fields_only_as_json_integers():
@@ -858,6 +868,36 @@ def test_integer_fields_only_as_json_integers():
                 code, out, err = run_on_text([sub, "-"], text)
                 assert (code, out) == (2, "")
                 assert f"{what} must be an integer, got {value!r}" in err
+
+
+def one_small_line(err):
+    """Whether err is at most one line, under 4 KB as UTF-8."""
+    return err.count("\n") == err.endswith("\n") and len(err.encode()) < 4096
+
+
+def test_long_refusals_stay_small():
+    # each refused value is echoed in the error line; a line past
+    # cli.MAX_ERROR_LINE bytes keeps its head, naming its field, and its length
+    pob = pob_index(PRETZEL_DOCS)
+    image = (pob, "payload", "images", 0)
+    cases = [
+        ((*image, "start", "position"), "1" * 1_000_000, "error: bad arc payload: bad rational '11"),
+        ((*image, "crossings", 0, "pair"), "z" * 1_000_000, "error: unknown pair 'zz"),
+        ((*image, "start", "side"), "z" * 1_000_000, "error: boundary side 'zz"),
+        ((pob, "kind"), "z" * 1_000_000, "error: unknown document kind 'zz"),
+    ]
+    for leaf, value, head in cases:
+        text = json.dumps(replaced(PRETZEL_DOCS, leaf, value))
+        for sub in ("check", "stabilize", "emit-dot"):
+            code, out, err = run_on_text([sub, "-"], text)
+            assert (code, out) == (2, "")
+            assert err.startswith(head) and one_small_line(err), err[:300]
+            size = re.fullmatch(r".*\.\.\. \(([0-9]+) bytes in all\)\n", err, re.S)
+            assert len(value) < int(size[1]) < len(value) + 100, err[:300]
+    code, out, err = run_on_text(["stabilize", "-", "--count", "9" * 5000], "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: count must be an integer, got '99") and one_small_line(err)
+    assert err.endswith("... (5039 bytes in all)\n")
 
 
 def test_unknown_pair_is_named():
@@ -1058,6 +1098,7 @@ def test_mutated_documents_never_crash(case):
         code, _out, err = run_on_text(argv, text)
         assert code in (0, 2)
         assert "Traceback" not in err
+        assert one_small_line(err), err[:300]
     if without_star(docs) is not None:
         assert_star_changes_only_sqp(docs)
 

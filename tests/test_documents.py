@@ -67,7 +67,7 @@ def test_surface_round_trip():
 def test_arc_round_trip_keeps_exact_fractions():
     text = print_document(arc_document(ARC))
     assert '"2/7"' in text
-    assert arc_from(parse_document(text).payload) == ARC
+    assert arc_from(parse_document(text).payload, {}) == ARC
 
 
 def test_pob_round_trip_with_star_sidecar():
@@ -123,7 +123,7 @@ def test_malformed_documents_rejected():
     with pytest.raises(DocumentError):
         surface_from({"sides": [{"wat": 1}]})
     with pytest.raises(DocumentError):
-        arc_from({"start": {"side": "B1", "position": "x/y"}, "end": {}, "crossings": []})
+        arc_from({"start": {"side": "B1", "position": "x/y"}, "end": {}, "crossings": []}, {})
     for value in (True, 3.0, -1.2, "3"):
         with pytest.raises(DocumentError, match="coefficient must be an integer"):
             pretzel_from({"coefficients": [-3, value, 1]})

@@ -28,6 +28,7 @@ from plumbook.openbook import (
     ArcVeer,
     PartialOpenBook,
     certified_book,
+    ContactVerdict,
     VerdictStatus,
     contact_verdict,
     dividing_set_counts,
@@ -279,6 +280,41 @@ def test_verdict_unknown_when_arc_meets_its_image():
     assert v.matrix == ((1,),)
 
 
+def cyclic_book():
+    """Right-veering, each arc disjoint from its own image, and each arc
+    meeting the other's image once: its support is the cycle 0 -> 1 -> 0."""
+    basis = tuple(Arc(pt(f"Bl{i}0", 1, 3), pt(f"Br{i}0", 1, 3)) for i in (0, 1))
+    words = ((Crossing("c0", 1), Crossing("c1", -1)), (Crossing("c1", 1), Crossing("c0", -1)))
+    images = tuple(Arc(pt(f"Bl{i}0", 2, 3), pt(f"Br{i}0", 2, 3), w) for i, w in enumerate(words))
+    return PartialOpenBook(TWO_STAR, basis, images)
+
+
+CYCLIC_REASON = (
+    "right-veering and every arc is disjoint from its own image, but arcs meeting "
+    "other arcs' images form a cycle: the contact class is not the only generator, "
+    "and this book is not decided"
+)
+
+
+def test_verdict_unknown_on_cyclic_support(tmp_path, capsys):
+    # the permutation (0 1) gives the sutured diagram a second generator,
+    # so the zero diagonal certifies nothing
+    pob = cyclic_book()
+    assert pob.surface == star_sum_surface(StarPlumbing((TwistedAnnulus(2),) * 2))
+    assert validate_pob(pob) == []
+    assert veering_report(pob).verdicts == (ArcVeer.RIGHT, ArcVeer.RIGHT)
+    v = contact_verdict(pob)
+    assert v == ContactVerdict(VerdictStatus.UNKNOWN, CYCLIC_REASON, matrix=((0, 1), (1, 0)))
+    assert_certificate_invariants(pob)
+    # the command line checks the written book in full: verdicts are data
+    path = tmp_path / "book.json"
+    path.write_text(print_documents([pob_document(pob)]), encoding="utf-8")
+    assert main(["check", str(path), "--checks", "rv,contact", "--format", "text"]) == 0
+    out, err = capsys.readouterr()
+    assert out == f"rv: Right,Right\ncontact: Unknown ({CYCLIC_REASON})\n"
+    assert err == ""
+
+
 def test_verdict_never_tight_with_left_arc():
     v = contact_verdict(hopf_pob(-1))
     assert v.status is not VerdictStatus.NONZERO_TIGHT
@@ -482,6 +518,8 @@ STARTS = {
 def start_book(name):
     if name == "disk":
         return PartialOpenBook(PolygonPresentation((B("D"),)), (), ())
+    if name == "cyclic":
+        return cyclic_book()
     if name == "unknown":
         # right-veering, and its one arc meets its image once
         a = Arc(pt("Bl00", 1, 3), pt("Br00", 1, 3))
@@ -493,7 +531,7 @@ def start_book(name):
     return book
 
 
-@pytest.mark.parametrize("name", [*STARTS, "disk", "unknown"])
+@pytest.mark.parametrize("name", [*STARTS, "disk", "unknown", "cyclic"])
 def test_stabilized_books_decide_as_fresh_books(name):
     # stabilizing carries the check, veering and (when kept) the verdict;
     # a fresh copy of every book, rebuilt with nothing kept, must agree,
@@ -551,6 +589,23 @@ def test_failed_new_arc_tests_keep_nothing(monkeypatch):
         # checked in full on first use instead
         assert decided(book) == decided(fresh(book))
         assert contact_verdict(book).status is VerdictStatus.NONZERO_TIGHT
+
+
+def test_stabilization_decides_a_new_arc_with_an_edge_in_full(monkeypatch):
+    # a positive stabilization's new arc misses its own image and veers
+    # right, so the step carries the verdict; were it not so, the step
+    # would decide the book by the full rule
+    pob = hopf_pob(+1)
+    assert contact_verdict(pob).status is VerdictStatus.NONZERO_TIGHT
+    count = plumbook.openbook.view_count
+    monkeypatch.setattr(plumbook.openbook, "view_count", lambda v, w: count(v, w) if v is w else 1)
+    v = contact_verdict(positive_stabilization(pob))
+    assert (v.status, v.matrix) == (VerdictStatus.UNKNOWN, ((0, 0), (0, 1)))
+    assert "some arc meets its own image" in v.reason
+    monkeypatch.undo()
+    monkeypatch.setattr(plumbook.openbook, "_veer", lambda a, h: ArcVeer.LEFT)
+    v = contact_verdict(positive_stabilization(pob))
+    assert (v.status, v.witness_index) == (VerdictStatus.OVERTWISTED_WITNESS, 1)
 
 
 def test_stabilization_counts_only_the_new_arc(monkeypatch):

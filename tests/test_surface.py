@@ -297,10 +297,10 @@ def test_geometry_publishes_the_side_index():
     p = poly(B("B1"), G("c", R), B("B2"), B("B3"), G("c", L), B("B4"))
     geo = geometry(p)
     assert geo is geometry(p)
-    assert geo.n == 6
+    assert len(p.sides) == 6
     assert list(geo.boundary_index.items()) == [("B1", 0), ("B2", 2), ("B3", 3), ("B4", 5)]
     assert geo.pair_sides == {"c": (4, 1)}
-    assert set(plumbook.surface.Geometry.__slots__) == {"n", "boundary_index", "pair_sides"}
+    assert set(plumbook.surface.Geometry.__slots__) == {"boundary_index", "pair_sides"}
     assert euler_characteristic(p) == 1 - len(geo.pair_sides)
     with pytest.raises(InvalidPresentationError):
         geometry(poly(B("B1"), G("c", L), B("B2")))

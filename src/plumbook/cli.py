@@ -38,6 +38,7 @@ from .openbook import (
     veering_report,
 )
 from .plumbing import (
+    MAX_BUILD_BANDS,
     PretzelSpec,
     StarPlumbing,
     TwistedAnnulus,
@@ -100,12 +101,6 @@ def _find_pob(text: str):
     raise DocumentError("no pob document in input")
 
 
-# build refuses longer lists before building any band: a build process takes
-# about 0.2 s and 28 MB at 1,000 bands, 0.8 s and 143 MB at 10,000 (Python
-# 3.11.7, shared 2-vCPU Xeon host)
-MAX_BUILD_BANDS = 1000
-
-
 def _star_from_args(args) -> StarPlumbing:
     numbers = _int_list(args.numbers)
     # a pretzel's bands are its coefficients before the final 1
@@ -152,7 +147,7 @@ def _contact(pob: PartialOpenBook, star):
         "status": v.status.value,
         "reason": v.reason,
         "witness_index": v.witness_index,
-        "matrix": None if v.matrix is None else [list(r) for r in v.matrix],
+        "matrix": v.matrix,
     }
     return entry, f"contact: {v.status.value} ({v.reason})"
 

@@ -33,7 +33,7 @@ from typing import Optional
 from .arcs import Arc, Crossing
 from .errors import DocumentError
 from .openbook import MAX_STABILIZE_COUNT, PartialOpenBook
-from .plumbing import MAX_HOPF_SUMMANDS, PretzelSpec, StarPlumbing, TwistedAnnulus
+from .plumbing import MAX_BUILD_BANDS, MAX_HOPF_SUMMANDS, PretzelSpec, StarPlumbing, TwistedAnnulus
 from .surface import Boundary, BoundaryPoint, End, Glued, PolygonPresentation
 
 CURRENT_VERSION = 1
@@ -146,11 +146,9 @@ def _point_from(payload) -> BoundaryPoint:
         raise DocumentError(f"bad boundary point: {e}") from e
 
 
-def arc_payload(a: Arc, cells: Optional[dict] = None) -> dict:
+def arc_payload(a: Arc, cells: dict) -> dict:
     """The arc's payload; a crossing's cell is taken from cells, keyed by
     pair and direction, and put there when missing."""
-    if cells is None:
-        cells = {}
     word = []
     for c in a.crossings:
         key = c.pair, c.direction
@@ -186,6 +184,10 @@ def star_payload(star: StarPlumbing) -> dict:
 def star_from(payload) -> StarPlumbing:
     try:
         halftwists = _array(_object(payload, "star")["halftwists"], "halftwists")
+        # refused before any band is built, as build refuses a longer list
+        bands = len(halftwists)
+        if bands > MAX_BUILD_BANDS:
+            raise ValueError(f"{bands} bands; at most {MAX_BUILD_BANDS} bands are supported")
         return StarPlumbing(tuple(TwistedAnnulus(t) for t in halftwists))
     except (KeyError, ValueError) as e:
         raise DocumentError(f"bad star payload: {e}") from e
@@ -252,7 +254,7 @@ def surface_document(p: PolygonPresentation) -> Document:
 
 
 def arc_document(a: Arc) -> Document:
-    return Document("arc", CURRENT_VERSION, arc_payload(a))
+    return Document("arc", CURRENT_VERSION, arc_payload(a, {}))
 
 
 def pob_document(pob: PartialOpenBook, star: Optional[StarPlumbing] = None) -> Document:

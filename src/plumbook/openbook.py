@@ -9,7 +9,7 @@ right-veering book whose arcs are disjoint from their images certifies a
 nonzero (tight) class when the arcs meeting other arcs' images form no
 cycle, since the contact class is then the only generator, and anything
 else is reported as unknown rather than guessed.  A positive stabilization
-carries the rule: its new arc meets no other arc's image.
+carries an old verdict only where the rule proves it (positive_stabilization).
 
 Endpoint convention: each image arc ends either exactly at its basis arc's
 endpoints or immediately beside them on the same boundary sides, with no
@@ -30,7 +30,8 @@ and the site come from one sort of the views' end addresses in the arc
 kernel's counterclockwise order.  Two constructions carry them
 instead: a book whose images one boundary-fixing homeomorphism makes from
 the images of a checked book carries that book's check (certified_book),
-and a positive stabilization carries all three with the pair it adds.
+and a positive stabilization carries the check and veering with the pair it
+adds, and the verdict in one proven case, deciding it in full otherwise.
 """
 
 from __future__ import annotations
@@ -312,17 +313,18 @@ def contact_verdict(pob: PartialOpenBook) -> ContactVerdict:
     cycle among the edges i -> j, i != j, M[i][j] > 0, the identity is the
     only permutation left, so the contact class (x_1, ..., x_n) is the
     only generator and is nonzero.  Otherwise: unknown, the criterion does
-    not apply.  A positive stabilization adds an arc with no edge, so it
-    keeps the rule's answer when the new arc is disjoint from its image
-    and does not veer left.  Later calls on the same book reuse the
-    verdict.
+    not apply.  A positive stabilization adds an arc with no edge, so when
+    the old book has a matrix, the new arc is disjoint from its image and
+    does not veer left, it keeps the old status and reason with the matrix
+    bordered by zeros; every other book is decided by the full rule.  Later
+    calls on the same book reuse the verdict.
     """
     return _kept(pob, "_verdict", _verdict)
 
 
-def _verdict(pob: PartialOpenBook, matrix=None) -> ContactVerdict:
-    """The verdict of pob.  A right-veering book reads its intersection
-    matrix, i(a_i, h(a_j)) at (i, j), from matrix when given."""
+def _verdict(pob: PartialOpenBook) -> ContactVerdict:
+    """The verdict of pob by the full rule.  A right-veering book counts
+    its intersection matrix, i(a_i, h(a_j)) at (i, j), on the kept views."""
     report = veering_report(pob)
     if not report.verdicts:
         return ContactVerdict(
@@ -338,11 +340,10 @@ def _verdict(pob: PartialOpenBook, matrix=None) -> ContactVerdict:
                 "witnesses an overtwisted structure",
                 witness_index=i,
             )
-    if matrix is None:
-        checked, p = _require_pob(pob), pob.surface
-        basis = [arc_view(p, a) for a in checked.basis]
-        images = [arc_view(p, h) for h in checked.images]
-        matrix = tuple(tuple(view_count(a, h) for h in images) for a in basis)
+    checked, p = _require_pob(pob), pob.surface
+    basis = [arc_view(p, a) for a in checked.basis]
+    images = [arc_view(p, h) for h in checked.images]
+    matrix = tuple(tuple(view_count(a, h) for h in images) for a in basis)
     if any(matrix[i][i] for i in range(len(matrix))):
         return ContactVerdict(
             VerdictStatus.UNKNOWN,
@@ -430,16 +431,17 @@ def positive_stabilization(pob: PartialOpenBook) -> PartialOpenBook:
     chord of the new pair is linked with an old chord, they share no
     corridor, and every count between the new pair and an old arc is 0.
 
-    The new book therefore carries the old book's results, its verdict
-    decided first if it has none: its check, with the old arcs moved and not
-    reduced again and the new image's start, above the new basis arc's, as
-    its site; its veering verdicts and the new pair's; and its verdict, the
-    matrix bordered by zeros and the new diagonal entry (a witness has no
-    matrix and stays the witness).  The new arc adds no edge to the
-    support, so a zero diagonal entry and a new arc that does not veer left
-    keep the old verdict's status and reason, acyclic support included;
-    any other step, and the first step from the disk, is decided by the
-    full rule on the bordered matrix.  The new pair is tested only against
+    The new book therefore carries the old book's check, with the old arcs
+    moved and not reduced again and the new image's start, above the new
+    basis arc's, as its site, and its veering verdicts with the new pair's.
+    Its verdict is carried in one case, the old book's decided first if it
+    has none: the old verdict has a nonempty matrix, the new arc does not
+    veer left, and it is disjoint from its image.  The new arc then adds no
+    edge to the support and a zero to the diagonal, so the old status and
+    reason hold, acyclic support included, with the matrix bordered by
+    zeros.  Every other step is decided by the full rule: an old witness is
+    read off the carried veering before any count, and the first step from
+    the disk counts its one entry.  The new pair is tested only against
     itself, on its two views: one sort of their four end addresses gives
     the image's orientation and the new site, exact as no old point lies in
     the free gap or on the new side, and a self-count its embedding.  If it
@@ -488,14 +490,11 @@ def positive_stabilization(pob: PartialOpenBook) -> PartialOpenBook:
     veer = _veer(a, arc_view(surface, oriented))
     object.__setattr__(book, "_veering", VeeringReport((*veering_report(pob).verdicts, veer)))
     verdict = contact_verdict(pob)
-    if verdict.matrix is not None:
-        diagonal = view_count(a, h)
-        row = (0,) * len(verdict.matrix) + (diagonal,)
-        matrix = (*((*r, 0) for r in verdict.matrix), row)
-        if verdict.matrix and not diagonal and veer is not ArcVeer.LEFT:
-            verdict = ContactVerdict(verdict.status, verdict.reason, matrix=matrix)
-        else:
-            verdict = _verdict(book, matrix)
+    if verdict.matrix and veer is not ArcVeer.LEFT and not view_count(a, h):
+        matrix = (*((*r, 0) for r in verdict.matrix), (0,) * (len(verdict.matrix) + 1))
+        verdict = ContactVerdict(verdict.status, verdict.reason, matrix=matrix)
+    else:
+        verdict = _verdict(book)
     object.__setattr__(book, "_verdict", verdict)
     return book
 

@@ -48,6 +48,11 @@ from .surface import Boundary, BoundaryPoint, End, Glued, PolygonPresentation
 # further band, and documents.MAX_BOOK_CROSSINGS is derived from this limit.
 MAX_HOPF_SUMMANDS = 10
 
+# build and a document's star refuse longer lists before building any band:
+# a build process takes about 0.2 s and 28 MB at 1,000 bands, 0.8 s and
+# 143 MB at 10,000 (Python 3.11.7, shared 2-vCPU Xeon host)
+MAX_BUILD_BANDS = 1000
+
 
 @dataclass(frozen=True)
 class TwistedAnnulus:

@@ -7,10 +7,27 @@ diagonal and acyclic support (edges i -> j for i != j with M[i][j] > 0), the
 identity is the only permutation left, so the contact class is the only
 generator and is nonzero; a nonzero class means tight, and tight means
 right-veering.
+
+Swapping a book's basis and images gives a book of the inverse monodromy
+on h(P), which relates the two books' veering and matrices.
 """
 
-from plumbook.arcs import interior_intersections, reduce
-from plumbook.openbook import ArcVeer, VerdictStatus, contact_verdict, veering_report
+from plumbook.arcs import (
+    Divergence,
+    arc_view,
+    interior_intersections,
+    reduce,
+    view_count,
+    view_divergence,
+)
+from plumbook.openbook import (
+    ArcVeer,
+    PartialOpenBook,
+    VerdictStatus,
+    contact_verdict,
+    validate_pob,
+    veering_report,
+)
 
 
 def acyclic(matrix) -> bool:
@@ -41,3 +58,35 @@ def assert_certificate_invariants(pob) -> None:
         assert certified, matrix
     if certified:
         assert ArcVeer.LEFT not in veering_report(pob).verdicts, matrix
+
+
+def kept_views(pob):
+    """The views of a valid book's kept basis arcs and oriented images."""
+    checked, p = pob.__dict__["_checked"], pob.surface
+    return [arc_view(p, a) for a in checked.basis], [arc_view(p, h) for h in checked.images]
+
+
+def assert_inverse_relations(pob) -> list:
+    """Swap the valid book's basis and images, a book of h^-1 on h(P), and
+    assert that the swapped book is valid; that an Isotopic arc stays
+    Isotopic and a Right arc becomes Left; that a Left arc whose image
+    departs left at both ends becomes Right and any other Left arc stays
+    Left; and that the swapped matrix, i(h(a_i), a_j) = M[j][i] counted on
+    the views, is the transpose.  Returns each arc's (old, new) veering."""
+    assert validate_pob(pob) == []
+    swapped = PartialOpenBook(pob.surface, pob.images, pob.basis)
+    assert validate_pob(swapped) == []
+    basis, images = kept_views(pob)
+    old, new = veering_report(pob).verdicts, veering_report(swapped).verdicts
+    left = Divergence.LEFT_OF, Divergence.LEFT_OF
+    for a, h, was, now in zip(basis, images, old, new):
+        if was is ArcVeer.LEFT:
+            ends = view_divergence(a, h), view_divergence(a, h, backwards=True)
+            want = ArcVeer.RIGHT if ends == left else ArcVeer.LEFT
+        else:
+            want = {ArcVeer.ISOTOPIC: ArcVeer.ISOTOPIC, ArcVeer.RIGHT: ArcVeer.LEFT}[was]
+        assert now is want, (was, now)
+    transpose = [[view_count(a, h) for a in basis] for h in images]
+    s_basis, s_images = kept_views(swapped)
+    assert [[view_count(a, h) for h in s_images] for a in s_basis] == transpose
+    return list(zip(old, new))

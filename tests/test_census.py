@@ -1,16 +1,18 @@
 """A census of small books: every valid book of a small class, decided.
 
-The books live on the 2-band star surface (bands c0 and c1).  A basis arc
-is the chord Bl{i}0 -> Br{i}0 at 1/3, and its image the chord at 2/3
-carrying a freely reduced word over c0+-, c1+-.  The class counts are
-pinned as a table, so that a change to the verdict rule shows as a change
-of counts, and the certificate invariants are asserted on every valid book.
+The books live on star surfaces of Hopf bands c0, c1, ...: the annulus, and
+the surfaces of 2 and 3 bands.  A basis arc is the chord Bl{i}0 -> Br{i}0
+at 1/3, and its image the chord at 2/3 carrying a freely reduced word over
+the surface's letters.  The class counts are pinned as a table, so that a
+change to the verdict rule shows as a change of counts, and the certificate
+invariants and the inverse-monodromy relations are asserted on every valid
+book.
 """
 
 from collections import Counter
 from fractions import Fraction
 
-from certificates import assert_certificate_invariants
+from certificates import assert_certificate_invariants, assert_inverse_relations
 
 from plumbook import (
     Arc,
@@ -25,19 +27,20 @@ from plumbook import (
     validate_pob,
 )
 
-SURFACE = star_sum_surface(StarPlumbing((TwistedAnnulus(2),) * 2))
-LETTERS = tuple(Crossing(pair, d) for pair in ("c0", "c1") for d in (1, -1))
+SURFACES = {k: star_sum_surface(StarPlumbing((TwistedAnnulus(2),) * k)) for k in (1, 2, 3)}
 CLASSES = ("OvertwistedWitness", "NonzeroTight", "Unknown")
 
 
-def words(most):
-    """Every freely reduced word of at most most letters, shortest first."""
+def words(k, most):
+    """Every freely reduced word over the letters of k bands of at most
+    most letters, shortest first."""
+    letters = [Crossing(f"c{i}", d) for i in range(k) for d in (1, -1)]
     out = level = [()]
     for _ in range(most):
         level = [
             (*w, c)
             for w in level
-            for c in LETTERS
+            for c in letters
             if not w or (w[-1].pair, w[-1].direction) != (c.pair, -c.direction)
         ]
         out = out + level
@@ -49,32 +52,53 @@ def chord(i, thirds, word=()):
     return Arc(BoundaryPoint(f"Bl{i}0", at), BoundaryPoint(f"Br{i}0", at), word)
 
 
-def census(books):
-    """(number of books, the valid ones, their class counts)."""
-    books = list(books)
-    valid = [b for b in books if not validate_pob(b)]
-    counts = Counter(contact_verdict(b).status.value for b in valid)
-    return len(books), valid, counts
+def one_arc(k, most):
+    """The one-arc books on k bands with image words of at most most letters."""
+    p = SURFACES[k]
+    return [PartialOpenBook(p, (chord(0, 1),), (chord(0, 2, w),)) for w in words(k, most)]
 
 
-def test_census_of_two_band_books():
-    one_arc = (PartialOpenBook(SURFACE, (chord(0, 1),), (chord(0, 2, w),)) for w in words(6))
-    embedded = [[w for w in words(4) if is_embedded(SURFACE, chord(i, 2, w))] for i in (0, 1)]
+def two_arc(most):
+    """The two-arc books on 2 bands whose images are embedded, with words
+    of at most most letters."""
+    p = SURFACES[2]
+    embedded = [[w for w in words(2, most) if is_embedded(p, chord(i, 2, w))] for i in (0, 1)]
     assert [len(e) for e in embedded] == [31, 31]
-    two_arc = (
-        PartialOpenBook(SURFACE, (chord(0, 1), chord(1, 1)), (chord(0, 2, u), chord(1, 2, v)))
+    return [
+        PartialOpenBook(p, (chord(0, 1), chord(1, 1)), (chord(0, 2, u), chord(1, 2, v)))
         for u in embedded[0]
         for v in embedded[1]
-    )
-    table = {}
-    for name, books in (("one arc, 6 letters", one_arc), ("two arcs, 4 letters", two_arc)):
-        size, valid, counts = census(books)
-        table[name] = (size, len(valid), *(counts[s] for s in CLASSES))
+    ]
+
+
+def test_census_of_small_books():
+    table, turned = {}, {}
+    for name, books in (
+        ("annulus, one arc, 6 letters", one_arc(1, 6)),
+        ("2 bands, one arc, 6 letters", one_arc(2, 6)),
+        ("2 bands, two arcs, 4 letters", two_arc(4)),
+        ("3 bands, one arc, 4 letters", one_arc(3, 4)),
+    ):
+        valid = [b for b in books if not validate_pob(b)]
+        counts = Counter(contact_verdict(b).status.value for b in valid)
+        table[name] = (len(books), len(valid), *(counts[s] for s in CLASSES))
+        turns = (turn for book in valid for turn in assert_inverse_relations(book))
+        turned[name] = Counter(f"{old.value}->{new.value}" for old, new in turns)
         for book in valid:
             assert_certificate_invariants(book)
     # books, valid books, OvertwistedWitness, NonzeroTight, Unknown: the 11
     # two-arc books with a zero diagonal and cyclic support are Unknown
     assert table == {
-        "one arc, 6 letters": (1457, 67, 35, 11, 21),
-        "two arcs, 4 letters": (961, 93, 65, 2, 26),
+        "annulus, one arc, 6 letters": (13, 13, 7, 1, 5),
+        "2 bands, one arc, 6 letters": (1457, 67, 35, 11, 21),
+        "2 bands, two arcs, 4 letters": (961, 93, 65, 2, 26),
+        "3 bands, one arc, 4 letters": (937, 108, 74, 21, 13),
+    }
+    # each arc's veering in the book and in its swapped book: a Left arc
+    # stays Left when its image departs left at one end only
+    assert turned == {
+        "annulus, one arc, 6 letters": {"Left->Right": 7, "Right->Left": 6},
+        "2 bands, one arc, 6 letters": {"Left->Right": 33, "Right->Left": 32, "Left->Left": 2},
+        "2 bands, two arcs, 4 letters": {"Left->Right": 102, "Right->Left": 84},
+        "3 bands, one arc, 4 letters": {"Left->Right": 35, "Right->Left": 34, "Left->Left": 39},
     }

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from plumbook import cli
 from plumbook import documents as doc
 from plumbook.cli import (
-    MAX_BUILD_BANDS,
     MAX_FAMILY_K,
     MAX_FAMILY_SPECS,
     MAX_STABILIZE_COUNT,
@@ -38,6 +37,7 @@ from plumbook.openbook import (
     positive_stabilization,
 )
 from plumbook.plumbing import (
+    MAX_BUILD_BANDS,
     MAX_HOPF_SUMMANDS,
     PretzelSpec,
     ProductDiskSystem,
@@ -444,6 +444,23 @@ def test_build_refuses_more_bands_than_its_limit(capsys, monkeypatch, shape, fit
 
 def pob_index(docs):
     return next(i for i, d in enumerate(docs) if d["kind"] == "pob")
+
+
+def test_document_stars_share_the_build_band_limit(monkeypatch):
+    # a star no tool writes is refused before any band is built
+    built = []
+    monkeypatch.setattr(doc, "TwistedAnnulus", lambda t: built.append(t) or TwistedAnnulus(t))
+    path = (pob_index(PRETZEL_DOCS), "payload", "star", "halftwists")
+    fits = json.dumps(replaced(PRETZEL_DOCS, path, [4] * MAX_BUILD_BANDS))
+    over = json.dumps(replaced(PRETZEL_DOCS, path, [4] * (MAX_BUILD_BANDS + 1)))
+    limit = f"{MAX_BUILD_BANDS + 1} bands; at most {MAX_BUILD_BANDS} bands are supported"
+    for sub in ("check", "stabilize", "emit-dot"):
+        built.clear()
+        code, out, err = run_on_text([sub, "-"], fits)
+        assert (code, err, len(built)) == (0, "", MAX_BUILD_BANDS), sub
+        built.clear()
+        code, out, err = run_on_text([sub, "-"], over)
+        assert (code, out, err, built) == (2, "", f"error: bad star payload: {limit}\n", []), sub
 
 
 def test_oversized_books_exit_2():
@@ -982,14 +999,15 @@ def test_check_builds_a_written_star_once(monkeypatch):
 
 
 def test_a_star_that_cannot_be_the_books_is_not_built(monkeypatch):
-    # a 12-gon book whose star lists 200,000 bands: no 1,200,000-gon is built
+    # a 12-gon book whose star lists as many bands as a star may have: no
+    # 6,000-gon is built
     def refuse(star):
         raise AssertionError("built a star that cannot be the book's")
 
     wrap_everywhere(monkeypatch, associated_pob, refuse)
     wrap_everywhere(monkeypatch, star_sum_surface, refuse)
     star = (pob_index(PRETZEL_DOCS), "payload", "star", "halftwists")
-    text = json.dumps(replaced(PRETZEL_DOCS, star, [4] * 200_000))
+    text = json.dumps(replaced(PRETZEL_DOCS, star, [4] * MAX_BUILD_BANDS))
     code, out, err = run_on_text(["check", "-"], text)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == (

@@ -1,11 +1,12 @@
 """Partial open books: validation, veering, verdicts, stabilization."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from certificates import assert_certificate_invariants
+from certificates import assert_certificate_invariants, assert_inverse_relations
 
 import plumbook.arcs
 import plumbook.openbook
@@ -562,6 +563,17 @@ def test_stabilized_books_decide_as_fresh_books(name):
     assert len(pob.basis) == len(start.basis) + 25
 
 
+def test_inverse_monodromy_relations_on_stars_and_starts():
+    # swapping basis and images inverts the monodromy; on stars it turns
+    # every Right arc Left and every Left arc Right
+    books = [associated_pob(star)[2] for star in stars((2, -2, 4), 4)]
+    assert len(books) == 120
+    turns = Counter(turn for book in books for turn in assert_inverse_relations(book))
+    assert turns == {(ArcVeer.RIGHT, ArcVeer.LEFT): 142, (ArcVeer.LEFT, ArcVeer.RIGHT): 142}
+    for name in [*STARTS, "disk", "unknown", "cyclic"]:
+        assert_inverse_relations(start_book(name))
+
+
 def test_failed_new_arc_tests_keep_nothing(monkeypatch):
     pob = positive_stabilization(hopf_pob(+1))
     contact_verdict(pob)
@@ -594,13 +606,14 @@ def test_failed_new_arc_tests_keep_nothing(monkeypatch):
 def test_stabilization_decides_a_new_arc_with_an_edge_in_full(monkeypatch):
     # a positive stabilization's new arc misses its own image and veers
     # right, so the step carries the verdict; were it not so, the step
-    # would decide the book by the full rule
+    # would decide the book by the full rule, which here counts every pair
+    # of distinct views once
     pob = hopf_pob(+1)
     assert contact_verdict(pob).status is VerdictStatus.NONZERO_TIGHT
     count = plumbook.openbook.view_count
     monkeypatch.setattr(plumbook.openbook, "view_count", lambda v, w: count(v, w) if v is w else 1)
     v = contact_verdict(positive_stabilization(pob))
-    assert (v.status, v.matrix) == (VerdictStatus.UNKNOWN, ((0, 0), (0, 1)))
+    assert (v.status, v.matrix) == (VerdictStatus.UNKNOWN, ((1, 1), (1, 1)))
     assert "some arc meets its own image" in v.reason
     monkeypatch.undo()
     monkeypatch.setattr(plumbook.openbook, "_veer", lambda a, h: ArcVeer.LEFT)

@@ -32,6 +32,8 @@ instead: a book whose images one boundary-fixing homeomorphism makes from
 the images of a checked book carries that book's check (certified_book),
 and a positive stabilization carries the check and veering with the pair it
 adds, and the verdict in one proven case, deciding it in full otherwise.
+Its surface carries the old geometry with the new sides put in, never
+validated.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .arcs import (
@@ -60,6 +63,7 @@ from .surface import (
     Glued,
     PolygonPresentation,
     boundary_components,
+    certified_presentation,
     geometry,
 )
 
@@ -446,6 +450,20 @@ def positive_stabilization(pob: PartialOpenBook) -> PartialOpenBook:
     the image's orientation and the new site, exact as no old point lies in
     the free gap or on the new side, and a self-count its embedding.  If it
     fails, the new book keeps nothing and is checked in full.
+
+    The new surface carries its geometry, the old one moved and not
+    validated: every side from at on moves up by 4, which keeps the order
+    of the old sides; mid_label (at at + 1) and post_label (at at + 3)
+    follow label in boundary order; and the new pair (at, at + 2) takes its
+    place among the left halves.  So sorting each moved map by side, with
+    the new entries in, gives validate's maps.  The sides are valid: the
+    labels and the pair are fresh, the pair occurs once per end, and the
+    corner walk is the old one moved up with two changes.  The step over
+    label from at - 1 goes on through corners at and at + 3, over the new
+    pair and post_label, to at + 4, the old corner at; and the new cycle
+    at + 1, at + 2 crosses mid_label and the pair's right half.  Every
+    corner of the old walk lay on a boundary cycle, and every new corner
+    does, so there is no interior vertex.
     """
     checked = _require_pob(pob)
     label, top = checked.site
@@ -459,7 +477,19 @@ def positive_stabilization(pob: PartialOpenBook) -> PartialOpenBook:
     at = geo.boundary_index[label] + 1
     sides = pob.surface.sides
     handle = (Glued(pair, End.LEFT), Boundary(mid_label), Glued(pair, End.RIGHT))
-    surface = PolygonPresentation((*sides[:at], *handle, Boundary(post_label), *sides[at:]))
+
+    def up(s: int) -> int:
+        return s + 4 if s >= at else s
+
+    # a pair sorts by its left half
+    by_side = itemgetter(1)
+    boundary = [(b, up(s)) for b, s in geo.boundary_index.items()]
+    pairs = [(q, (up(i), up(j))) for q, (i, j) in geo.pair_sides.items()]
+    surface = certified_presentation(
+        (*sides[:at], *handle, Boundary(post_label), *sides[at:]),
+        dict(sorted([*boundary, (mid_label, at + 1), (post_label, at + 3)], key=by_side)),
+        dict(sorted([*pairs, (pair, (at, at + 2))], key=by_side)),
+    )
 
     def move(pt: BoundaryPoint) -> BoundaryPoint:
         return BoundaryPoint(label, pt.position / lo) if pt.side == label else pt

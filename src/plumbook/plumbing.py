@@ -2,10 +2,11 @@
 
 A star plumbing glues k twisted annuli along one central polygon region.
 Its surface (star_sum_surface) is a polygon presentation, a 6k-gon: band
-i contributes the glued pair c{i} and four boundary sides.  Pretzel links
-(p1, ..., pk, 1) with odd pi decompose as such stars with one annulus of
--(pi + 1) half twists per coefficient; the leading -3 gives the positive
-Hopf band.
+i contributes the glued pair c{i} and four boundary sides.  The surface
+carries the geometry of that layout, proven in star_sum_surface, and is
+never validated.  Pretzel links (p1, ..., pk, 1) with odd pi decompose as
+such stars with one annulus of -(pi + 1) half twists per coefficient; the
+leading -3 gives the positive Hopf band.
 
 Product disks are table-driven: a Hopf summand (2 half twists either way)
 carries exactly one, dual to its band; flatter or more twisted bands carry
@@ -38,7 +39,14 @@ from .errors import (
     ZeroTwistError,
 )
 from .openbook import PartialOpenBook, certified_book, validate_pob
-from .surface import Boundary, BoundaryPoint, End, Glued, PolygonPresentation
+from .surface import (
+    Boundary,
+    BoundaryPoint,
+    End,
+    Glued,
+    PolygonPresentation,
+    certified_presentation,
+)
 
 # Image words double with each Hopf band.  Building and checking a star of
 # 10 take about 7 + 15 ms in process (Python 3.11.7, shared 2-vCPU Xeon
@@ -144,14 +152,28 @@ def star_sum_surface(star: StarPlumbing) -> PolygonPresentation:
     right doors flanked by Bl{i}1, Br{i}1.  The central chamber is the
     2k-gon spanned by the left doors; chi comes out as 1 - k.  Band i is
     the glued pair c{i}.
+
+    The surface carries its geometry, written from the layout and not
+    validated: Bl{i}e at 3ek + 3i and Br{i}e at 3ek + 3i + 2, in side order,
+    and c{i} at (3i + 1, 3k + 3i + 1), in the order of its left halves.
+    These are valid sides.  The labels are distinct, as i and e are read
+    back from Bl{i}e and Br{i}e (e is the last digit); each pair occurs
+    once per end; and the corner walk from a glued side's corner lands on
+    the start of a boundary side, 3k + 3i + 2 from the left half of c{i}
+    and 3i + 2 from its right half, so every corner lies on a boundary
+    cycle and there is no interior vertex.
     """
     k = len(star.summands)
-    sides = []
-    for i in range(k):
-        sides += [Boundary(f"Bl{i}0"), Glued(f"c{i}", End.LEFT), Boundary(f"Br{i}0")]
-    for i in range(k):
-        sides += [Boundary(f"Bl{i}1"), Glued(f"c{i}", End.RIGHT), Boundary(f"Br{i}1")]
-    return PolygonPresentation(tuple(sides))
+    pairs = [f"c{i}" for i in range(k)]
+    sides, boundary_index = [], {}
+    for e, end in enumerate((End.LEFT, End.RIGHT)):
+        for i, pair in enumerate(pairs):
+            left, right = f"Bl{i}{e}", f"Br{i}{e}"
+            boundary_index[left] = len(sides)
+            boundary_index[right] = len(sides) + 2
+            sides += [Boundary(left), Glued(pair, end), Boundary(right)]
+    pair_sides = {pair: (3 * i + 1, 3 * k + 3 * i + 1) for i, pair in enumerate(pairs)}
+    return certified_presentation(tuple(sides), boundary_index, pair_sides)
 
 
 # where a band-dual chord (one third) and its pushed-off copy (two thirds)

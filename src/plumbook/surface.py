@@ -14,16 +14,20 @@ polygon corner must land on the surface boundary.  The last condition keeps
 the chamber decomposition of the universal cover a tree, which the arc
 calculus relies on.
 
-A presentation is validated once per object: validation walks the sides
-once and builds the indexed view from that walk, and the first validation
-that passes keeps it on the object for every later operation (geometry(p)).
-Corners are read by one walk, which crosses one side at a time and closes
-into cycles: the cycles through a boundary side are the boundary circles,
-in order of their first boundary side, and the rest are the interior
-vertices validation refuses, in order of their smallest corner.
-Presentations are frozen, so that view cannot go stale, and it is not a
-field, so equality, hashing, repr and documents ignore it.  An invalid
-presentation keeps nothing and raises on every call.
+A presentation keeps its indexed view (geometry(p)) for every operation.
+The two constructions of this package, star sums and stabilizations, lay
+out the sides themselves, so they write that view with the presentation
+and prove it (certified_presentation); no walk runs on them.  Documents
+and callers' presentations are validated once per object: validation
+walks the sides once, builds the view from that walk, and the first
+validation that passes keeps it on the object.  Corners are read by one
+walk, which crosses one side at a time and closes into cycles: the cycles
+through a boundary side are the boundary circles, in order of their first
+boundary side, and the rest are the interior vertices validation refuses,
+in order of their smallest corner.  Presentations are frozen, so the view
+cannot go stale, and it is not a field, so equality, hashing, repr and
+documents ignore it.  An invalid presentation keeps nothing and raises on
+every call.
 """
 
 from __future__ import annotations
@@ -142,8 +146,27 @@ def _corner_cycles(
     return boundary, [sorted(cycle(c)) for c in range(n) if unseen[c]]
 
 
+def certified_presentation(
+    sides: tuple[Side, ...],
+    boundary_index: dict[str, int],
+    pair_sides: dict[str, tuple[int, int]],
+) -> PolygonPresentation:
+    """The presentation of sides, keeping the given geometry as validate
+    keeps the one it builds, with no walk.
+
+    Precondition, proven by the caller: the sides are valid, and both maps
+    equal, dict order included, what validate would build: boundary_index
+    the side of each boundary label in side order, pair_sides the (left,
+    right) sides of each pair in the side order of the left halves.
+    """
+    p = PolygonPresentation(sides)
+    p.__dict__["_geometry"] = Geometry(boundary_index, pair_sides)
+    return p
+
+
 def geometry(p: PolygonPresentation) -> Geometry:
-    """Geometry of p, validated on the first call and kept on p."""
+    """Geometry of p: written by its construction, or validated on the
+    first call and kept on p."""
     geo = p.__dict__.get("_geometry")
     if geo is None:
         violations = validate(p)

@@ -9,14 +9,21 @@ generator and is nonzero; a nonzero class means tight, and tight means
 right-veering.
 
 Swapping a book's basis and images gives a book of the inverse monodromy
-on h(P), which relates the two books' veering and matrices.
+on h(P), which relates the two books' veering and matrices.  Rotating the
+polygon changes nothing the arc kernel reports, and mirroring it swaps
+left and right.  A constructed presentation carries the geometry that
+validation would build.
 """
 
 from plumbook.arcs import (
+    Arc,
     Divergence,
     arc_view,
+    first_divergence,
     interior_intersections,
+    is_embedded,
     reduce,
+    reverse,
     view_count,
     view_divergence,
 )
@@ -27,6 +34,15 @@ from plumbook.openbook import (
     contact_verdict,
     validate_pob,
     veering_report,
+)
+from plumbook.surface import (
+    BoundaryPoint,
+    PolygonPresentation,
+    boundary_components,
+    euler_characteristic,
+    genus,
+    geometry,
+    validate,
 )
 
 
@@ -90,3 +106,74 @@ def assert_inverse_relations(pob) -> list:
     s_basis, s_images = kept_views(swapped)
     assert [[view_count(a, h) for h in s_images] for a in s_basis] == transpose
     return list(zip(old, new))
+
+
+def assert_validated_geometry(p) -> None:
+    """p carries a geometry from its construction, and its two maps are,
+    item for item and in order, what validate builds on a fresh equal
+    presentation."""
+    carried = p.__dict__["_geometry"]
+    fresh = PolygonPresentation(p.sides)
+    assert validate(fresh) == []
+    built = geometry(fresh)
+    assert list(carried.boundary_index.items()) == list(built.boundary_index.items())
+    assert list(carried.pair_sides.items()) == list(built.pair_sides.items())
+
+
+def observed(pob):
+    """What the arc kernel reports on a book: its violations, whether each
+    arc is embedded, the matrix i(a_i, h_j), and the first divergence of
+    each image from its basis arc at both ends."""
+    p = pob.surface
+    basis = [reduce(p, a) for a in pob.basis]
+    images = [reduce(p, h) for h in pob.images]
+    return (
+        validate_pob(pob),
+        [is_embedded(p, x) for x in (*basis, *images)],
+        [[interior_intersections(p, a, h) for h in images] for a in basis],
+        [
+            (first_divergence(p, a, h), first_divergence(p, reverse(a), reverse(h)))
+            for a, h in zip(basis, images)
+        ],
+    )
+
+
+def mirrored(a):
+    """a on the mirrored polygon: each position t becomes 1 - t."""
+    start, end = (BoundaryPoint(x.side, 1 - x.position) for x in (a.start, a.end))
+    return Arc(start, end, a.crossings)
+
+
+SWAP = {
+    Divergence.RIGHT_OF: Divergence.LEFT_OF,
+    Divergence.LEFT_OF: Divergence.RIGHT_OF,
+    Divergence.EQUAL: Divergence.EQUAL,
+}
+
+
+def assert_symmetry_laws(pob) -> None:
+    """Every cyclic shift of the book's side list starts the arc kernel's
+    one order (_key) at another zero point, and changes nothing observed;
+    the mirror runs the order the other way round, which swaps left and
+    right and changes nothing else."""
+    sides = pob.surface.sides
+    want = observed(pob)
+    for r in range(1, len(sides)):
+        rotated = PolygonPresentation(sides[r:] + sides[:r])
+        assert validate(rotated) == []
+        assert euler_characteristic(rotated) == euler_characteristic(pob.surface)
+        assert genus(rotated) == genus(pob.surface)
+        # each boundary circle keeps its labels; rotation only moves the
+        # start of the walk along them
+        assert sorted(map(sorted, boundary_components(rotated))) == sorted(
+            map(sorted, boundary_components(pob.surface))
+        )
+        assert observed(PartialOpenBook(rotated, pob.basis, pob.images)) == want, r
+    mirror = PartialOpenBook(
+        PolygonPresentation(sides[::-1]),
+        tuple(map(mirrored, pob.basis)),
+        tuple(map(mirrored, pob.images)),
+    )
+    violations, embedded, matrix, divergences = observed(mirror)
+    assert (violations, embedded, matrix) == want[:3]
+    assert divergences == [(SWAP[x], SWAP[y]) for x, y in want[3]]

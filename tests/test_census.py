@@ -4,27 +4,38 @@ The books live on star surfaces of Hopf bands c0, c1, ...: the annulus, and
 the surfaces of 2 and 3 bands.  A basis arc is the chord Bl{i}0 -> Br{i}0
 at 1/3, and its image the chord at 2/3 carrying a freely reduced word over
 the surface's letters.  The class counts are pinned as a table, so that a
-change to the verdict rule shows as a change of counts, and the certificate
-invariants and the inverse-monodromy relations are asserted on every valid
-book.
+change to the verdict rule shows as a change of counts.  On every valid
+book the certificate invariants, the inverse-monodromy relations and the
+rotation and mirror laws are asserted, and one stabilization step must
+carry what a fresh book decides.
 """
 
 from collections import Counter
 from fractions import Fraction
 
-from certificates import assert_certificate_invariants, assert_inverse_relations
+import pytest
+
+from certificates import (
+    assert_certificate_invariants,
+    assert_inverse_relations,
+    assert_symmetry_laws,
+    assert_validated_geometry,
+)
 
 from plumbook import (
     Arc,
     BoundaryPoint,
     Crossing,
     PartialOpenBook,
+    PolygonPresentation,
     StarPlumbing,
     TwistedAnnulus,
     contact_verdict,
     is_embedded,
+    positive_stabilization,
     star_sum_surface,
     validate_pob,
+    veering_report,
 )
 
 SURFACES = {k: star_sum_surface(StarPlumbing((TwistedAnnulus(2),) * k)) for k in (1, 2, 3)}
@@ -71,17 +82,23 @@ def two_arc(most):
     ]
 
 
-def test_census_of_small_books():
-    table, turned = {}, {}
-    for name, books in (
+@pytest.fixture(scope="module")
+def census():
+    """Per class name, the number of books and the valid books."""
+    classes = (
         ("annulus, one arc, 6 letters", one_arc(1, 6)),
         ("2 bands, one arc, 6 letters", one_arc(2, 6)),
         ("2 bands, two arcs, 4 letters", two_arc(4)),
         ("3 bands, one arc, 4 letters", one_arc(3, 4)),
-    ):
-        valid = [b for b in books if not validate_pob(b)]
+    )
+    return {name: (len(b), [x for x in b if not validate_pob(x)]) for name, b in classes}
+
+
+def test_census_of_small_books(census):
+    table, turned = {}, {}
+    for name, (total, valid) in census.items():
         counts = Counter(contact_verdict(b).status.value for b in valid)
-        table[name] = (len(books), len(valid), *(counts[s] for s in CLASSES))
+        table[name] = (total, len(valid), *(counts[s] for s in CLASSES))
         turns = (turn for book in valid for turn in assert_inverse_relations(book))
         turned[name] = Counter(f"{old.value}->{new.value}" for old, new in turns)
         for book in valid:
@@ -102,3 +119,29 @@ def test_census_of_small_books():
         "2 bands, two arcs, 4 letters": {"Left->Right": 102, "Right->Left": 84},
         "3 bands, one arc, 4 letters": {"Left->Right": 35, "Right->Left": 34, "Left->Left": 39},
     }
+
+
+def test_census_keeps_the_rotation_and_mirror_laws(census):
+    for _total, valid in census.values():
+        for book in valid:
+            assert_symmetry_laws(book)
+
+
+def test_one_stabilization_step_carries_what_a_fresh_book_decides(census):
+    # a step carries the book's check, veering and verdict with the new
+    # pair's, and its surface the geometry validation would build
+    carried = Counter()
+    for _total, valid in census.values():
+        for book in valid:
+            step = positive_stabilization(book)
+            assert_validated_geometry(step.surface)
+            kept = step.__dict__
+            surface = PolygonPresentation(step.surface.sides)
+            fresh = PartialOpenBook(surface, step.basis, step.images)
+            assert validate_pob(fresh) == []
+            assert kept["_checked"] == fresh.__dict__["_checked"]
+            assert kept["_veering"] == veering_report(fresh)
+            assert kept["_verdict"] == contact_verdict(fresh)
+            carried[kept["_verdict"].status.value] += 1
+    # the valid books' classes, 181 / 35 / 65
+    assert carried == {"OvertwistedWitness": 181, "NonzeroTight": 35, "Unknown": 65}

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plumbook.surface
 from plumbook import cli
 from plumbook import documents as doc
 from plumbook.cli import (
@@ -461,6 +462,20 @@ def test_document_stars_share_the_build_band_limit(monkeypatch):
         built.clear()
         code, out, err = run_on_text([sub, "-"], over)
         assert (code, out, err, built) == (2, "", f"error: bad star payload: {limit}\n", []), sub
+
+
+def test_check_validates_a_document_surface_once(monkeypatch):
+    # with its star the document's book is its star's, whose surface
+    # carries its geometry; without it, the document's surface is validated
+    seen = []
+    original = plumbook.surface.validate
+    monkeypatch.setattr(plumbook.surface, "validate", lambda p: seen.append(p) or original(p))
+    pob = PRETZEL_DOCS[pob_index(PRETZEL_DOCS)]
+    assert run_on_text(["check", "-"], json.dumps([pob]))[0] == 0
+    assert seen == []
+    bare = {**pob, "payload": {k: v for k, v in pob["payload"].items() if k != "star"}}
+    assert run_on_text(["check", "-"], json.dumps([bare]))[0] == 0
+    assert seen == [star_sum_surface(pretzel_decompose(PretzelSpec((-3, 3, 1))))]
 
 
 def test_oversized_books_exit_2():

@@ -6,7 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from certificates import assert_certificate_invariants, assert_inverse_relations
+from certificates import (
+    assert_certificate_invariants,
+    assert_inverse_relations,
+    assert_validated_geometry,
+)
 
 import plumbook.arcs
 import plumbook.openbook
@@ -371,8 +375,8 @@ def test_dividing_counts():
 
 
 def fresh(pob):
-    """An equal book with nothing kept on it."""
-    return PartialOpenBook(pob.surface, pob.basis, pob.images)
+    """An equal book with nothing kept on it or on its surface."""
+    return PartialOpenBook(PolygonPresentation(pob.surface.sides), pob.basis, pob.images)
 
 
 def test_book_checked_once_across_operations(monkeypatch):
@@ -534,10 +538,10 @@ def start_book(name):
 
 @pytest.mark.parametrize("name", [*STARTS, "disk", "unknown", "cyclic"])
 def test_stabilized_books_decide_as_fresh_books(name):
-    # stabilizing carries the check, veering and (when kept) the verdict;
-    # a fresh copy of every book, rebuilt with nothing kept, must agree,
-    # and on it the new pair meets no old arc, which the carried results
-    # take from the construction
+    # stabilizing carries the check, veering and (when kept) the verdict,
+    # and the surface its geometry; a fresh copy of every book, rebuilt
+    # with nothing kept, must agree, and on it the new pair meets no old
+    # arc, which the carried results take from the construction
     start = pob = start_book(name)
     for step in range(25):
         if step % 4 == 0:
@@ -547,6 +551,7 @@ def test_stabilized_books_decide_as_fresh_books(name):
             pob = fresh(pob)
         pob = positive_stabilization(pob)
         assert {"_checked", "_veering", "_verdict"} <= pob.__dict__.keys(), step
+        assert_validated_geometry(pob.surface)
         copy = fresh(pob)
         assert decided(pob) == decided(copy)
         assert validate_pob(pob) == []

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from certificates import assert_validated_geometry
+
 import plumbook.arcs
 import plumbook.plumbing
 import plumbook.surface
@@ -158,15 +160,21 @@ def test_pob_from_product_disks_round_trip():
     assert pob.basis == tuple(a for a, _ in system.pairs)
 
 
-def test_associated_pob_validates_one_presentation(monkeypatch):
+def test_associated_pob_validates_no_presentation(monkeypatch):
+    # the star's surface carries its geometry from its construction
     seen = []
     original = plumbook.surface.validate
     monkeypatch.setattr(plumbook.surface, "validate", lambda p: seen.append(p) or original(p))
     star = star_of(2, 2, -4)
-    surface, system, pob = associated_pob(star)
+    _surface, system, pob = associated_pob(star)
     contact_verdict(pob)
-    assert seen == [surface]
+    assert seen == []
     assert system == product_disk_basis(star)
+
+
+def test_star_surfaces_carry_the_geometry_validation_builds():
+    for k in (*range(1, 301), 1000):
+        assert_validated_geometry(star_sum_surface(star_of(*[2] * k)))
 
 
 def test_star_books_go_through_one_checked_path(monkeypatch):

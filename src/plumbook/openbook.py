@@ -3,18 +3,23 @@
 The monodromy is recorded only where it matters: as the list of image arcs
 h(a_i) of a disjoint arc basis a_i whose neighborhood is the moving
 subsurface.  Veering is decided per arc by comparing departure directions at
-both endpoints, and the contact verdict is a deliberately conservative
-three-way answer: a left-veering arc witnesses overtwistedness, a
-right-veering book whose arcs are disjoint from their images certifies a
-nonzero (tight) class when the arcs meeting other arcs' images form no
-cycle, since the contact class is then the only generator, and anything
-else is reported as unknown rather than guessed.  A positive stabilization
-carries an old verdict only where the rule proves it (positive_stabilization).
+both endpoints, an image against its basis arc pushed to the image's ends,
+so an image that carries its basis arc's word is Isotopic.  The contact
+verdict is a deliberately conservative three-way answer: a left-veering
+arc witnesses overtwistedness, a right-veering book whose arcs are
+disjoint from their images certifies a nonzero (tight) class when the arcs
+meeting other arcs' images form no cycle, since the contact class is then
+the only generator, and anything else is reported as unknown rather than
+guessed.  A positive stabilization carries an old verdict only where the
+rule proves it (positive_stabilization).
 
 Endpoint convention: each image arc ends either exactly at its basis arc's
 endpoints or immediately beside them on the same boundary sides, with no
-other marked point in between.  Exact coincidence is reserved for identity
-images; every construction in this package emits the pushed-off form.
+other marked point in between.  An image beside them is h(b), where b is
+the basis arc pushed to the image's ends, so the identity's image is the
+pushed-off arc with the basis arc's word.  Exact coincidence is reserved
+for identity images; every construction in this package emits the
+pushed-off form.
 
 A book is checked once per object: validate_pob keeps its violations and
 reduced arcs on the book for every operation below, each image of a valid
@@ -277,8 +282,9 @@ def _oriented_image(h: Arc, a_ranks, h_ranks) -> Optional[Arc]:
 def veering_report(pob: PartialOpenBook) -> VeeringReport:
     """Per-arc departure verdicts: Right, Left, or Isotopic.
 
-    An arc is Right when its image departs to the right at both endpoints,
-    Isotopic when the image is the same class rel endpoints, and Left
+    An arc is Isotopic when its image carries its word, as the identity's
+    image does (the image is the arc pushed to the image's ends, _veer),
+    Right when its image departs to the right at both endpoints, and Left
     otherwise.  Isotopic counts as right-veering downstream.  Later calls on
     the same book reuse the report.
     """
@@ -293,11 +299,23 @@ def _veering(pob: PartialOpenBook) -> VeeringReport:
 
 def _veer(a, h) -> ArcVeer:
     """The verdict of the views of basis arc a and its image h, which
-    starts beside a's start and ends beside its end: the end divergence is
-    read on the slots run backwards, which builds no reversed view."""
-    at_start = view_divergence(a, h)
-    if at_start is Divergence.EQUAL:
+    starts beside a's start and ends beside its end.
+
+    h is h(b), where b is a with its ends pushed to h's ends; a pushed-off
+    b crosses a once, at Honda, Kazez and Matic's x_i.  Right-veering
+    compares h(a) with a, which is the same as comparing h(b) with b: the
+    push acts alike on both.  b and h share both ends, and a reduced word
+    with its ends fixes the class rel ends, so h(b) is isotopic to b
+    exactly when h carries a's word, that is when the views' exit doors
+    are equal.  Otherwise a and b pass the same doors, and their ends are
+    beside each other with no other end address between them, so every
+    _key comparison of the divergence reads the same against a as against
+    b.  The end divergence is read on the slots run backwards, which builds
+    no reversed view.
+    """
+    if a.letters == h.letters:
         return ArcVeer.ISOTOPIC
+    at_start = view_divergence(a, h)
     at_end = view_divergence(a, h, backwards=True)
     if at_start is Divergence.RIGHT_OF and at_end is Divergence.RIGHT_OF:
         return ArcVeer.RIGHT
@@ -317,11 +335,14 @@ def contact_verdict(pob: PartialOpenBook) -> ContactVerdict:
     cycle among the edges i -> j, i != j, M[i][j] > 0, the identity is the
     only permutation left, so the contact class (x_1, ..., x_n) is the
     only generator and is nonzero.  Otherwise: unknown, the criterion does
-    not apply.  A positive stabilization adds an arc with no edge, so when
-    the old book has a matrix, the new arc is disjoint from its image and
-    does not veer left, it keeps the old status and reason with the matrix
-    bordered by zeros; every other book is decided by the full rule.  Later
-    calls on the same book reuse the verdict.
+    not apply.  So a right-veering book with an Isotopic arc whose image is
+    pushed off, as the identity's is, is unknown: the image carries the
+    arc's word and crosses the arc once.  A positive stabilization adds an
+    arc with no edge, so when the old book has a matrix, the new arc is
+    disjoint from its image and does not veer left, it keeps the old status
+    and reason with the matrix bordered by zeros; every other book is
+    decided by the full rule.  Later calls on the same book reuse the
+    verdict.
     """
     return _kept(pob, "_verdict", _verdict)
 

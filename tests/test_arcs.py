@@ -107,7 +107,7 @@ def test_kept_reduction_is_checked_again_elsewhere_and_invisible():
     assert once == fresh
     assert hash(once) == hash(fresh)
     assert repr(once) == repr(fresh)
-    assert arc_payload(once, {}) == arc_payload(fresh, {})
+    assert arc_payload(once) == arc_payload(fresh)
     # an equal presentation object is another geometry: checked again
     twin = PolygonPresentation(HEXAGON.sides)
     again = reduce(twin, once)

@@ -12,13 +12,14 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plumbook.surface
-from plumbook import cli
+from plumbook import Arc, BoundaryPoint, PartialOpenBook, cli
 from plumbook import documents as doc
 from plumbook.cli import (
     MAX_FAMILY_K,
@@ -278,6 +279,33 @@ def test_stabilize_text_format(capsys, tmp_path):
     code, out, _err = run(capsys, "stabilize", str(path), "--count", "2", "--format", "text")
     assert code == 0
     assert out.splitlines()[0] == "chi: -1, -2, -3"
+
+
+def test_the_annulus_identity_book_is_isotopic_and_undecided(capsys, tmp_path):
+    # the image is the basis chord pushed off to 2/3 with its empty word:
+    # the identity of the annulus, whose arc meets its image once
+    surface = star_sum_surface(StarPlumbing((TwistedAnnulus(2),)))
+    thirds = (Fraction(1, 3), Fraction(2, 3))
+    basis, image = (Arc(BoundaryPoint("Bl00", t), BoundaryPoint("Br00", t)) for t in thirds)
+    path = tmp_path / "identity.json"
+    pob = PartialOpenBook(surface, (basis,), (image,))
+    path.write_text(doc.print_document(doc.pob_document(pob)), encoding="utf-8")
+    code, out, _err = run(capsys, "check", str(path), "--format", "text")
+    assert code == 0
+    assert out == (
+        "rv: Isotopic\n"
+        "contact: Unknown (right-veering but some arc meets its own image; "
+        "the bigon criterion does not decide this book)\n"
+        "sqp: unknown\n"
+        "dividing: surface 2, subsurface 1\n"
+    )
+    code, out, _err = run(capsys, "stabilize", str(path), "--count", "2", "--format", "text")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "step 0: chi 0, veering Isotopic, Unknown",
+        "step 1: chi -1, veering Isotopic,Right, Unknown",
+        "step 2: chi -2, veering Isotopic,Right,Right, Unknown",
+    ]
 
 
 def test_paper_examples_pass(capsys):

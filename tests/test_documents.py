@@ -67,7 +67,7 @@ def test_surface_round_trip():
 def test_arc_round_trip_keeps_exact_fractions():
     text = print_document(arc_document(ARC))
     assert '"2/7"' in text
-    assert arc_from(parse_document(text).payload, {}) == ARC
+    assert arc_from(parse_document(text).payload) == ARC
 
 
 def test_pob_round_trip_with_star_sidecar():
@@ -123,7 +123,7 @@ def test_malformed_documents_rejected():
     with pytest.raises(DocumentError):
         surface_from({"sides": [{"wat": 1}]})
     with pytest.raises(DocumentError):
-        arc_from({"start": {"side": "B1", "position": "x/y"}, "end": {}, "crossings": []}, {})
+        arc_from({"start": {"side": "B1", "position": "x/y"}, "end": {}, "crossings": []})
     for value in (True, 3.0, -1.2, "3"):
         with pytest.raises(DocumentError, match="coefficient must be an integer"):
             pretzel_from({"coefficients": [-3, value, 1]})
@@ -143,9 +143,7 @@ def test_oversized_books_are_refused_before_any_arc_is_built(monkeypatch):
     too_long = {**image, "crossings": image["crossings"] * (MAX_BOOK_CROSSINGS + 1)}
     crossings = len(arc["crossings"]) + len(too_long["crossings"])
     built = []
-    monkeypatch.setattr(
-        plumbook.documents, "arc_from", lambda a, *rest: built.append(a) or arc_from(a, *rest)
-    )
+    monkeypatch.setattr(plumbook.documents, "arc_from", lambda a: built.append(a) or arc_from(a))
     for big, message in (
         (
             {**payload, "basis": [arc] * many, "images": [image] * many},
@@ -165,18 +163,6 @@ def test_oversized_books_are_refused_before_any_arc_is_built(monkeypatch):
         with pytest.raises(DocumentError, match="bad (arc|pob) payload"):
             pob_from(bad)
     assert built == []
-
-
-def test_books_handle_each_distinct_letter_once():
-    # a written book shares one cell per distinct crossing, and a parsed
-    # book one Crossing per distinct letter
-    star = StarPlumbing((TwistedAnnulus(2),) * 4)
-    payload = pob_document(associated_pob(star)[2], star).payload
-    cells = [c for a in (*payload["basis"], *payload["images"]) for c in a["crossings"]]
-    pob, _star = pob_from(payload)
-    letters = [c for a in (*pob.basis, *pob.images) for c in a.crossings]
-    assert len(cells) == len(letters) == 15
-    assert len({id(c) for c in cells}) == len({id(c) for c in letters}) == len(set(letters)) == 4
 
 
 def dumped(value) -> str:

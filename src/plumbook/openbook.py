@@ -13,13 +13,13 @@ the only generator, and anything else is reported as unknown rather than
 guessed.  A positive stabilization carries an old verdict only where the
 rule proves it (positive_stabilization).
 
-Endpoint convention: each image arc ends either exactly at its basis arc's
-endpoints or immediately beside them on the same boundary sides, with no
-other marked point in between.  An image beside them is h(b), where b is
-the basis arc pushed to the image's ends, so the identity's image is the
-pushed-off arc with the basis arc's word.  Exact coincidence is reserved
-for identity images; every construction in this package emits the
-pushed-off form.
+Endpoint convention: image i starts and ends one end address past basis
+arc i's start and end on their sides, pushed the same way at both: right
+after them counterclockwise (Honda, Kazez and Matic's push along the
+boundary), or right before both (a mirrored or inverse book's push).  It
+is h(b), for b the basis arc pushed to the image's ends; b crosses the
+basis arc once, at x_i, and the identity's image is b with the basis
+arc's word.  An exact or oppositely pushed image has no x_i and is refused.
 
 A book is checked once per object: validate_pob keeps its violations and
 reduced arcs on the book for every operation below, each image of a valid
@@ -135,7 +135,7 @@ def _ranks(views, top_side: int) -> tuple[list[tuple[int, int]], Fraction]:
     addresses of views, from one sort in the kernel's order, and the last
     position on side top_side (0 if none).  Ranks step by one along a side
     and by two across sides: two ends are one point when their ranks are
-    equal, and beside (one side, no end between) when at most one apart."""
+    equal, and one is right after the other when its rank is one more."""
     ends = [addr for v in views for addr in (v.slots[0][0], v.slots[-1][1])]
     ranks = [0] * len(ends)
     rank, last, top = 0, (-1, 0), Fraction(0)
@@ -164,8 +164,8 @@ def validate_pob(pob: PartialOpenBook) -> list[Violation]:
 
     Codes: ArcNotEmbedded (an arc crosses itself), BasisNotDisjoint /
     ImagesNotDisjoint (a crossing pair of indices), EndpointMismatch (image i
-    does not end beside basis arc i), TiedEndpoints (unrelated arcs sharing
-    an exact boundary point).  Later calls on the same book reuse the result.
+    is not right after basis arc i's ends, or right before both),
+    TiedEndpoints (two arcs sharing a point).  Later calls reuse the result.
     """
     return list(_kept(pob, "_checked", _check).violations)
 
@@ -173,8 +173,9 @@ def validate_pob(pob: PartialOpenBook) -> list[Violation]:
 def _check(pob: PartialOpenBook) -> _CheckedBook:
     """The check of pob: its arcs reduced, each arc tested for embedding,
     each pair of basis arcs and of images for disjointness, each image for
-    ending beside its basis arc (and oriented to start beside its start),
-    and all endpoints for ties and the site."""
+    ending one point past its basis arc's ends, pushed one way at both (and
+    oriented to start beside its start), and all endpoints for ties and the
+    site."""
     geo = geometry(pob.surface)
     if len(pob.basis) != len(pob.images):
         count = f"{len(pob.basis)} basis arcs but {len(pob.images)} images"
@@ -210,10 +211,9 @@ _TIES = ("basis arc {} and image {}", "basis arcs {} and {}", "image arcs {} and
 
 
 def _ties(arcs, ranks, n: int) -> list[Violation]:
-    """TiedEndpoints for unrelated arcs, n basis arcs then n images with
-    their _ranks, sharing a point: basis-image pairs, then basis pairs,
-    then image pairs, each in index order.  Coincidences are allowed only
-    between basis arc i and image i.  Grouped by rank, one per point."""
+    """TiedEndpoints for any two arcs sharing a point, n basis arcs then n
+    images with their _ranks: basis-image pairs, then basis pairs, then
+    image pairs, each in index order.  Grouped by rank, one per point."""
     at: dict[int, list[int]] = {}
     for k, ends in enumerate(ranks):
         for r in ends:
@@ -226,7 +226,7 @@ def _ties(arcs, ranks, n: int) -> list[Violation]:
                 tied.add((1, k, m))
             elif n <= k:
                 tied.add((2, k - n, m - n))
-            elif k != m - n:
+            else:
                 tied.add((0, k, m - n))
     out = []
     for what, i, j in sorted(tied):
@@ -269,12 +269,12 @@ def _require_pob(pob: PartialOpenBook) -> _CheckedBook:
 
 def _oriented_image(h: Arc, a_ranks, h_ranks) -> Optional[Arc]:
     """The image h oriented so that its start sits beside its basis arc's
-    start; None when its ends are not beside the basis arc's ends.  a_ranks
-    and h_ranks are the _ranks of the basis arc's and h's start and end."""
+    start: its ends right after both of the basis arc's, or right before
+    both; else None.  a_ranks and h_ranks are the two arcs' end _ranks."""
     (a0, a1), (h0, h1) = a_ranks, h_ranks
-    if abs(a0 - h0) <= 1 and abs(a1 - h1) <= 1:
+    if h0 - a0 == h1 - a1 in (1, -1):
         return h
-    if abs(a0 - h1) <= 1 and abs(a1 - h0) <= 1:
+    if h1 - a0 == h0 - a1 in (1, -1):
         return reverse(h)
     return None
 
@@ -335,14 +335,13 @@ def contact_verdict(pob: PartialOpenBook) -> ContactVerdict:
     cycle among the edges i -> j, i != j, M[i][j] > 0, the identity is the
     only permutation left, so the contact class (x_1, ..., x_n) is the
     only generator and is nonzero.  Otherwise: unknown, the criterion does
-    not apply.  So a right-veering book with an Isotopic arc whose image is
-    pushed off, as the identity's is, is unknown: the image carries the
-    arc's word and crosses the arc once.  A positive stabilization adds an
-    arc with no edge, so when the old book has a matrix, the new arc is
-    disjoint from its image and does not veer left, it keeps the old status
-    and reason with the matrix bordered by zeros; every other book is
-    decided by the full rule.  Later calls on the same book reuse the
-    verdict.
+    not apply.  So a right-veering book with an Isotopic arc is unknown: its
+    image is pushed off and carries the arc's word, so it crosses the arc
+    exactly once.  A positive stabilization adds an arc with no edge, so
+    when the old book has a matrix, the new arc is disjoint from its image
+    and does not veer left, it keeps the old status and reason with the
+    matrix bordered by zeros; every other book is decided by the full rule.
+    Later calls on the same book reuse the verdict.
     """
     return _kept(pob, "_verdict", _verdict)
 

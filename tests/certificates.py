@@ -60,8 +60,9 @@ def acyclic(matrix) -> bool:
 
 def assert_certificate_invariants(pob) -> None:
     """A NonzeroTight verdict with a matrix has a zero diagonal and acyclic
-    support, and a book with both has no Left arc.  A witness carries no
-    matrix, so it is counted here."""
+    support, and a book with both has no Left arc.  An Isotopic arc meets
+    its pushed-off image exactly once.  A witness carries no matrix, so it
+    is counted here."""
     verdict = contact_verdict(pob)
     matrix = verdict.matrix
     if matrix is None:
@@ -70,10 +71,14 @@ def assert_certificate_invariants(pob) -> None:
         images = [reduce(p, h) for h in pob.images]
         matrix = [[interior_intersections(p, a, h) for h in images] for a in basis]
     certified = all(matrix[i][i] == 0 for i in range(len(matrix))) and acyclic(matrix)
+    veering = veering_report(pob).verdicts
     if verdict.status is VerdictStatus.NONZERO_TIGHT:
         assert certified, matrix
     if certified:
-        assert ArcVeer.LEFT not in veering_report(pob).verdicts, matrix
+        assert ArcVeer.LEFT not in veering, matrix
+    for i, v in enumerate(veering):
+        if v is ArcVeer.ISOTOPIC:
+            assert matrix[i][i] == 1, (i, matrix)
 
 
 def kept_views(pob):

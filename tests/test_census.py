@@ -7,7 +7,9 @@ the surface's letters.  The class counts are pinned as a table, so that a
 change to the verdict rule shows as a change of counts.  On every valid
 book the certificate invariants, the inverse-monodromy relations and the
 rotation and mirror laws are asserted, and one stabilization step must
-carry what a fresh book decides.
+carry what a fresh book decides.  Each valid one-arc book is placed again
+with its image on the basis arc's ends, pushed opposite ways at its two
+ends, and pushed back at both, of which only the last is a book.
 """
 
 from collections import Counter
@@ -37,6 +39,7 @@ from plumbook import (
     validate_pob,
     veering_report,
 )
+from plumbook.errors import InvalidOpenBookError, Violation
 
 SURFACES = {k: star_sum_surface(StarPlumbing((TwistedAnnulus(2),) * k)) for k in (1, 2, 3)}
 CLASSES = ("OvertwistedWitness", "NonzeroTight", "Unknown")
@@ -166,3 +169,43 @@ def test_one_stabilization_step_carries_what_a_fresh_book_decides(census):
             carried[kept["_verdict"].status.value] += 1
     # the valid books' classes, 169 / 35 / 77
     assert carried == {"OvertwistedWitness": 169, "NonzeroTight": 35, "Unknown": 77}
+
+
+def placed(book, start, end):
+    """The one-arc book with its image's ends moved to start and end."""
+    (h,) = book.images
+    image = Arc(BoundaryPoint(h.start.side, start), BoundaryPoint(h.end.side, end), h.crossings)
+    return PartialOpenBook(book.surface, book.basis, (image,))
+
+
+def test_images_are_pushed_one_way_at_both_ends(census):
+    third, sixth = Fraction(1, 3), Fraction(1, 6)
+    mismatch = Violation("EndpointMismatch", "image 0 does not end beside basis arc 0")
+    point = BoundaryPoint("Bl00", third)
+    tie = Violation("TiedEndpoints", f"basis arc 0 and image 0 share the point {point}")
+    table = {}
+    for name, (_total, valid) in census.items():
+        if "one arc" not in name:
+            continue
+        counts = Counter()
+        for book in valid:
+            # on the basis arc's ends, or pushed opposite ways: no x_i
+            exact = placed(book, third, third)
+            opposite = [placed(book, 2 * third, sixth), placed(book, sixth, 2 * third)]
+            assert validate_pob(exact) == [mismatch, tie]
+            assert [validate_pob(bad) for bad in opposite] == [[mismatch]] * 2
+            for bad in (exact, *opposite):
+                with pytest.raises(InvalidOpenBookError):
+                    contact_verdict(bad)
+            # pushed back at both ends, as a mirrored or swapped book is
+            backward = placed(book, sixth, sixth)
+            assert validate_pob(backward) == []
+            assert veering_report(backward) == veering_report(book)
+            counts[contact_verdict(backward).status.value] += 1
+        table[name] = tuple(counts[s] for s in CLASSES)
+    # OvertwistedWitness, NonzeroTight, Unknown
+    assert table == {
+        "annulus, one arc, 6 letters": (6, 0, 7),
+        "2 bands, one arc, 6 letters": (34, 0, 33),
+        "3 bands, one arc, 4 letters": (73, 0, 35),
+    }

@@ -308,6 +308,23 @@ def test_the_annulus_identity_book_is_isotopic_and_undecided(capsys, tmp_path):
     ]
 
 
+@pytest.mark.parametrize("ends", [("1/3", "1/3"), ("2/3", "1/6")], ids=["exact", "opposite"])
+def test_an_image_not_pushed_one_way_exits_2(capsys, tmp_path, ends):
+    # the annulus chord's image on the chord's ends, or pushed to 2/3 at its
+    # start and 1/6 at its end: neither crosses the chord once at an x_i
+    surface = star_sum_surface(StarPlumbing((TwistedAnnulus(2),)))
+    basis = Arc(BoundaryPoint("Bl00", "1/3"), BoundaryPoint("Br00", "1/3"))
+    image = Arc(BoundaryPoint("Bl00", ends[0]), BoundaryPoint("Br00", ends[1]))
+    path = tmp_path / "book.json"
+    pob = PartialOpenBook(surface, (basis,), (image,))
+    path.write_text(doc.print_document(doc.pob_document(pob)), encoding="utf-8")
+    for argv in (("check",), ("stabilize", "--count", "2")):
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: EndpointMismatch: image 0 does not end beside basis arc 0")
+
+
 def test_paper_examples_pass(capsys):
     code, out, _err = run(capsys, "paper-examples")
     assert code == 0

@@ -69,8 +69,8 @@ TIES = ("basis arc {} and image {}", "basis arcs {} and {}", "image arcs {} and 
 
 
 def reference_ties(basis, images):
-    """TiedEndpoints for unrelated arcs sharing an exact boundary point,
-    from an index of the arcs at each point."""
+    """TiedEndpoints for any two arcs sharing a boundary point, from an
+    index of the arcs at each point."""
     at = {}
     for kind, arcs in enumerate((basis, images)):
         for i, a in enumerate(arcs):
@@ -81,7 +81,7 @@ def reference_ties(basis, images):
         for (k, i), (m, j) in combinations(ends, 2):
             if k == m:
                 tied.add((1 + k, i, j))
-            elif i != j:
+            else:
                 tied.add((0, i, j))
     out = []
     for what, i, j in sorted(tied):
@@ -113,9 +113,10 @@ def reference_check(pob):
     ranks, top = reference_ranks((*basis, *images), label)
     oriented = []
     for i, (h, (a0, a1), (h0, h1)) in enumerate(zip(images, ranks, ranks[len(basis):])):
-        if abs(a0 - h0) <= 1 and abs(a1 - h1) <= 1:
+        # pushed one way at both ends: one point past each, or one before
+        if h0 - a0 == h1 - a1 in (1, -1):
             oriented.append(h)
-        elif abs(a0 - h1) <= 1 and abs(a1 - h0) <= 1:
+        elif h1 - a0 == h0 - a1 in (1, -1):
             oriented.append(reverse(h))
         else:
             detail = f"image {i} does not end beside basis arc {i}"

@@ -13,16 +13,24 @@ is never OvertwistedWitness.  A product of negative twists makes every
 arc it moves veer left, which witnesses an overtwisted structure (Honda,
 Kazez and Matic 2007).  One positive twist per band, in any order, gives
 a book whose arcs each miss their own image with acyclic support, which
-the rule certifies.
+the rule certifies.  On every book the certificate invariants hold.
+
+The first homology of each manifold is known too: Z/|n| for tau^n on the
+annulus (a lens space, and S^1 x S^2 at n = 0), and Z^(k - m) for a
+product of twists about m of the k bands, so 0 for one twist per band.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
+from certificates import assert_certificate_invariants
+from homology import first_homology
+
 from plumbook import (
     Arc,
     BoundaryPoint,
+    Crossing,
     PartialOpenBook,
     StarPlumbing,
     TwistedAnnulus,
@@ -65,6 +73,7 @@ def test_known_books_decide_as_the_literature_says():
                 pob = book(k, bands, sign)
                 books.add(pob)
                 assert validate_pob(pob) == []
+                assert_certificate_invariants(pob)
                 status = contact_verdict(pob).status.value
                 if sign > 0:
                     # Stein fillable: the class is nonzero
@@ -83,3 +92,18 @@ def test_known_books_decide_as_the_literature_says():
         +1: {"NonzeroTight": 9, "Unknown": 14},
         -1: {"OvertwistedWitness": 20},
     }
+
+
+def test_first_homology_is_the_known_manifolds():
+    annulus = star_sum_surface(StarPlumbing((TwistedAnnulus(2),)))
+    pushed = chord(0, 2)
+    for n in range(-3, 4):
+        word = (Crossing("c0", 1 if n > 0 else -1),) * abs(n)
+        pob = PartialOpenBook(annulus, (chord(0, 1),), (Arc(pushed.start, pushed.end, word),))
+        assert validate_pob(pob) == []
+        # Z/|n|, where Z/1 is 0 and Z/0 is Z
+        assert first_homology(pob) == (() if abs(n) == 1 else (abs(n),)), n
+    for k in (1, 2, 3):
+        for bands in products(k):
+            for sign in (+1, -1):
+                assert first_homology(book(k, bands, sign)) == (0,) * (k - len(bands))

@@ -156,8 +156,9 @@ def test_tied_endpoints_listed_in_order():
         Arc(pt("Bl20", 1, 3), pt("Br20", 1, 3)),
     )
     images = (
-        # sharing a point with its own basis arc is allowed
-        Arc(pt("Bl00", 1, 3), pt("Br00", 2, 3)),
+        # images 0 and 1 are pushed one point counterclockwise off their
+        # basis arcs' ends; image 2 sits on other arcs' ends
+        Arc(pt("Bl00", 2, 3), pt("Br00", 2, 3)),
         Arc(pt("Br00", 2, 3), pt("Bl10", 2, 3)),
         Arc(pt("Bl10", 1, 3), pt("Br00", 1, 3)),
     )
@@ -174,28 +175,33 @@ def test_tied_endpoints_listed_in_order():
 
 
 def test_arcs_sharing_both_endpoints_name_one_point():
-    # two basis arcs of one class run both ways between the same two points;
-    # the tie names the point whose text comes first, here the one further
-    # along the side: "Fraction(10, 11)" sorts before "Fraction(2, 3)"
+    # two basis arcs of one class run both ways between the same two points,
+    # and so do their images, pushed one point counterclockwise (pushed
+    # opposite ways, the images would cross); each tie names the point whose
+    # text comes first, here the one further along the side:
+    # "Fraction(10, 11)" sorts before "Fraction(2, 3)", and
+    # "Fraction(19, 20)" before "Fraction(7, 10)"
     a = Arc(pt("B2", 2, 3), pt("B2", 10, 11))
     b = Arc(pt("B2", 10, 11), pt("B2", 2, 3))
-    images = (Arc(pt("B2", 7, 10), pt("B2", 9, 10)), Arc(pt("B2", 19, 20), pt("B2", 1, 2)))
-    point = "BoundaryPoint(side='B2', position=Fraction(10, 11))"
+    images = (Arc(pt("B2", 7, 10), pt("B2", 19, 20)), Arc(pt("B2", 19, 20), pt("B2", 7, 10)))
+    point = "BoundaryPoint(side='B2', position=Fraction({}))".format
     assert validate_pob(PartialOpenBook(HEXAGON, (a, b), images)) == [
-        Violation("TiedEndpoints", f"basis arcs 0 and 1 share the point {point}"),
+        Violation("TiedEndpoints", f"basis arcs 0 and 1 share the point {point('10, 11')}"),
+        Violation("TiedEndpoints", f"image arcs 0 and 1 share the point {point('19, 20')}"),
     ]
 
 
 def test_tie_at_the_top_of_the_first_side_is_the_site():
-    # basis arc 1 and both images end at the last marked point of B1, the
-    # first boundary side, so the kept site is that point
-    basis = (Arc(pt("B1", 1, 3), pt("B4", 1, 3)), Arc(pt("B1", 2, 3), pt("B3", 1, 3)))
+    # both basis arcs start at 1/3 on B1, the first boundary side, and both
+    # images at 2/3, one point past them and the last marked point of B1,
+    # so the kept site is that point
+    basis = (Arc(pt("B1", 1, 3), pt("B4", 1, 3)), Arc(pt("B1", 1, 3), pt("B3", 1, 3)))
     images = (Arc(pt("B1", 2, 3), pt("B4", 2, 3)), Arc(pt("B1", 2, 3), pt("B3", 2, 3)))
     pob = PartialOpenBook(HEXAGON, basis, images)
-    point = "BoundaryPoint(side='B1', position=Fraction(2, 3))"
+    point = "BoundaryPoint(side='B1', position=Fraction({}, 3))".format
     assert validate_pob(pob) == [
-        Violation("TiedEndpoints", f"basis arc 1 and image 0 share the point {point}"),
-        Violation("TiedEndpoints", f"image arcs 0 and 1 share the point {point}"),
+        Violation("TiedEndpoints", f"basis arcs 0 and 1 share the point {point(1)}"),
+        Violation("TiedEndpoints", f"image arcs 0 and 1 share the point {point(2)}"),
     ]
     assert pob.__dict__["_checked"].site == ("B1", Fraction(2, 3))
     with pytest.raises(InvalidOpenBookError):
@@ -205,8 +211,9 @@ def test_tie_at_the_top_of_the_first_side_is_the_site():
 def test_veering_right_left_isotopic():
     assert [v.value for v in veering_report(hopf_pob(+1)).verdicts] == ["Right"]
     assert [v.value for v in veering_report(hopf_pob(-1)).verdicts] == ["Left"]
+    # the identity's image is the basis arc pushed off with its word
     a = Arc(pt("B1", 1, 3), pt("B2", 1, 3))
-    ident = PartialOpenBook(HEXAGON, (a,), (a,))
+    ident = PartialOpenBook(HEXAGON, (a,), (Arc(pt("B1", 2, 3), pt("B2", 2, 3)),))
     assert veering_report(ident).verdicts == (ArcVeer.ISOTOPIC,)
     assert veering_report(ident).is_right_veering
 

@@ -9,7 +9,7 @@ from certificates import assert_validated_geometry
 import plumbook.arcs
 import plumbook.plumbing
 import plumbook.surface
-from plumbook.arcs import Arc, Crossing, interior_intersections
+from plumbook.arcs import Arc, Crossing, bands_cut, interior_intersections
 from plumbook.errors import (
     MAX_LISTED_VIOLATIONS,
     HopfOnlyWarning,
@@ -247,6 +247,9 @@ def test_not_a_basis_wandering_arc():
     h = Arc(BoundaryPoint("Bl00", Fraction(2, 3)), BoundaryPoint("Br00", Fraction(2, 3)))
     with pytest.raises(NotABasisError, match="door"):
         pob_from_product_disks(p, ProductDiskSystem(((a, h),)))
+    # bands_cut reads only crossing-free arcs, and refuses this one itself
+    with pytest.raises(ValueError, match="^bands_cut needs an arc without crossings$"):
+        bands_cut(p, a)
 
 
 def test_not_a_basis_chord_missing_every_band():

@@ -34,9 +34,10 @@ so no arc is reduced again or turned around; EndpointMismatch, TiedEndpoints
 and the site come from one sort of the views' end addresses in the arc
 kernel's counterclockwise order.  Two constructions carry them
 instead: a book whose images one boundary-fixing homeomorphism makes from
-the images of a checked book carries that book's check (certified_book),
-and a positive stabilization carries the check and veering with the pair it
-adds, and the verdict in one proven case, deciding it in full otherwise.
+the pushed-off chords of a chord book its caller's layout proves valid
+carries that book's check, read off the chords' ends (certified_book),
+and a positive stabilization carries the check and veering with the pair
+it adds, and the verdict in one proven case, deciding it in full otherwise.
 Its surface carries the old geometry with the new sides put in, never
 validated.
 """
@@ -164,8 +165,9 @@ def validate_pob(pob: PartialOpenBook) -> list[Violation]:
 
     Codes: ArcNotEmbedded (an arc crosses itself), BasisNotDisjoint /
     ImagesNotDisjoint (a crossing pair of indices), EndpointMismatch (image i
-    is not right after basis arc i's ends, or right before both),
-    TiedEndpoints (two arcs sharing a point).  Later calls reuse the result.
+    is not right after basis arc i's ends, or right before both; the detail
+    names the ends that are off), TiedEndpoints (two arcs sharing a point).
+    Later calls reuse the result.
     """
     return list(_kept(pob, "_checked", _check).violations)
 
@@ -196,9 +198,14 @@ def _check(pob: PartialOpenBook) -> _CheckedBook:
             n = view_count(kind[i], kind[j])
             if n:
                 out.append(Violation(code, f"arcs {i} and {j} cross {n} time(s)"))
-    oriented = [_oriented_image(h, ra, rh) for h, ra, rh in zip(images, ranks, ranks[len(basis):])]
+    pairs = list(zip(ranks, ranks[len(basis):]))
+    oriented = [_oriented_image(h, *r) for h, r in zip(images, pairs)]
     out += [
-        Violation("EndpointMismatch", f"image {i} does not end beside basis arc {i}")
+        Violation(
+            "EndpointMismatch",
+            f"image {i} is not one point past both of basis arc {i}'s ends, "
+            f"or one point before both: off at {_off_ends(*pairs[i])}",
+        )
         for i, h in enumerate(oriented)
         if h is None
     ]
@@ -237,25 +244,30 @@ def _ties(arcs, ranks, n: int) -> list[Violation]:
     return out
 
 
-def certified_book(chords: PartialOpenBook, images) -> PartialOpenBook:
-    """The book with the surface and basis of chords and the given images,
-    carrying its check without testing the images.
+def certified_book(surface: PolygonPresentation, basis, pushed, images) -> PartialOpenBook:
+    """The book on surface with the given basis and images, carrying its
+    check untested: no chord book is built or checked.
 
-    Precondition: images[i] = h(chords.images[i]) for one homeomorphism h
-    of the surface that fixes its boundary pointwise.  h keeps every arc
-    embedded and every pair's intersection number, and leaves the endpoints
-    where they are, so the book's check is the valid chord book's with the
-    images put in: its endpoint tests, ties and site read only endpoints.  The
-    ends are compared with the checked, oriented chords', not assumed: an
-    invalid chord book, or images that moved or swapped their ends, leave
-    the book to the full check.
+    Precondition, which the caller proves: the chord book (surface, basis,
+    pushed) is valid, each pushed chord starts right after its basis
+    chord's start (and so ends right after its end), and images[i] =
+    h(pushed[i]) for one homeomorphism h of the surface that fixes its
+    boundary pointwise.  h keeps every arc embedded and every pair's
+    intersection number, and leaves the endpoints where they are, so the
+    book's check is the chord book's with the images put in: no violation,
+    the arcs reduced, each image oriented as it is, and the site, the last
+    end on the first boundary side (0 if none), read off the chords' ends.
+    The images' ends are compared with the pushed chords': images that
+    moved or swapped their ends leave the book to the full check.
     """
-    checked = _kept(chords, "_checked", _check)
-    book = PartialOpenBook(chords.surface, chords.basis, images)
-    ends = [(h.start, h.end) for h in book.images]
-    if not checked.violations and ends == [(c.start, c.end) for c in checked.images]:
-        reduced = tuple(reduce(book.surface, h) for h in book.images)
-        object.__setattr__(book, "_checked", checked._replace(images=reduced))
+    basis = tuple(reduce(surface, a) for a in basis)
+    book = PartialOpenBook(surface, basis, images)
+    if [(h.start, h.end) for h in book.images] == [(c.start, c.end) for c in pushed]:
+        label = next(iter(geometry(surface).boundary_index))
+        ends = (pt for a in (*basis, *pushed) for pt in (a.start, a.end))
+        top = max((pt.position for pt in ends if pt.side == label), default=Fraction(0))
+        reduced = tuple(reduce(surface, h) for h in book.images)
+        object.__setattr__(book, "_checked", _CheckedBook((), basis, reduced, (label, top)))
     return book
 
 
@@ -277,6 +289,21 @@ def _oriented_image(h: Arc, a_ranks, h_ranks) -> Optional[Arc]:
     if h1 - a0 == h0 - a1 in (1, -1):
         return reverse(h)
     return None
+
+
+def _off_ends(a_ranks, h_ranks) -> str:
+    """Which ends of an image that _oriented_image refuses are off, read
+    the way round that leaves fewer off (as written on a tie): an end is
+    off unless one point past or before its basis arc's end, and the end
+    is off too when the start is not and the two are pushed opposite ways."""
+    (a0, a1), (h0, h1) = a_ranks, h_ranks
+    offs = []
+    for s, e in ((h0 - a0, h1 - a1), (h0 - a1, h1 - a0)):
+        start = s not in (1, -1)
+        end = e not in (1, -1) or not start and e != s
+        offs.append((start + end, start, end))
+    _, start, end = min(offs, key=itemgetter(0))
+    return "both ends" if start and end else "its start" if start else "its end"
 
 
 def veering_report(pob: PartialOpenBook) -> VeeringReport:
@@ -432,8 +459,9 @@ def _fresh(base: str, taken) -> str:
 
 
 # stabilize --count refuses more: a step copies every old arc and positions
-# grow; count 200 takes 0.55 to 0.9 s on pretzel(-3,3,1) and on a 10-band
-# Hopf star (wall time, Python 3.11.7 on a shared 2-vCPU Xeon host)
+# grow; count 200 takes 0.44 to 0.79 s on pretzel(-3,3,1) and on a 10-band
+# Hopf star (5 runs each, wall time with interpreter start, Python 3.11.7
+# on a shared 2-vCPU Xeon host)
 MAX_STABILIZE_COUNT = 200
 
 

@@ -17,9 +17,10 @@ non-Hopf bands do not enter the book: it reads only the band count and the
 signs and places of the Hopf summands, and the 2680 specs of the family
 sweep decide only 4 distinct books.  Strong quasipositivity reads every
 twist.  The images are one homeomorphism applied to disjoint chords, so
-the book is certified by construction: pob_from_product_disks checks the
-book of the chords in full, and the images take its check untested
-(openbook.certified_book).  associated_pob returns the surface, the
+the book is certified by construction: the book of the chords is valid by
+its layout, proven in associated_pob, and the book carries that check
+untested (openbook.certified_book); pob_from_product_disks checks a
+caller's system in full.  associated_pob returns the surface, the
 product-disk system and the book; the first two are read off the book.
 """
 
@@ -49,10 +50,11 @@ from .surface import (
 )
 
 # Image words double with each Hopf band.  Building and checking a star of
-# 10 take about 7 + 15 ms in process (Python 3.11.7, shared 2-vCPU Xeon
-# host): the twists are linear in word length, a twist meeting nothing
-# copies nothing, and the images are not tested.  A book that is not its
-# star's is checked in full, about 0.5 s at 10 bands and 4x more per
+# 10 take about 4 + 7 ms in process (`build` and `check` through cli.main,
+# medians of 21, Python 3.11.7, shared 2-vCPU Xeon host): the twists are
+# linear in word length, a twist meeting nothing copies nothing, and
+# neither the chords nor the images are tested.  A book that is not its
+# star's is checked in full, about 0.3 s at 10 bands and 4x more per
 # further band, and documents.MAX_BOOK_CROSSINGS is derived from this limit.
 MAX_HOPF_SUMMANDS = 10
 
@@ -248,10 +250,21 @@ def associated_pob(
     pushed-off chord moved by one homeomorphism: a twist about every Hopf
     band, matching its handedness, from the highest index down.  The band
     cores meet, so the twists do not commute and keep their order; so
-    composed, distinct images stay disjoint.  The book of the pushed-off
-    chords, on the same basis arcs and checked in full, certifies the
-    images.  The surface is the book's, and the system pairs the book's
-    basis arcs with their images.
+    composed, distinct images stay disjoint.  The surface is the book's,
+    and the system pairs the book's basis arcs with their images.
+
+    The book carries its check from the layout (openbook.certified_book),
+    which proves the book of the basis chords and the pushed-off chords
+    valid.  Band i's chords run from Bl{i}0 to Br{i}0, at sides 3i and
+    3i + 2 of star_sum_surface, so the chords of distinct bands never
+    interleave around the polygon and no two of them cross; each chord is
+    a single-slot chord, which is embedded; the 4 end addresses of each
+    band, at 1/3 and 2/3 on its two sides, are distinct from each other
+    and from every other band's, so no two arcs share a point; and each
+    pushed chord is one point past its basis chord at both ends, so it is
+    oriented as it is.  The site is Bl00 at 2/3, the pushed chord's start,
+    when band 0 is Hopf, and at 0 otherwise: side 0 is the first boundary
+    side, and only band 0's chords end on it.
     """
     hopf = hopf_summands(star)
     if len(hopf) > MAX_HOPF_SUMMANDS:
@@ -260,15 +273,13 @@ def associated_pob(
         )
     signs = {i: 1 if star.summands[i].halftwists > 0 else -1 for i in hopf}
     surface = star_sum_surface(star)
-    chords = tuple(
-        (_band_dual(i, _ONE_THIRD), reduce_arc(surface, _band_dual(i, _TWO_THIRDS))) for i in hopf
-    )
+    pushed = [_band_dual(i, _TWO_THIRDS) for i in hopf]
     images = []
-    for _a, image in chords:
+    for image in pushed:
         for j in reversed(hopf):
             image = twist_about_band(surface, image, f"c{j}", signs[j])
         images.append(image)
-    book = certified_book(pob_from_product_disks(surface, ProductDiskSystem(chords)), images)
+    book = certified_book(surface, [_band_dual(i, _ONE_THIRD) for i in hopf], pushed, images)
     return surface, ProductDiskSystem(tuple(zip(book.basis, book.images))), book
 
 

@@ -9,7 +9,9 @@ book the certificate invariants, the inverse-monodromy relations and the
 rotation and mirror laws are asserted, and one stabilization step must
 carry what a fresh book decides.  Each valid one-arc book is placed again
 with its image on the basis arc's ends, pushed opposite ways at its two
-ends, and pushed back at both, of which only the last is a book.
+ends, and pushed back at both, of which only the last is a book.  The
+books with empty image words are chord books: twisted, their images make
+books that carry what a full check finds (certified_book).
 """
 
 from collections import Counter
@@ -39,7 +41,9 @@ from plumbook import (
     validate_pob,
     veering_report,
 )
+from plumbook.arcs import twist_about_band
 from plumbook.errors import InvalidOpenBookError, Violation
+from plumbook.openbook import _check, certified_book
 
 SURFACES = {k: star_sum_surface(StarPlumbing((TwistedAnnulus(2),) * k)) for k in (1, 2, 3)}
 CLASSES = ("OvertwistedWitness", "NonzeroTight", "Unknown")
@@ -180,7 +184,11 @@ def placed(book, start, end):
 
 def test_images_are_pushed_one_way_at_both_ends(census):
     third, sixth = Fraction(1, 3), Fraction(1, 6)
-    mismatch = Violation("EndpointMismatch", "image 0 does not end beside basis arc 0")
+    placements = (
+        "image 0 is not one point past both of basis arc 0's ends, or one point before both"
+    )
+    exact_mismatch = Violation("EndpointMismatch", f"{placements}: off at both ends")
+    mismatch = Violation("EndpointMismatch", f"{placements}: off at its end")
     point = BoundaryPoint("Bl00", third)
     tie = Violation("TiedEndpoints", f"basis arc 0 and image 0 share the point {point}")
     table = {}
@@ -192,7 +200,7 @@ def test_images_are_pushed_one_way_at_both_ends(census):
             # on the basis arc's ends, or pushed opposite ways: no x_i
             exact = placed(book, third, third)
             opposite = [placed(book, 2 * third, sixth), placed(book, sixth, 2 * third)]
-            assert validate_pob(exact) == [mismatch, tie]
+            assert validate_pob(exact) == [exact_mismatch, tie]
             assert [validate_pob(bad) for bad in opposite] == [[mismatch]] * 2
             for bad in (exact, *opposite):
                 with pytest.raises(InvalidOpenBookError):
@@ -209,3 +217,26 @@ def test_images_are_pushed_one_way_at_both_ends(census):
         "2 bands, one arc, 6 letters": (34, 0, 33),
         "3 bands, one arc, 4 letters": (73, 0, 35),
     }
+
+
+def test_chord_books_carry_the_check_a_fresh_book_computes():
+    # the census's books with empty image words are chord books: their
+    # images are the basis chords pushed off.  A book whose images one
+    # boundary-fixing map makes from them, the identity or a twist about
+    # one band either way, carries the check certified_book reads off the
+    # chords, and a full check of an equal book finds the same
+    chord_books = [one_arc(k, 0)[0] for k in SURFACES]
+    chord_books.append(
+        PartialOpenBook(SURFACES[2], (chord(0, 1), chord(1, 1)), (chord(0, 2), chord(1, 2)))
+    )
+    carried = 0
+    for book in chord_books:
+        assert validate_pob(book) == []
+        p, pushed = book.surface, book.images
+        twists = [(f"c{i}", sign) for i in range(len(p.sides) // 6) for sign in (1, -1)]
+        for images in (pushed, *([twist_about_band(p, h, *t) for h in pushed] for t in twists)):
+            made = certified_book(p, book.basis, pushed, images)
+            fresh = PartialOpenBook(PolygonPresentation(p.sides), made.basis, made.images)
+            assert made.__dict__["_checked"] == _check(fresh)
+            carried += 1
+    assert carried == 20

@@ -308,8 +308,12 @@ def test_the_annulus_identity_book_is_isotopic_and_undecided(capsys, tmp_path):
     ]
 
 
-@pytest.mark.parametrize("ends", [("1/3", "1/3"), ("2/3", "1/6")], ids=["exact", "opposite"])
-def test_an_image_not_pushed_one_way_exits_2(capsys, tmp_path, ends):
+@pytest.mark.parametrize(
+    "ends, off",
+    [(("1/3", "1/3"), "both ends"), (("2/3", "1/6"), "its end")],
+    ids=["exact", "opposite"],
+)
+def test_an_image_not_pushed_one_way_exits_2(capsys, tmp_path, ends, off):
     # the annulus chord's image on the chord's ends, or pushed to 2/3 at its
     # start and 1/6 at its end: neither crosses the chord once at an x_i
     surface = star_sum_surface(StarPlumbing((TwistedAnnulus(2),)))
@@ -322,7 +326,10 @@ def test_an_image_not_pushed_one_way_exits_2(capsys, tmp_path, ends):
         code, out, err = run(capsys, *argv, str(path))
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1
-        assert err.startswith("error: EndpointMismatch: image 0 does not end beside basis arc 0")
+        assert err.startswith(
+            "error: EndpointMismatch: image 0 is not one point past both of basis arc 0's "
+            f"ends, or one point before both: off at {off}"
+        )
 
 
 def test_paper_examples_pass(capsys):
@@ -1153,11 +1160,23 @@ def test_large_hopf_stars_stdout_is_pinned(argv, build_digest, check_digest):
             40,
             "2c3cb73ab6c0cfa7247f313656166eaca656d7620f84957dd22f02ee591c93ab",
         ),
+        (
+            ("star", "-4,2"),
+            3,
+            "79367e70e310dd6685c4a93968161fe418573cda559bc07c4ec072637e731054",
+        ),
+        (
+            ("star", "4"),
+            2,
+            "783c1f3903f0c610237482078453196769d2f08f5b5c149907513be4a305e82b",
+        ),
     ],
 )
 def test_long_stabilize_chains_stdout_is_pinned(argv, count, digest):
     # the certified star book and the kept reversals run on every step, and
-    # the mirrored star's chain carries its witness verdict
+    # the mirrored star's chain carries its witness verdict; a star whose
+    # band 0 is not Hopf has no chord on Bl00, so its book's site is Bl00
+    # at 0 and its first step's free gap is that side's first two thirds
     code, built, _err = run_on_text(["build", *argv], "")
     assert code == 0
     code, out, _err = run_on_text(["stabilize", "-", "--count", str(count)], built)

@@ -93,6 +93,19 @@ def reference_ties(basis, images):
     return out
 
 
+def reference_off(a, h):
+    """The ends of a refused image named off: read as written and turned
+    around, the image's start pushed one point either way fixes the push
+    its end must have, and the reading with fewer ends off wins, as
+    written on a tie."""
+    readings = []
+    for s, e in ((h[0] - a[0], h[1] - a[1]), (h[0] - a[1], h[1] - a[0])):
+        allowed = (s,) if s in (1, -1) else (1, -1)
+        readings.append([name for name, d in (("start", s), ("end", e)) if d not in allowed])
+    off = min(readings, key=len)
+    return "both ends" if len(off) == 2 else f"its {off[0]}"
+
+
 def reference_check(pob):
     """(violations, oriented images, site) of a book with as many images as
     basis arcs, its crossings counted through the public arc queries."""
@@ -119,7 +132,10 @@ def reference_check(pob):
         elif h1 - a0 == h0 - a1 in (1, -1):
             oriented.append(reverse(h))
         else:
-            detail = f"image {i} does not end beside basis arc {i}"
+            detail = (
+                f"image {i} is not one point past both of basis arc {i}'s ends, "
+                f"or one point before both: off at {reference_off((a0, a1), (h0, h1))}"
+            )
             out.append(Violation("EndpointMismatch", detail))
             oriented.append(h)
     return out + reference_ties(basis, images), tuple(oriented), (label, top)

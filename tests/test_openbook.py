@@ -22,7 +22,7 @@ from plumbook.arcs import (
     minimal_position,
     reverse,
 )
-from plumbook.cli import main
+from plumbook.cli import _family_rows, main
 from plumbook.documents import pob_document, pob_payload, print_documents
 from plumbook.errors import (
     InvalidOpenBookError,
@@ -129,7 +129,11 @@ def test_far_image_endpoints_flagged():
     basis = (Arc(pt("B1", 1, 8), pt("B2", 7, 8)), Arc(pt("B1", 2, 8), pt("B2", 6, 8)))
     images = (Arc(pt("B1", 3, 8), pt("B2", 5, 8)), Arc(pt("B1", 4, 8), pt("B2", 4, 8)))
     assert validate_pob(PartialOpenBook(HEXAGON, basis, images)) == [
-        Violation("EndpointMismatch", f"image {i} does not end beside basis arc {i}")
+        Violation(
+            "EndpointMismatch",
+            f"image {i} is not one point past both of basis arc {i}'s ends, "
+            "or one point before both: off at both ends",
+        )
         for i in (0, 1)
     ]
 
@@ -166,7 +170,11 @@ def test_tied_endpoints_listed_in_order():
     assert validate_pob(PartialOpenBook(three, basis, images)) == [
         Violation("ImagesNotDisjoint", "arcs 0 and 2 cross 1 time(s)"),
         Violation("ImagesNotDisjoint", "arcs 1 and 2 cross 1 time(s)"),
-        Violation("EndpointMismatch", "image 2 does not end beside basis arc 2"),
+        Violation(
+            "EndpointMismatch",
+            "image 2 is not one point past both of basis arc 2's ends, "
+            "or one point before both: off at both ends",
+        ),
         Violation("TiedEndpoints", f"basis arc 0 and image 2 share the point {point('Br00', 1)}"),
         Violation("TiedEndpoints", f"basis arc 1 and image 2 share the point {point('Bl10', 1)}"),
         Violation("TiedEndpoints", f"basis arcs 0 and 1 share the point {point('Br00', 1)}"),
@@ -684,16 +692,33 @@ def stars(twists, most):
 
 def test_star_books_are_certified_by_construction():
     # a star's images are one homeomorphism applied to disjoint chords, so
-    # its book carries the chord book's check with the images put in; a
-    # full check of an equal book must find exactly the same
+    # its book carries the check its layout proves for the chord book, with
+    # the images put in and the site read off the chords' ends; a full check
+    # of an equal book must find exactly the same, site and orientations
+    # included.  The family specs decide 4 distinct books each way, each
+    # checked in full once.
     small = list(stars((2, -2, 4, -4, 6, -6), 4))
     hopf = [StarPlumbing((TwistedAnnulus(t),) * k) for k in range(1, 11) for t in (2, -2)]
-    assert len(small) == 1554
-    for star in (*small, *hopf):
+    family = [
+        pretzel_decompose(PretzelSpec(row), mirror)
+        for row in _family_rows(5, 9)
+        for mirror in (False, True)
+    ]
+    assert (len(small), len(family)) == (1554, 2 * 2680)
+    checks = {}
+    for star in (*small, *hopf, *family):
         book = associated_pob(star)[2]
         certified = book.__dict__["_checked"]
-        assert certified == plumbook.openbook._check(fresh(book)), star
+        if book not in checks:
+            checks[book] = plumbook.openbook._check(fresh(book))
+        assert certified == checks[book], star
         assert certified.violations == ()
+    # band 0 is Hopf in some books, which have their site at its pushed
+    # chord's start, and not in others, which have it at 0
+    assert {checked.site for checked in checks.values()} == {
+        ("Bl00", Fraction(2, 3)),
+        ("Bl00", 0),
+    }
 
 
 def test_every_distinct_star_book_decides_as_the_paper_says():
@@ -764,19 +789,13 @@ def test_decided_arcs_keep_nothing_but_their_view():
 
 def test_certified_book_keeps_nothing_when_its_premise_fails():
     book = associated_pob(StarPlumbing((TwistedAnnulus(2),) * 2))[2]
-    chords = PartialOpenBook(
-        book.surface, book.basis, tuple(Arc(h.start, h.end) for h in book.images)
-    )
-    assert "_checked" in certified_book(chords, book.images).__dict__
+    pushed = tuple(Arc(h.start, h.end) for h in book.images)
+    assert "_checked" in certified_book(book.surface, book.basis, pushed, book.images).__dict__
     h = book.images[0]
     moved = Arc(BoundaryPoint(h.start.side, Fraction(1, 2)), h.end, h.crossings)
-    short = PartialOpenBook(book.surface, book.basis, chords.images[:1])
-    assert validate_pob(short)
-    for made in (
-        # an image endpoint moved: no boundary-fixing map made the images
-        certified_book(chords, (moved, book.images[1])),
-        # an invalid chord book certifies nothing, though its ends match
-        certified_book(short, book.images[:1]),
-    ):
+    # an image endpoint moved, or an image turned around: no boundary-fixing
+    # map made the images from the pushed chords
+    for image in (moved, reverse(h)):
+        made = certified_book(book.surface, book.basis, pushed, (image, book.images[1]))
         assert "_checked" not in made.__dict__
         assert validate_pob(made) == validate_pob(fresh(made))

@@ -7,6 +7,7 @@ import pytest
 from certificates import assert_validated_geometry
 
 import plumbook.arcs
+import plumbook.openbook
 import plumbook.plumbing
 import plumbook.surface
 from plumbook.arcs import Arc, Crossing, bands_cut, interior_intersections
@@ -178,29 +179,31 @@ def test_star_surfaces_carry_the_geometry_validation_builds():
 
 
 def test_star_books_go_through_one_checked_path(monkeypatch):
-    # the book of the basis and its chords is built and checked by the one
-    # public function, and each arc gets one view: the basis chord, the
-    # pushed-off chord and the twisted image
-    calls, built = [], []
-    original = plumbook.plumbing.pob_from_product_disks
-    monkeypatch.setattr(
-        plumbook.plumbing,
-        "pob_from_product_disks",
-        lambda p, system: calls.append(system) or original(p, system),
-    )
+    # a star's book carries the check its layout proves: no book is checked
+    # in full, and each arc gets one view, the basis chord, the pushed-off
+    # chord and the twisted image, three per Hopf band, and one more for
+    # each twist of an image that meets another Hopf band's core
+    checks, built = [], []
+    check = plumbook.openbook._check
+    monkeypatch.setattr(plumbook.openbook, "_check", lambda pob: checks.append(pob) or check(pob))
     view_init = plumbook.arcs._ArcData.__init__
     monkeypatch.setattr(
         plumbook.arcs._ArcData,
         "__init__",
         lambda self, geo, slots: built.append(slots) or view_init(self, geo, slots),
     )
-    associated_pob(pretzel_decompose(PretzelSpec((-3, 5, -7, 1))))
-    assert len(calls) == 1
-    assert len(built) == 3
-    # a caller's basis arc with cancelling letters comes back reduced
+    pretzel = pretzel_decompose(PretzelSpec((-3, 5, -7, 1)))
+    for star, views in ((pretzel, 3), (star_of(4, 2, -2, 4), 7)):
+        built.clear()
+        book = associated_pob(star)[2]
+        assert "_checked" in book.__dict__
+        assert (len(checks), len(built)) == (0, views)
+    # a caller's basis arc with cancelling letters comes back reduced from
+    # the full path, which checks its book
     (a, h), = product_disk_basis(star_of(2)).pairs
     written = Arc(a.start, a.end, (Crossing("c0", 1), Crossing("c0", -1)))
-    pob = original(star_sum_surface(star_of(2)), ProductDiskSystem(((written, h),)))
+    pob = pob_from_product_disks(star_sum_surface(star_of(2)), ProductDiskSystem(((written, h),)))
+    assert len(checks) == 1
     assert validate_pob(pob) == []
     assert pob.basis == (a,)
     assert pob.basis[0].crossings == ()
@@ -296,7 +299,10 @@ def test_not_a_basis_message_is_bounded():
     with pytest.raises(NotABasisError) as exc:
         pob_from_product_disks(p, system)
     message = str(exc.value)
-    assert message.startswith("EndpointMismatch: image 0 does not end beside basis arc 0; ")
+    assert message.startswith(
+        "EndpointMismatch: image 0 is not one point past both of basis arc 0's ends, "
+        "or one point before both: off at both ends; "
+    )
     assert message.count("EndpointMismatch") == MAX_LISTED_VIOLATIONS
     assert message.endswith(f"; (and {k - MAX_LISTED_VIOLATIONS} more)")
 

@@ -12,18 +12,23 @@ Subcommands:
   family sweep; exit 1 on the first failed assertion.
 * emit-dot [FILE]: deterministic graph text for a surface or pob document.
 
+Options are --name value or --name=value, the name written out or cut to
+a unique prefix (--fo text); the last one given counts, and -- ends the
+options.  A token starting with - is an option unless it is - alone or -
+and a digit, so -3,3,1 and --count -1 are values.  -h or --help writes the
+usage lines and exits 0.
+
 Exit codes: 0 success, 1 failed golden assertion, 2 malformed or invalid
-input, refused in one stderr line under 4 KB.
+input or argv, refused in one stderr line under 4 KB.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import re
 import sys
 import warnings
-from itertools import chain, product, zip_longest
+from itertools import chain, islice, product, zip_longest
+from types import SimpleNamespace
 from typing import Optional
 
 from . import documents as doc
@@ -411,50 +416,122 @@ def cmd_emit_dot(args) -> int:
     raise DocumentError("no surface or pob document in input")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on first use: parsing leaves
-    it as it was, so every main call can share it."""
-    parser = argparse.ArgumentParser(
-        prog="plumbook",
-        description="plumbed Seifert surfaces and their partial open books",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _shown(value) -> str:
+    """A value as a usage line shows it: its metavar, or {its,tokens}."""
+    return value if isinstance(value, str) else "{" + ",".join(value) + "}"
 
-    b = sub.add_parser("build", help="construct star, surface, and pob documents")
-    b.add_argument("shape", choices=("pretzel", "star"))
-    b.add_argument("numbers", help="comma-separated coefficients or halftwists")
-    b.add_argument("--mirror", action="store_true", help="negate every band")
-    b.set_defaults(func=cmd_build)
 
-    c = sub.add_parser("check", help="run verdict checks on a pob document")
-    c.add_argument("input", nargs="?", default="-", help="file path or - for stdin")
-    c.add_argument("--checks", default=None, help="comma subset of rv,contact,sqp,dividing")
-    c.add_argument("--format", choices=("text", "structured"), default="structured")
-    c.set_defaults(func=cmd_check)
+def _usage(args) -> int:
+    """Write the usage line of args.command, or of every command when it
+    is None."""
+    for name in _COMMANDS if args.command is None else [args.command]:
+        _func, positionals, options = _COMMANDS[name]
+        words = ["usage: plumbook", name, "[-h]"]
+        for option, (values, _default) in options.items():
+            words.append(f"[--{' '.join([option, *map(_shown, values)])}]")
+        for _name, value, default in positionals:
+            words.append(_shown(value) if default is None else f"[{_shown(value)}]")
+        sys.stdout.write(" ".join(words) + "\n")
+    return 0
 
-    s = sub.add_parser("stabilize", help="apply positive stabilizations")
-    s.add_argument("input", nargs="?", default="-")
-    s.add_argument("--count", default="1")
-    s.add_argument("--format", choices=("text", "structured"), default="structured")
-    s.set_defaults(func=cmd_stabilize)
 
-    pe = sub.add_parser("paper-examples", help="golden example suite")
-    pe.add_argument("--family", nargs=2, metavar=("K", "RANGE"), default=None)
-    pe.add_argument("--mirror", action="store_true")
-    pe.add_argument("--format", choices=("text", "structured"), default="text")
-    pe.set_defaults(func=cmd_paper_examples)
+FORMATS = ("text", "structured")
+# What each command reads from argv: its function, its positionals as
+# (name, value, default), the default None when the positional must be
+# given, and its options as name: (values, default).  An option reads one
+# token per value, and one of no values is a flag, True when given; no
+# option's name starts another's.  A value is a metavar, which admits any
+# token, or the tuple of tokens it admits.
+_COMMANDS = {
+    "build": (
+        cmd_build,
+        [("shape", ("pretzel", "star"), None), ("numbers", "NUMBERS", None)],
+        {"mirror": ((), False)},
+    ),
+    "check": (
+        cmd_check,
+        [("input", "FILE", "-")],
+        {"checks": (("CHECKS",), None), "format": ((FORMATS,), "structured")},
+    ),
+    "stabilize": (
+        cmd_stabilize,
+        [("input", "FILE", "-")],
+        {"count": (("N",), "1"), "format": ((FORMATS,), "structured")},
+    ),
+    "paper-examples": (
+        cmd_paper_examples,
+        [],
+        {
+            "family": (("k=N", "range=N"), None),
+            "mirror": ((), False),
+            "format": ((FORMATS,), "text"),
+        },
+    ),
+    "emit-dot": (cmd_emit_dot, [("input", "FILE", "-")], {}),
+}
 
-    e = sub.add_parser("emit-dot", help="graph text for a surface or pob document")
-    e.add_argument("input", nargs="?", default="-")
-    e.set_defaults(func=cmd_emit_dot)
-    # argparse reads a token that looks like a negative number as a value,
-    # also after an option that takes one (--count -1); its own pattern, the
-    # parser's _negative_number_matcher, admits -3 but not the list -3,3,1,
-    # so here every token starting with -digit counts as such a value
-    for command in sub.choices.values():
-        command._negative_number_matcher = re.compile(r"^-\d")
-    return parser
+
+def _is_value(token: str) -> bool:
+    """Whether token is a value rather than an option: it does not start
+    with -, or it is - alone or - and a digit (-3,3,1)."""
+    return not token.startswith("-") or token == "-" or token[1:2].isdecimal()
+
+
+def _admit(name: str, value, token: str) -> str:
+    """token, refused unless value admits it."""
+    if not isinstance(value, str) and token not in value:
+        raise DocumentError(f"{name} must be one of {', '.join(value)}, got {token!r}")
+    return token
+
+
+def _parse(argv) -> SimpleNamespace:
+    """argv read against _COMMANDS into the namespace of its command's
+    function: each positional and option by name, at its default when not
+    given.  An option is --name value or --name=value, by its full name or
+    a unique prefix of it; the last one given counts.  -- ends the options
+    of a command that takes positionals, and is a positional elsewhere.
+    Reading stops at -h or --help, which reads into _usage's namespace;
+    anything refused raises DocumentError."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    func, positionals, options = _COMMANDS.get(command, (None, [], {}))
+    defaults = {name: default for name, (_values, default) in options.items()}
+    args = SimpleNamespace(command=command, func=func, **defaults)
+    given = []
+    tokens = iter(argv[1:] if command else argv)
+    for token in tokens:
+        if token == "--" and positionals:
+            given.extend(tokens)
+        elif token == "--" or _is_value(token):
+            given.append(token)
+        elif token != "-h" and not token.startswith("--"):
+            raise DocumentError(f"unknown option {token!r}")
+        else:
+            key, eq, value = ("help" if token == "-h" else token[2:]).partition("=")
+            names = [n for n in (*options, "help") if n.startswith(key)]
+            if not names:
+                raise DocumentError(f"unknown option {token!r}")
+            if len(names) > 1:
+                raise DocumentError(f"ambiguous option {token!r}: --{', --'.join(names)}")
+            name = names[0]
+            values = options[name][0] if name in options else ()
+            read = [value] if eq else list(islice(tokens, len(values)))
+            if len(read) != len(values) or not (eq or all(map(_is_value, read))):
+                raise DocumentError(f"--{name} takes {' '.join(map(_shown, values)) or 'no value'}")
+            if name == "help":
+                return SimpleNamespace(command=command, func=_usage)
+            read = [_admit(f"--{name}", v, t) for v, t in zip(values, read)]
+            setattr(args, name, True if not read else read[0] if len(read) == 1 else read)
+    if command is None:
+        got = f"; got {argv[0]!r}" if argv else ""
+        raise DocumentError(f"expected a command first, one of {', '.join(_COMMANDS)}{got}")
+    if len(given) > len(positionals):
+        raise DocumentError(f"unexpected argument {given[len(positionals)]!r}")
+    for i, (name, value, default) in enumerate(positionals):
+        token = given[i] if i < len(given) else default
+        if token is None:
+            raise DocumentError(f"{command} needs its {name}")
+        setattr(args, name, _admit(name, value, token))
+    return args
 
 
 # a refusal is one stderr line; a longer line than this keeps its first
@@ -478,13 +555,12 @@ def _error_line(e: ValueError) -> str:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
     # each warning the command raises becomes one stderr line, also when
     # the command then fails
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
+            args = _parse(argv)
             code, error = args.func(args), ""
         except ValueError as e:
             code, error = 2, _error_line(e)

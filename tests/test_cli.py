@@ -1,5 +1,7 @@
 """End-to-end command tests, run in process."""
 
+import argparse
+import collections
 import contextlib
 import gc
 import hashlib
@@ -26,7 +28,6 @@ from plumbook.cli import (
     MAX_FAMILY_SPECS,
     MAX_STABILIZE_COUNT,
     _family_rows,
-    build_parser,
     main,
 )
 from plumbook.documents import MAX_BOOK_ARCS, MAX_BOOK_CROSSINGS
@@ -730,21 +731,196 @@ def test_a_long_violation_list_is_summarized():
     assert len(exc.value.violations) == n
 
 
-def test_parser_is_built_once_per_process():
-    assert build_parser() is build_parser()
-    # nothing is built at import
-    probe = "import plumbook.cli as c; print(c.build_parser.cache_info().currsize)"
-    assert fresh_python("-c", probe) == "0\n"
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser plumbook read argv with before its command
+    table, the reference the table's grammar is tested against."""
+    parser = argparse.ArgumentParser(prog="plumbook")
+    sub = parser.add_subparsers(dest="command", required=True)
+    b = sub.add_parser("build")
+    b.add_argument("shape", choices=("pretzel", "star"))
+    b.add_argument("numbers")
+    b.add_argument("--mirror", action="store_true")
+    b.set_defaults(func=cli.cmd_build)
+    c = sub.add_parser("check")
+    c.add_argument("input", nargs="?", default="-")
+    c.add_argument("--checks", default=None)
+    c.add_argument("--format", choices=("text", "structured"), default="structured")
+    c.set_defaults(func=cli.cmd_check)
+    s = sub.add_parser("stabilize")
+    s.add_argument("input", nargs="?", default="-")
+    s.add_argument("--count", default="1")
+    s.add_argument("--format", choices=("text", "structured"), default="structured")
+    s.set_defaults(func=cli.cmd_stabilize)
+    pe = sub.add_parser("paper-examples")
+    pe.add_argument("--family", nargs=2, default=None)
+    pe.add_argument("--mirror", action="store_true")
+    pe.add_argument("--format", choices=("text", "structured"), default="text")
+    pe.set_defaults(func=cli.cmd_paper_examples)
+    e = sub.add_parser("emit-dot")
+    e.add_argument("input", nargs="?", default="-")
+    e.set_defaults(func=cli.cmd_emit_dot)
+    # every token starting with -digit is a value, also the list -3,3,1
+    for command in sub.choices.values():
+        command._negative_number_matcher = re.compile(r"^-\d")
+    return parser
 
 
-def test_shared_parser_carries_nothing_between_calls(capsys, tmp_path):
+# each command's positionals present, missing, extra and refused, and its
+# options in every spelling, refused ones too
+ARGV_POSITIONALS = {
+    "build": [
+        [],
+        ["pretzel"],
+        ["pretzel", "-3,3,1"],
+        ["star", "2,-4"],
+        ["star", "-\u0663"],
+        ["pretzel", "-3x"],
+        ["pretzel", "-"],
+        ["pretzel", ""],
+        ["cube", "1"],
+        ["pretzel", "-3,3,1", "1"],
+    ],
+    "check": [[], ["-"], ["in.json"], ["-3"], ["-", "-"]],
+    "stabilize": [[], ["-"], ["in.json"], ["-", "x"]],
+    "paper-examples": [[], ["x"]],
+    "emit-dot": [[], ["-"], ["in.json"], ["a", "b"]],
+}
+ARGV_OPTIONS = {
+    "build": [["--mirror"], ["--mir"], ["--m"], ["--mirror=x"], ["-m"], ["-mirror"], ["--mirrors"]],
+    "check": [
+        ["--checks", "rv"],
+        ["--checks=rv,sqp"],
+        ["--che", "-1"],
+        ["--checks", "-"],
+        ["--checks=-x"],
+        ["--checks"],
+        ["--checks", "-x"],
+        ["--format", "text"],
+        ["--format=structured"],
+        ["--f", "text"],
+        ["--format", "xml"],
+        ["--format="],
+        ["--format", "Text"],
+    ],
+    "stabilize": [
+        ["--count", "3"],
+        ["--count", "-1"],
+        ["--count=-1"],
+        ["--c", "2"],
+        ["--count="],
+        ["--count"],
+        ["--count", "--format", "text"],
+        ["--fo=text"],
+        ["--format", "xml"],
+        ["--checks", "rv"],
+    ],
+    "paper-examples": [
+        ["--family", "k=1", "range=3"],
+        ["--fa", "k=1", "-3"],
+        ["--family=k=1", "range=3"],
+        ["--family", "k=1"],
+        ["--family", "k=1", "-x"],
+        ["--f", "text"],
+        ["--fo", "structured"],
+        ["--m"],
+        ["--mirror=1"],
+        ["--format", "xml"],
+    ],
+    "emit-dot": [["--format", "text"], ["--i", "x"]],
+}
+# refused wherever they stand
+ARGV_REFUSED_OPTIONS = [["-x"], ["--bogus"], ["---mirror"], ["--help=x"]]
+ARGV_TOP = [[], ["bogus"], ["bui"], ["Build"], ["-x"], ["--bogus"], ["-3"], [""], ["--"]]
+# -h and --help before anything refused, and a refusal before them
+ARGV_HELP = [
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["--h"],
+    ["-h", "build"],
+    *([c, h] for c in cli._COMMANDS for h in ("-h", "--help", "--hel")),
+    ["build", "-h", "cube"],
+    ["build", "pretzel", "--help"],
+    ["build", "--mirror", "-h"],
+    ["check", "--help", "--format", "xml"],
+    ["check", "-", "--format", "text", "-h"],
+    ["stabilize", "--count", "-1", "-h"],
+    ["paper-examples", "--family", "k=1", "range=2", "--help"],
+    ["check", "--format", "xml", "--help"],
+    ["stabilize", "--count", "--help"],
+]
+
+
+def argv_corpus():
+    """The argvs the command table is tested on against the reference"""
+    yield from ARGV_TOP
+    yield from ARGV_HELP
+    for command, positionals in ARGV_POSITIONALS.items():
+        options = [[], *ARGV_OPTIONS[command], *ARGV_REFUSED_OPTIONS]
+        pairs = [a + b for a, b in itertools.product(ARGV_OPTIONS[command], repeat=2)]
+        for pos, opt in itertools.product(positionals, options + pairs):
+            yield [command, *opt, *pos]
+            yield [command, *pos, *opt]
+            yield [command, *pos[:1], *opt, *pos[1:]]
+            yield [command, *opt, "--", *pos]
+            yield [command, *pos, "--", *opt]
+
+
+def reference_outcome(argv):
+    """What the reference makes of argv: ("ok", attributes), ("help",) or
+    ("refused",)"""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            args = REFERENCE.parse_args(argv)
+    except SystemExit as e:
+        return ("help",) if e.code == 0 else ("refused",)
+    return "ok", vars(args)
+
+
+def table_outcome(argv):
+    """What main and the command table make of argv, in the same terms"""
+    try:
+        args = cli._parse(argv)
+    except DocumentError:
+        code, out, err = run_on_text(argv, "")
+        assert (code, out) == (2, ""), argv
+        assert re.fullmatch(r"error: [^\n]+\n", err), (argv, err)
+        return ("refused",)
+    if args.func is cli._usage:
+        code, out, err = run_on_text(argv, "")
+        assert (code, err) == (0, ""), argv
+        assert out.startswith("usage: plumbook "), argv
+        return ("help",)
+    return "ok", vars(args)
+
+
+REFERENCE = reference_parser()
+
+
+def test_command_table_reads_argv_as_argparse_did():
+    outcomes = collections.Counter()
+    for argv in argv_corpus():
+        expected = reference_outcome(argv)
+        assert table_outcome(argv) == expected, argv
+        outcomes[expected[0]] += 1
+    assert outcomes == {"ok": 2197, "help": 27, "refused": 9209}
+
+
+def test_importing_the_cli_loads_no_argparse():
+    probe = (
+        "import sys, plumbook.cli; "
+        "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))"
+    )
+    assert fresh_python("-c", probe) == "[]\n"
+
+
+def test_a_refused_argv_carries_nothing_between_calls(capsys, tmp_path):
     path = build_file(capsys, tmp_path, "build", "star", "2,-2")
     code, out, _err = run(capsys, "check", str(path), "--checks", "rv", "--format", "text")
     assert (code, out) == (0, "rv: Right,Left\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["check", str(path), "--format", "xml"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    code, out, err = run(capsys, "check", str(path), "--format", "xml")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: [^\n]+\n", err)
     code, out, _err = run(capsys, "check", str(path))
     assert code == 0
     assert out == fresh_python("-m", "plumbook.cli", "check", str(path))
@@ -1303,7 +1479,6 @@ def test_decisions_leave_no_cyclic_garbage():
     # an arc keeps its view and its reversal, and neither refers back to it
     # but weakly, so refcounting frees everything a decision builds; with
     # automatic collection off, a cycle would wait for gc.collect() to find it
-    build_parser()  # argparse's formatters form cycles; the parser is built once
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()

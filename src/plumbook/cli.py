@@ -207,21 +207,19 @@ def cmd_stabilize(args) -> int:
             f"count {count}; at most {MAX_STABILIZE_COUNT} stabilizations are supported"
         )
     pob, _star = _find_pob(_read_input(args.input))
-    steps = []
-
-    def record(book):
-        steps.append(
-            {
-                "chi": euler_characteristic(book.surface),
-                "veering": [v.value for v in veering_report(book).verdicts],
-                "contact": contact_verdict(book).status.value,
-            }
-        )
-
-    record(pob)
-    for _ in range(count):
-        pob = positive_stabilization(pob)
-        record(pob)
+    book = positive_stabilization(pob, count)
+    # step s adds one pair and one arc; the status is fixed from step 1 on
+    chi = euler_characteristic(pob.surface)
+    verdicts = [v.value for v in veering_report(book).verdicts]
+    first, status = contact_verdict(pob).status.value, contact_verdict(book).status.value
+    steps = [
+        {
+            "chi": chi - s,
+            "veering": verdicts[: len(pob.basis) + s],
+            "contact": status if s else first,
+        }
+        for s in range(count + 1)
+    ]
     report = doc.report_document(
         {
             "steps": steps,
@@ -236,7 +234,7 @@ def cmd_stabilize(args) -> int:
             lines.append(f"step {i}: chi {s['chi']}, veering {veering}, {s['contact']}")
         sys.stdout.write("\n".join(lines) + "\n")
     else:
-        sys.stdout.write(doc.print_documents([report, doc.pob_document(pob)]))
+        sys.stdout.write(doc.print_documents([report, doc.pob_document(book)]))
     return 0
 
 

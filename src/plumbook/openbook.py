@@ -36,10 +36,18 @@ kernel's counterclockwise order.  Two constructions carry them
 instead: a book whose images one boundary-fixing homeomorphism makes from
 the pushed-off chords of a chord book its caller's layout proves valid
 carries that book's check, read off the chords' ends (certified_book),
-and a positive stabilization carries the check and veering with the pair
-it adds, and the verdict in one proven case, deciding it in full otherwise.
-Its surface carries the old geometry with the new sides put in, never
-validated.
+and a positive stabilization carries the check and veering with the pairs
+it adds, and the verdict where the rule proves it, deciding a step in full
+otherwise.  One call takes a chain of steps in one pass, at the same cost
+per step (positive_stabilization).  The surface is laid out once, every
+step's handle block after the split side, newest first, and carries the old
+geometry with the new sides put in, never validated.  Each point on the
+split side is divided once, by the product of the factors of the steps
+after it; Fractions are exact, so the positions are those of a division
+per step.  At its own step, each new pair's addresses fill an interval of
+the polygon circle that holds no other address, and later steps keep the
+cyclic order of every address, so its tests come out the same at every
+step, and the verdict status is fixed from the first step on.
 """
 
 from __future__ import annotations
@@ -449,98 +457,167 @@ def _free_gap(label: str, top: Fraction) -> tuple[BoundaryPoint, BoundaryPoint]:
     return BoundaryPoint(label, top + (1 - top) / 3), BoundaryPoint(label, top + 2 * (1 - top) / 3)
 
 
-def _fresh(base: str, taken) -> str:
+def _fresh_names(base: str, taken: set):
+    """Names base, base0, base1, ..., each not in taken when it is asked
+    for and added to taken as it is given.  taken only grows, so a suffix
+    passed over stays taken, and each base goes on from its last suffix."""
     if base not in taken:
-        return base
+        taken.add(base)
+        yield base
     k = 0
-    while f"{base}{k}" in taken:
+    while True:
+        name = f"{base}{k}"
         k += 1
-    return f"{base}{k}"
+        if name not in taken:
+            taken.add(name)
+            yield name
 
 
-# stabilize --count refuses more: a step copies every old arc and positions
-# grow; count 200 takes 0.44 to 0.79 s on pretzel(-3,3,1) and on a 10-band
-# Hopf star (5 runs each, wall time with interpreter start, Python 3.11.7
-# on a shared 2-vCPU Xeon host)
+# stabilize --count refuses more: positions on the split side grow about
+# one digit per step, and a fresh check of the written book is quadratic in
+# its arcs.  On pretzel(-3,3,1) and a 10-band Hopf star, count 20 takes
+# 0.08 to 0.09 s, 100 takes 0.09 to 0.10 s and 200 takes 0.11 to 0.13 s
+# (medians of 5, wall time with interpreter start, Python 3.11.7 on a
+# shared 2-vCPU Xeon host)
 MAX_STABILIZE_COUNT = 200
 
 
-def positive_stabilization(pob: PartialOpenBook) -> PartialOpenBook:
-    """Plumb a positive Hopf band onto the free boundary segment free_site(pob).
+def positive_stabilization(pob: PartialOpenBook, count: int = 1) -> PartialOpenBook:
+    """Plumb count positive Hopf bands onto the book, one after another,
+    each on the free boundary segment free_site of the book before it.
 
-    The segment between the two site points is cut out and replaced by a new
-    1-handle (one glued pair) with a fresh boundary side inside it.  One new
-    basis arc runs once over the handle; its image is the pushed-off copy
-    twisted positively about the handle.  All existing arcs keep their
-    words, and their endpoints on the split side, all below the segment,
-    are rescaled onto its first part, so the cyclic order of the old
-    addresses is unchanged.
+    A step cuts the segment between its two site points out of the split
+    side, the first boundary side, and puts a new 1-handle (one glued pair)
+    there with a fresh boundary side inside it.  One new basis arc runs
+    once over the handle; its image is the pushed-off copy twisted
+    positively about the handle.  All existing arcs keep their words, and
+    their endpoints on the split side, all below the segment, are rescaled
+    onto its first part, so the cyclic order of the old addresses is
+    unchanged.  count 0 returns pob itself.  A count that is no int, or is
+    a bool or negative, raises ValueError, and an invalid book raises
+    InvalidOpenBookError at every count.
 
-    The new pair meets no old arc.  Its addresses lie in one interval of the
-    polygon circle, from its point on the split side, above every old point
-    there, through the four new sides, and no old address lies in it.  Its
-    only letters are of the fresh pair, which no old word crosses.  So no
-    chord of the new pair is linked with an old chord, they share no
-    corridor, and every count between the new pair and an old arc is 0.
+    One pass takes all the steps.  Step s reads its site top_s, the last
+    marked position on the split side, and divides that side by its factor
+    lo_s = top_s + (1 - top_s)/3; its new pair's two points there split
+    the gap above top_s / lo_s into thirds, and the upper one, its image's
+    start, is the next site.  The names come from one growing set.  Then
+    the book is laid out once.  Each step puts its handle block (st L, mid,
+    st R, post) right after the split side, so the final sides hold the
+    blocks there newest first, and every old side after them moves up by
+    4 count.  Each old point on the split side is divided once, by the
+    product of all the factors, and each new point once, by the product of
+    the factors of the steps after its own.  Fractions are exact and in
+    lowest terms, so these are the positions a division per step gives.
 
-    The new book therefore carries the old book's check, with the old arcs
-    moved and not reduced again and the new image's start, above the new
-    basis arc's, as its site, and its veering verdicts with the new pair's.
-    Its verdict is carried in one case, the old book's decided first if it
-    has none: the old verdict has a nonempty matrix, the new arc does not
-    veer left, and it is disjoint from its image.  The new arc then adds no
-    edge to the support and a zero to the diagonal, so the old status and
-    reason hold, acyclic support included, with the matrix bordered by
-    zeros.  Every other step is decided by the full rule: an old witness is
-    read off the carried veering before any count, and the first step from
-    the disk counts its one entry.  The new pair is tested only against
-    itself, on its two views: one sort of their four end addresses gives
-    the image's orientation and the new site, exact as no old point lies in
-    the free gap or on the new side, and a self-count its embedding.  If it
-    fails, the new book keeps nothing and is checked in full.
+    The new pairs meet no old arc and no other new pair.  At its own step
+    a pair's addresses fill one interval of the polygon circle, from its
+    points on the split side, above every point there, through its four
+    sides, and no other address lies in it; its only letters are of its
+    fresh pair, which no other word crosses.  So no chord of the pair is
+    linked with another arc's chord, they share no corridor, and every
+    count between the pair and another arc is 0.  Later steps keep the
+    cyclic order of every address there is: their points go above all
+    others on the split side, their blocks before the older ones, and the
+    rescale is by one positive factor.  So the counts stay 0, and each
+    test of a pair reads its own addresses and doors alone: one sort of
+    its four end addresses gives the image's orientation and the site, a
+    self-count its embedding, _veer its verdict and one count its matrix
+    entry i(a, h), and the twist compares its chord's sides with the
+    pair's.  Each comes out on the final surface as on its step's own,
+    where every pair sits alike, so the pairs are tested on the final
+    surface and their results are the same at every step.
+
+    The book therefore carries the old book's check, with the old arcs
+    moved and not reduced again and the last image's start as its site,
+    and its veering verdicts with the new pairs'.  A step carries the
+    verdict, the old book's decided first if it has none, in two cases.
+    An old witness stays: the full rule reads the first Left verdict, and
+    the new ones come after it.  A nonempty matrix stays when the new arc
+    does not veer left and misses its image: it adds no edge to the
+    support and a zero to the diagonal, so the status and reason hold,
+    acyclic support included, with the matrix bordered by one zero row and
+    column per step.  Any other step ends the pass (the first step from a
+    book with no arc, whose verdict has an empty matrix, or a new arc that
+    veers left or meets its image): its own book is laid out and decided
+    by the full rule, and the steps after it stabilize that book.  A new pair that
+    fails its tests ends the pass too: its book keeps nothing and is
+    checked in full, as a further step does first.
+
+    The status is fixed from step 1 on.  The pairs' results are the same
+    at every step, so every step from step 2 on meets what step 1 met: a
+    carried verdict, an old witness, or the full rule on a new arc that
+    veers left (a witness then, and after it an old witness) or meets its
+    image (a nonzero diagonal entry: Unknown again).  A pass raises
+    AssertionError if a status changes all the same.
 
     The new surface carries its geometry, the old one moved and not
-    validated: every side from at on moves up by 4, which keeps the order
-    of the old sides; mid_label (at at + 1) and post_label (at at + 3)
-    follow label in boundary order; and the new pair (at, at + 2) takes its
-    place among the left halves.  So sorting each moved map by side, with
-    the new entries in, gives validate's maps.  The sides are valid: the
-    labels and the pair are fresh, the pair occurs once per end, and the
-    corner walk is the old one moved up with two changes.  The step over
-    label from at - 1 goes on through corners at and at + 3, over the new
-    pair and post_label, to at + 4, the old corner at; and the new cycle
-    at + 1, at + 2 crosses mid_label and the pair's right half.  Every
-    corner of the old walk lay on a boundary cycle, and every new corner
-    does, so there is no interior vertex.
+    validated: every side from at on moves up by 4 count, which keeps the
+    order of the old sides; each block's mid and post labels (at its sides
+    b + 1 and b + 3) follow the split side in boundary order, newest first;
+    and each new pair (b, b + 2) takes its place among the left halves.
+    So sorting each moved map by side, with the new entries in, gives
+    validate's maps.  The sides are valid: the labels and the pairs are
+    fresh, each pair occurs once per end, and the corner walk is the old
+    one moved up with two changes per block.  The step over the split side
+    from at - 1 goes on through corners b and b + 3, over the pair and
+    post, to b + 4: the next block's corner b, or after the oldest block
+    the old corner at, moved up; and the new cycle b + 1, b + 2 crosses
+    mid and the pair's right half.  Every corner of the old walk lay on a
+    boundary cycle, and every new corner does, so there is no interior
+    vertex.
     """
+    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+        raise ValueError(f"count must be a nonnegative int, got {count!r}")
     checked = _require_pob(pob)
+    if not count:
+        return pob
     label, top = checked.site
-    lo = _free_gap(label, top)[0].position
     geo = geometry(pob.surface)
-    mid_label = _fresh(f"{label}h", geo.boundary_index)
-    post_label = _fresh(f"{label}t", {*geo.boundary_index, mid_label})
-    pair = _fresh("st", geo.pair_sides)
+    labels, pairs = set(geo.boundary_index), set(geo.pair_sides)
+    mids, posts = _fresh_names(f"{label}h", labels), _fresh_names(f"{label}t", labels)
+    names = _fresh_names("st", pairs)
+    # per step: its factor, its new points on the split side in its own
+    # coordinates, and its names
+    steps = []
+    for _ in range(count):
+        lo = top + (1 - top) / 3
+        t1, t2 = _free_gap(label, top / lo)
+        top = t2.position
+        steps.append((lo, t1.position, top, next(mids), next(posts), next(names)))
 
-    # the handle and the far part of the split side follow its near part
+    # the blocks, newest first, follow the split side; the old sides after
+    # it move up by 4 count
     at = geo.boundary_index[label] + 1
     sides = pob.surface.sides
-    handle = (Glued(pair, End.LEFT), Boundary(mid_label), Glued(pair, End.RIGHT))
 
     def up(s: int) -> int:
-        return s + 4 if s >= at else s
+        return s + 4 * count if s >= at else s
 
+    handles = []
+    boundary = [(b, up(s)) for b, s in geo.boundary_index.items()]
+    glued = [(q, (up(i), up(j))) for q, (i, j) in geo.pair_sides.items()]
+    for b, (*_, mid, post, pair) in zip(range(at, up(at), 4), reversed(steps)):
+        handles += (Glued(pair, End.LEFT), Boundary(mid), Glued(pair, End.RIGHT), Boundary(post))
+        boundary += ((mid, b + 1), (post, b + 3))
+        glued.append((pair, (b, b + 2)))
     # a pair sorts by its left half
     by_side = itemgetter(1)
-    boundary = [(b, up(s)) for b, s in geo.boundary_index.items()]
-    pairs = [(q, (up(i), up(j))) for q, (i, j) in geo.pair_sides.items()]
     surface = certified_presentation(
-        (*sides[:at], *handle, Boundary(post_label), *sides[at:]),
-        dict(sorted([*boundary, (mid_label, at + 1), (post_label, at + 3)], key=by_side)),
-        dict(sorted([*pairs, (pair, (at, at + 2))], key=by_side)),
+        (*sides[:at], *handles, *sides[at:]),
+        dict(sorted(boundary, key=by_side)),
+        dict(sorted(glued, key=by_side)),
     )
 
+    # the product of the factors of the steps after each step, and of all
+    after, product = [], Fraction(1)
+    for lo, *_ in reversed(steps):
+        after.append(product)
+        product *= lo
+    after.reverse()
+
     def move(pt: BoundaryPoint) -> BoundaryPoint:
-        return BoundaryPoint(label, pt.position / lo) if pt.side == label else pt
+        return BoundaryPoint(label, pt.position / product) if pt.side == label else pt
 
     def move_arcs(arcs) -> tuple[Arc, ...]:
         return tuple(Arc(move(a.start), move(a.end), a.crossings) for a in arcs)
@@ -550,31 +627,68 @@ def positive_stabilization(pob: PartialOpenBook) -> PartialOpenBook:
     # book was given unreduced
     basis = kept_basis if pob.basis == checked.basis else move_arcs(pob.basis)
     images = kept_images if pob.images == checked.images else move_arcs(pob.images)
-    t1, t2 = _free_gap(label, top / lo)
-    new_basis = reduce(surface, Arc(t1, BoundaryPoint(mid_label, Fraction(1, 3))))
-    pushed = Arc(t2, BoundaryPoint(mid_label, Fraction(2, 3)))
-    new_image = twist_about_band(surface, pushed, pair, +1)
-    book = PartialOpenBook(surface, (*basis, new_basis), (*images, new_image))
-    # the new basis arc is a crossing-free chord, so only its image is tested
-    a, h = arc_view(surface, new_basis), arc_view(surface, new_image)
-    ranks, top = _ranks((a, h), at - 1)
-    oriented = _oriented_image(new_image, *ranks)
-    if oriented is None or view_count(h, h):
+    new_basis, new_images, oriented_images, veers = [], [], [], []
+    verdict = None
+    for s, ((_, t1, t2, mid, _, pair), scale) in enumerate(zip(steps, after), 1):
+        start = BoundaryPoint(label, t1 / scale)
+        a_s = reduce(surface, Arc(start, BoundaryPoint(mid, Fraction(1, 3))))
+        pushed = Arc(BoundaryPoint(label, t2 / scale), BoundaryPoint(mid, Fraction(2, 3)))
+        h_s = twist_about_band(surface, pushed, pair, +1)
+        new_basis.append(a_s)
+        new_images.append(h_s)
+        # the new basis arc is a crossing-free chord, so only its image is tested
+        a, h = arc_view(surface, a_s), arc_view(surface, h_s)
+        ranks, top = _ranks((a, h), at - 1)
+        oriented = _oriented_image(h_s, *ranks)
+        if oriented is None or view_count(h, h):
+            carried = False
+            break
+        oriented_images.append(oriented)
+        veers.append(_veer(a, arc_view(surface, oriented)))
+        verdict = verdict or contact_verdict(pob)
+        carried = verdict.witness_index is not None or (
+            verdict.matrix and veers[-1] is not ArcVeer.LEFT and not view_count(a, h)
+        )
+        if not carried:
+            break
+    if s < count:
+        # the step that ended the pass, and the steps after it on its book
+        book = positive_stabilization(pob, s)
+        rest = positive_stabilization(book, count - s)
+        if s > 1:
+            _same_status(verdict, contact_verdict(book))
+        _same_status(contact_verdict(book), contact_verdict(rest))
+        return rest
+    book = PartialOpenBook(surface, (*basis, *new_basis), (*images, *new_images))
+    if len(veers) < count:
         return book
     kept = checked._replace(
-        basis=(*kept_basis, new_basis), images=(*kept_images, oriented), site=(label, top)
+        basis=(*kept_basis, *new_basis),
+        images=(*kept_images, *oriented_images),
+        site=(label, top),
     )
     object.__setattr__(book, "_checked", kept)
-    veer = _veer(a, arc_view(surface, oriented))
-    object.__setattr__(book, "_veering", VeeringReport((*veering_report(pob).verdicts, veer)))
-    verdict = contact_verdict(pob)
-    if verdict.matrix and veer is not ArcVeer.LEFT and not view_count(a, h):
-        matrix = (*((*r, 0) for r in verdict.matrix), (0,) * (len(verdict.matrix) + 1))
-        verdict = ContactVerdict(verdict.status, verdict.reason, matrix=matrix)
-    else:
-        verdict = _verdict(book)
+    object.__setattr__(book, "_veering", VeeringReport((*veering_report(pob).verdicts, *veers)))
+    if not carried:
+        decided = contact_verdict(book)
+        if count > 1:
+            _same_status(verdict, decided)
+        return book
+    if verdict.matrix:
+        n = len(verdict.matrix)
+        rows = (*((*r, *(0,) * count) for r in verdict.matrix), *((0,) * (n + count),) * count)
+        verdict = ContactVerdict(verdict.status, verdict.reason, matrix=rows)
     object.__setattr__(book, "_verdict", verdict)
     return book
+
+
+def _same_status(before: ContactVerdict, after: ContactVerdict) -> None:
+    """Raises AssertionError unless two steps from step 1 on have one status."""
+    if before.status is not after.status:
+        raise AssertionError(
+            f"stabilization changed the verdict status from {before.status.value} "
+            f"to {after.status.value}"
+        )
 
 
 def dividing_set_counts(pob: PartialOpenBook) -> tuple[int, int]:

@@ -1360,6 +1360,22 @@ def test_long_stabilize_chains_stdout_is_pinned(argv, count, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "form, digest",
+    [
+        ("structured", "bd252de2eb258fb615bd0355875e10c5b2418b2f0a8f42d4f167ddc2487efdca"),
+        ("text", "a0e1ca7a94c227b560a53661dd6e28745aa26a1b4066ddceb4dfd80fb6ac5878"),
+    ],
+)
+def test_stabilize_count_zero_is_pinned(form, digest):
+    # no step: the input's own record, and in structured form its book
+    code, built, _err = run_on_text(["build", "pretzel", "-3,3,1"], "")
+    assert code == 0
+    code, out, err = run_on_text(["stabilize", "-", "--count", "0", "--format", form], built)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 @settings(max_examples=150, deadline=None)
 @given(MUTATED)
 def test_mutated_documents_never_crash(case):

@@ -681,6 +681,35 @@ def test_stabilization_counts_only_the_new_arc(monkeypatch):
             comparisons.append(len(compared))
         assert len(built) == 1, built
         assert len(set(comparisons)) == 1, comparisons
+    # one call takes a whole chain: per step, 6 divisions (a third for the
+    # factor, the site over the factor, two thirds for the new gap and one
+    # rescale of each new point), 4 views and 2 counts (the new image
+    # against itself and against its basis arc), and one division per old
+    # point on the split side; a per-step rescale of the old points would
+    # make the divisions quadratic
+    divided = []
+    division = Fraction.__truediv__
+    monkeypatch.setattr(Fraction, "__truediv__", lambda x, y: divided.append(x) or division(x, y))
+    for star in (pretzel_decompose(PretzelSpec((-3, 5, 7, 1))), ten):
+        ops = {}
+        for n in (20, 40):
+            pob = associated_pob(star)[2]
+            contact_verdict(pob)
+            divided.clear()
+            calls.clear()
+            views.clear()
+            with monkeypatch.context() as m:
+                m.setattr(
+                    plumbook.openbook,
+                    "view_count",
+                    lambda v, w: calls.append((v, w)) or count(v, w),
+                )
+                pob = positive_stabilization(pob, n)
+                validate_pob(pob)
+                veering_report(pob)
+                contact_verdict(pob)
+            ops[n] = len(divided), len(views), len(calls)
+        assert ops == {20: (122, 80, 40), 40: (242, 160, 80)}, star
 
 
 def stars(twists, most):
